@@ -46,9 +46,10 @@ bench-remote:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRemoteShardDecode' -benchtime 100x ./internal/remote
 
 # Machine-readable kernel numbers: the decode kernels (bit-sliced batch
-# vs scalar), the noisy batch path, and the remote/batched wire parity,
-# written as BENCH_kernels.json (name -> ns/op, B/op, allocs/op) for CI
-# to archive and for regression tooling to diff.
+# vs scalar), the noisy batch path, the remote/batched wire parity, and
+# one worker scheme install at n=10^4, m=600, written as
+# BENCH_kernels.json (name -> ns/op, B/op, allocs/op) for CI to archive
+# and for regression tooling to diff.
 bench-kernels:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/benchjson ./cmd/benchjson; \
@@ -56,7 +57,7 @@ bench-kernels:
 	    -bench 'BenchmarkNoisyBatchDecode|BenchmarkMNDecode|BenchmarkQueryExecute|BenchmarkOneDesignManySignals|BenchmarkTraceOverhead' \
 	    -benchtime 1x . ; \
 	  $(GO) test -short -run '^$$' -benchmem \
-	    -bench 'BenchmarkRemoteShardDecode' -benchtime 20x ./internal/remote ; } \
+	    -bench 'BenchmarkRemoteShardDecode|BenchmarkSchemeInstall' -benchtime 20x ./internal/remote ; } \
 	| tee /dev/stderr | $$tmp/benchjson > BENCH_kernels.json
 	@echo "wrote BENCH_kernels.json"
 

@@ -210,7 +210,7 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "parse design csv: %v", err)
 			return
 		}
-		es := s.cluster.SchemeFromGraph(g)
+		es := s.cluster.SchemeFromGraph(g, engine.GraphKey(g))
 		ent := s.register(es, "uploaded", g.N(), g.M(), 0, engine.DesignParams{}, true)
 		writeJSON(w, http.StatusCreated, ent)
 		return
@@ -879,7 +879,7 @@ func (s *server) migrateSchemes(reason string) {
 		}
 		var fresh *engine.Scheme
 		if ent.AdHoc {
-			fresh = s.cluster.SchemeFromGraph(ent.scheme.G)
+			fresh = s.cluster.SchemeFromGraph(ent.scheme.G, ent.scheme.RouteKey())
 		} else {
 			fresh = s.cluster.InstallScheme(ent.scheme.Spec, ent.scheme.G)
 		}

@@ -196,7 +196,7 @@ func loadAdhocEntry(cluster *engine.Cluster, srv *server, path string, se snapsh
 		fmt.Fprintf(logw, "pooledd: snapshot ad-hoc design %s unreadable: %v\n", name, err)
 		return
 	}
-	es := cluster.SchemeFromGraph(g)
+	es := cluster.SchemeFromGraph(g, engine.GraphKey(g))
 	ent := srv.register(es, se.Design, g.N(), g.M(), 0, engine.DesignParams{}, true)
 	fmt.Fprintf(logw, "pooledd: snapshot restored ad-hoc scheme %s from %s (n=%d m=%d shard=%d)\n",
 		ent.ID, name, g.N(), g.M(), es.Home())

@@ -46,7 +46,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := labio.WriteDesign(&csv, esUp.G); err != nil {
 		t.Fatal(err)
 	}
-	adhoc := srv1.register(c1.SchemeFromGraph(esUp.G), "uploaded", 100, 60, 0, engine.DesignParams{}, true)
+	adhoc := srv1.register(c1.SchemeFromGraph(esUp.G, engine.GraphKey(esUp.G)), "uploaded", 100, 60, 0, engine.DesignParams{}, true)
 	_ = adhoc
 
 	if err := writeSnapshot(srv1, path); err != nil {

@@ -80,9 +80,10 @@ type Scheme struct {
 	home int
 
 	// key is the consistent-hash routing key: the spec key for parametric
-	// schemes, a content hash for ad-hoc graphs. Empty for schemes from a
-	// standalone Engine; Cluster.Owner falls back to home for those. Set
-	// before the scheme is published, so routing never races.
+	// schemes, a content hash for ad-hoc graphs, the frontend's install id
+	// for schemes a worker installed. May be empty for ad-hoc schemes of
+	// a standalone Engine; Cluster.Owner falls back to home for those.
+	// Set before the scheme is published, so routing never races.
 	key string
 
 	qmatOnce sync.Once
@@ -100,35 +101,17 @@ func (s *Scheme) Home() int { return s.home }
 
 // RouteKey is the consistent-hash key the cluster routes this scheme by:
 // the canonical spec key for parametric schemes, a content hash for
-// ad-hoc uploads, or "" for schemes created outside a cluster (those
-// fall back to their home index).
+// ad-hoc uploads, the install id on a worker, or "" for ad-hoc schemes
+// created outside a cluster (those fall back to their home index).
 func (s *Scheme) RouteKey() string { return s.key }
 
-// SetRouteKey overrides the routing key. Only valid before the scheme
-// is published to other goroutines. The worker-install path uses it:
-// the frontend already owns fleet placement and ships the canonical key
-// as the install id, so adopting that id keys the worker's routing and
-// per-scheme load accounting under the same name the frontend resolves
-// owners by — the content-hash default would diverge for parametric
-// schemes, which cross the wire as design CSVs.
-func (s *Scheme) SetRouteKey(key string) {
-	if key != "" {
-		s.key = key
-	}
-}
-
 // NewSchemeAt wraps a prebuilt graph as a scheme owned by cluster shard
-// home — the constructor alternative Shard implementations (the remote
-// shard client) use so the schemes they hand out route back to them
-// inside a Cluster. spec may be zero for ad-hoc designs; non-zero specs
-// stamp the spec routing key, ad-hoc schemes get their content hash.
-func NewSchemeAt(spec Spec, g *graph.Bipartite, home int) *Scheme {
-	key := ""
-	if spec != (Spec{}) {
-		key = spec.Key()
-	} else if g != nil {
-		key = GraphKey(g)
-	}
+// home and routed by key — the constructor alternative Shard
+// implementations (the remote shard client) use so the schemes they hand
+// out route back to them inside a Cluster. spec is zero for ad-hoc
+// designs; key is spec.Key() for parametric schemes and the content hash
+// for ad-hoc ones.
+func NewSchemeAt(spec Spec, key string, g *graph.Bipartite, home int) *Scheme {
 	return &Scheme{Spec: spec, G: g, home: home, key: key}
 }
 

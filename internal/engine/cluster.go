@@ -29,8 +29,9 @@ type Shard interface {
 	// building it at most once per spec.
 	Scheme(des pooling.Design, n, m int, seed uint64) (*Scheme, error)
 	// SchemeFromGraph wraps a prebuilt ad-hoc design (an uploaded labio
-	// CSV) as a scheme owned by this shard.
-	SchemeFromGraph(g *graph.Bipartite) *Scheme
+	// CSV) as a scheme owned by this shard, routed by key: the content
+	// hash (GraphKey) the cluster placed it by, or a worker's install id.
+	SchemeFromGraph(g *graph.Bipartite, key string) *Scheme
 	// InstallScheme installs a prebuilt design under spec — the
 	// warm-start path for design files loaded at boot.
 	InstallScheme(spec Spec, g *graph.Bipartite) *Scheme
@@ -393,12 +394,14 @@ func (c *Cluster) Scheme(des pooling.Design, n, m int, seed uint64) (*Scheme, er
 }
 
 // SchemeFromGraph wraps a prebuilt design as an uncached scheme placed
-// by the ring on the graph's content hash, so re-uploading the same
-// design lands on the same shard regardless of upload order or
-// intervening membership changes.
-func (c *Cluster) SchemeFromGraph(g *graph.Bipartite) *Scheme {
+// by the ring on key and routed by it afterwards. Uploads pass the
+// graph's content hash (GraphKey, computed once by the caller), so
+// re-uploading the same design lands on the same shard regardless of
+// upload order or intervening membership changes; a worker install
+// passes the frontend's install id.
+func (c *Cluster) SchemeFromGraph(g *graph.Bipartite, key string) *Scheme {
 	v := c.cur.Load()
-	return v.members[v.lookup(GraphKey(g))].sh.SchemeFromGraph(g)
+	return v.members[v.lookup(key)].sh.SchemeFromGraph(g, key)
 }
 
 // InstallScheme warm-starts the owning shard's cache with a prebuilt

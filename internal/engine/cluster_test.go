@@ -148,12 +148,12 @@ func TestClusterSchemeFromGraphContentHashPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := c.SchemeFromGraph(g)
+	first := c.SchemeFromGraph(g, GraphKey(g))
 	if first.RouteKey() != GraphKey(g) {
 		t.Fatalf("ad-hoc scheme route key %q, want content hash %q", first.RouteKey(), GraphKey(g))
 	}
 	for i := 0; i < 4; i++ {
-		if home := c.SchemeFromGraph(g).Home(); home != first.Home() {
+		if home := c.SchemeFromGraph(g, GraphKey(g)).Home(); home != first.Home() {
 			t.Fatalf("re-upload %d landed on shard %d, first upload on %d", i, home, first.Home())
 		}
 	}
@@ -182,7 +182,7 @@ func TestClusterSchemeFromGraphContentHashPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[c.SchemeFromGraph(gi).Home()]++
+		seen[c.SchemeFromGraph(gi, GraphKey(gi)).Home()]++
 	}
 	if len(seen) < 2 {
 		t.Fatalf("32 distinct uploads all landed on one shard: %v", seen)
@@ -223,7 +223,7 @@ func TestTrySubmitSaturated(t *testing.T) {
 	e := New(Config{Workers: 1, QueueDepth: 1})
 	defer e.Close()
 	g, _, y := testInstance(t, 60, 3, 40)
-	s := e.SchemeFromGraph(g)
+	s := e.SchemeFromGraph(g, "")
 	release := make(chan struct{})
 
 	// Wedge the worker, wait for pickup, then fill the queue.

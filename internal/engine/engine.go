@@ -332,11 +332,11 @@ func (e *Engine) Scheme(des pooling.Design, n, m int, seed uint64) (*Scheme, err
 }
 
 // SchemeFromGraph wraps a prebuilt design (e.g. one uploaded as a labio
-// CSV file) as an engine scheme without caching it. The scheme's routing
-// key is the graph's content hash, so the same upload routes to the same
-// cluster shard every time.
-func (e *Engine) SchemeFromGraph(g *graph.Bipartite) *Scheme {
-	return &Scheme{G: g, home: int(e.cache.home.Load()), key: GraphKey(g)}
+// CSV file) as an engine scheme routed by key, without caching it. A
+// standalone engine may pass "": routing then falls back to the home
+// shard.
+func (e *Engine) SchemeFromGraph(g *graph.Bipartite, key string) *Scheme {
+	return &Scheme{G: g, home: int(e.cache.home.Load()), key: key}
 }
 
 // InstallScheme inserts a prebuilt design into the scheme cache under

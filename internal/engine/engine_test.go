@@ -160,7 +160,7 @@ func TestPipelineDecodeMatchesSerial(t *testing.T) {
 	e := New(Config{Workers: 4})
 	defer e.Close()
 	g, sigma, y := testInstance(t, 400, 6, 300)
-	s := e.SchemeFromGraph(g)
+	s := e.SchemeFromGraph(g, "")
 
 	for _, dec := range []decoder.Decoder{decoder.MN{}, decoder.Greedy{}, decoder.Refined{}} {
 		res, err := e.Decode(context.Background(), Job{Scheme: s, Y: y, K: 6, Dec: dec})
@@ -214,7 +214,7 @@ func TestSubmitCancellation(t *testing.T) {
 	e := New(Config{Workers: 1, QueueDepth: 1})
 	defer e.Close()
 	g, _, y := testInstance(t, 60, 3, 40)
-	s := e.SchemeFromGraph(g)
+	s := e.SchemeFromGraph(g, "")
 	release := make(chan struct{})
 
 	// Wedge the only worker.
@@ -258,7 +258,7 @@ func TestSubmitCancellation(t *testing.T) {
 func TestSubmitAfterClose(t *testing.T) {
 	e := New(Config{Workers: 1})
 	g, _, y := testInstance(t, 60, 3, 40)
-	s := e.SchemeFromGraph(g)
+	s := e.SchemeFromGraph(g, "")
 	e.Close()
 	if _, err := e.Submit(context.Background(), Job{Scheme: s, Y: y, K: 3}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: err = %v, want ErrClosed", err)
@@ -270,7 +270,7 @@ func TestSubmitValidation(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Close()
 	g, _, y := testInstance(t, 60, 3, 40)
-	s := e.SchemeFromGraph(g)
+	s := e.SchemeFromGraph(g, "")
 	if _, err := e.Submit(context.Background(), Job{Scheme: s, Y: y[:10], K: 3}); err == nil {
 		t.Fatal("short count vector accepted")
 	}

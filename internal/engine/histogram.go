@@ -32,11 +32,12 @@ var latencyBounds = [...]time.Duration{
 
 // histogram is a bounded-bucket latency histogram. Observations are
 // lock-free; snapshots may tear between buckets, which is fine for
-// monitoring counters.
+// monitoring counters. There is no separate observation counter: a
+// snapshot's Count is the sum of the buckets it read, so it agrees with
+// them (+Inf == count in the exposition) even mid-observation.
 type histogram struct {
 	counts  [len(latencyBounds) + 1]atomic.Uint64
 	totalNS atomic.Int64
-	n       atomic.Uint64
 }
 
 func (h *histogram) observe(d time.Duration) {
@@ -49,7 +50,6 @@ func (h *histogram) observe(d time.Duration) {
 	}
 	h.counts[b].Add(1)
 	h.totalNS.Add(int64(d))
-	h.n.Add(1)
 }
 
 // LatencyHistogram is the wire snapshot of a histogram: bucket upper
@@ -64,7 +64,6 @@ type LatencyHistogram struct {
 
 func (h *histogram) snapshot() LatencyHistogram {
 	s := LatencyHistogram{
-		Count:         h.n.Load(),
 		TotalNS:       h.totalNS.Load(),
 		BucketUpperNS: make([]int64, len(latencyBounds)),
 		Counts:        make([]uint64, len(h.counts)),
@@ -74,6 +73,7 @@ func (h *histogram) snapshot() LatencyHistogram {
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

@@ -18,7 +18,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Bipartite is an immutable bipartite multigraph between n entries and m
@@ -82,11 +84,16 @@ func New(n int, qptr []int64, qent, qmul []int32) (*Bipartite, error) {
 	return g, nil
 }
 
+// entryBlock is the number of entries whose rows one transpose pass
+// fills: few enough that their write heads (two cache lines per entry)
+// stay in L2 while the pass walks every query.
+const entryBlock = 1024
+
 // buildEntrySide derives (eptr, eqry, emul) from the query side. The fill
-// is parallelized by entry blocks: each worker scans the full query-side
-// arrays and keeps only entries in its block, so each entry's query list
-// comes out sorted by query index and the result is deterministic
-// regardless of scheduling.
+// runs in entry blocks spread over the workers: a block's pass walks
+// every query's run of entries in the block, in query order, so each
+// entry's query list comes out sorted by query index and the result is
+// deterministic regardless of scheduling.
 func (g *Bipartite) buildEntrySide() {
 	counts := make([]int64, g.n+1)
 	for _, e := range g.qent {
@@ -111,30 +118,33 @@ func (g *Bipartite) buildEntrySide() {
 	if total < 1<<14 {
 		workers = 1
 	}
+	blocks := (g.n + entryBlock - 1) / entryBlock
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := int32(int64(w) * int64(g.n) / int64(workers))
-		hi := int32(int64(w+1) * int64(g.n) / int64(workers))
 		wg.Add(1)
-		go func(lo, hi int32) {
+		go func() {
 			defer wg.Done()
-			cursor := make([]int64, hi-lo)
-			for e := lo; e < hi; e++ {
-				cursor[e-lo] = g.eptr[e]
-			}
-			for j := 0; j < g.m; j++ {
-				for p := g.qptr[j]; p < g.qptr[j+1]; p++ {
-					e := g.qent[p]
-					if e < lo || e >= hi {
-						continue
+			cursor := make([]int64, entryBlock)
+			for b := int(next.Add(1) - 1); b < blocks; b = int(next.Add(1) - 1) {
+				lo := int32(b * entryBlock)
+				hi := int32(min((b+1)*entryBlock, g.n))
+				copy(cursor, g.eptr[lo:hi])
+				for j := 0; j < g.m; j++ {
+					// Query entries are sorted, so the block's entries are
+					// one contiguous run of each query.
+					off := g.qptr[j]
+					ents := g.qent[off:g.qptr[j+1]]
+					start, _ := slices.BinarySearch(ents, lo)
+					for p := start; p < len(ents) && ents[p] < hi; p++ {
+						c := &cursor[ents[p]-lo]
+						g.eqry[*c] = int32(j)
+						g.emul[*c] = g.qmul[off+int64(p)]
+						*c++
 					}
-					pos := cursor[e-lo]
-					g.eqry[pos] = int32(j)
-					g.emul[pos] = g.qmul[p]
-					cursor[e-lo] = pos + 1
 				}
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 }

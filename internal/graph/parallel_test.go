@@ -73,3 +73,18 @@ func TestEntrySideSortedByQuery(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNew prices graph assembly (validation plus the entry-side
+// transpose) at the service's home scale: n = 10⁴, m = 600, and the
+// ~3935 distinct entries per query that Γ = n/2 draws with replacement
+// leave.
+func BenchmarkNew(b *testing.B) {
+	qptr, qent, qmul := buildRandomCSR(10_000, 600, 3935, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(10_000, qptr, qent, qmul); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

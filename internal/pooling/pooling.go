@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"pooleddata/internal/graph"
@@ -57,11 +57,18 @@ type Design interface {
 	Build(n, m int, opts BuildOptions) (*graph.Bipartite, error)
 }
 
-// compressDraws sorts raw draws in place and collapses runs into
-// (distinct entry, multiplicity) pairs appended to ent/mul, which are
-// returned like append targets.
-func compressDraws(draws []int32, ent, mul []int32) ([]int32, []int32) {
-	sort.Slice(draws, func(a, b int) bool { return draws[a] < draws[b] })
+// compressDraws sorts raw draws in place and collapses runs into exactly
+// sized (distinct entry, multiplicity) slices.
+func compressDraws(draws []int32) (ent, mul []int32) {
+	slices.Sort(draws)
+	distinct := 0
+	for i := range draws {
+		if i == 0 || draws[i] != draws[i-1] {
+			distinct++
+		}
+	}
+	ent = make([]int32, 0, distinct)
+	mul = make([]int32, 0, distinct)
 	for i := 0; i < len(draws); {
 		j := i + 1
 		for j < len(draws) && draws[j] == draws[i] {
@@ -74,7 +81,8 @@ func compressDraws(draws []int32, ent, mul []int32) ([]int32, []int32) {
 	return ent, mul
 }
 
-// assemble concatenates per-query compressed lists into graph CSR form.
+// assemble concatenates per-query compressed lists into graph CSR form,
+// releasing each list once copied (ents and muls are consumed).
 func assemble(n int, ents, muls [][]int32) (*graph.Bipartite, error) {
 	m := len(ents)
 	qptr := make([]int64, m+1)
@@ -86,14 +94,21 @@ func assemble(n int, ents, muls [][]int32) (*graph.Bipartite, error) {
 	for j := 0; j < m; j++ {
 		copy(qent[qptr[j]:], ents[j])
 		copy(qmul[qptr[j]:], muls[j])
+		// A collection during the copy or graph.New must not find both
+		// forms live: its heap goal would then let the service grow to
+		// three times the graph's size before the next one.
+		ents[j], muls[j] = nil, nil
 	}
 	return graph.New(n, qptr, qent, qmul)
 }
 
-// buildPerQuery runs sample(j, r) for every query j in parallel, where
-// sample must fill and return the compressed (entries, mults) of query j
-// using only r, which is a stream private to query j.
-func buildPerQuery(n, m int, opts BuildOptions, sample func(j int, r *rng.Rand) ([]int32, []int32)) (*graph.Bipartite, error) {
+// buildPerQuery runs sample(j, r, scratch) for every query j in
+// parallel, where sample must fill and return the compressed (entries,
+// mults) of query j using only r, which is a stream private to query j.
+// scratch is a buffer of scratchLen values owned by the calling worker
+// and reused across its queries, so sample may overwrite it but must not
+// return it.
+func buildPerQuery(n, m, scratchLen int, opts BuildOptions, sample func(j int, r *rng.Rand, scratch []int32) ([]int32, []int32)) (*graph.Bipartite, error) {
 	ents := make([][]int32, m)
 	muls := make([][]int32, m)
 	workers := opts.workers(m)
@@ -104,9 +119,10 @@ func buildPerQuery(n, m int, opts BuildOptions, sample func(j int, r *rng.Rand) 
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			scratch := make([]int32, scratchLen)
 			for j := lo; j < hi; j++ {
 				r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
-				ents[j], muls[j] = sample(j, r)
+				ents[j], muls[j] = sample(j, r, scratch)
 			}
 		}(lo, hi)
 	}
@@ -138,14 +154,11 @@ func (d RandomRegular) Build(n, m int, opts BuildOptions) (*graph.Bipartite, err
 		return nil, fmt.Errorf("pooling: invalid size n=%d m=%d", n, m)
 	}
 	gamma := d.GammaFor(n)
-	return buildPerQuery(n, m, opts, func(j int, r *rng.Rand) ([]int32, []int32) {
-		draws := make([]int32, gamma)
+	return buildPerQuery(n, m, gamma, opts, func(j int, r *rng.Rand, draws []int32) ([]int32, []int32) {
 		for t := range draws {
 			draws[t] = int32(r.Uint64n(uint64(n)))
 		}
-		ent := make([]int32, 0, gamma)
-		mul := make([]int32, 0, gamma)
-		return compressDraws(draws, ent, mul)
+		return compressDraws(draws)
 	})
 }
 
@@ -177,7 +190,7 @@ func (d Bernoulli) Build(n, m int, opts BuildOptions) (*graph.Bipartite, error) 
 		return nil, fmt.Errorf("pooling: Bernoulli probability %v must be < 1", p)
 	}
 	lq := math.Log1p(-p)
-	return buildPerQuery(n, m, opts, func(j int, r *rng.Rand) ([]int32, []int32) {
+	return buildPerQuery(n, m, 0, opts, func(j int, r *rng.Rand, _ []int32) ([]int32, []int32) {
 		var ent, mul []int32
 		// Geometric skip sampling: visit exactly the included entries.
 		i := 0
@@ -301,7 +314,7 @@ func (d Fixed) Build(n, m int, _ BuildOptions) (*graph.Bipartite, error) {
 			}
 			draws[t] = int32(e)
 		}
-		ents[j], muls[j] = compressDraws(draws, nil, nil)
+		ents[j], muls[j] = compressDraws(draws)
 	}
 	return assemble(n, ents, muls)
 }

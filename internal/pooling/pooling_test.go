@@ -1,6 +1,8 @@
 package pooling
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -297,5 +299,42 @@ func TestQuickHalfEdgeIdentityAllDesigns(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildsArePinned pins each design family's output at one seed to a
+// fixed digest. A spec names its graph on every node and across restarts
+// (the frontend rebuilds specs from snapshots and WAL refs), so a build
+// change that moves any incidence or multiplicity must fail here, however
+// much faster it is.
+func TestBuildsArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		d    Design
+		want uint64
+	}{
+		{RandomRegular{}, 0x6558b58c86a68a29},
+		{RandomRegular{Gamma: 7}, 0xaf636a04768de294},
+		{Bernoulli{}, 0xaea0963893577212},
+		{ConstantColumn{}, 0x23cc6f03953f5fc9},
+	} {
+		g, err := tc.d.Build(1000, 60, BuildOptions{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for j := 0; j < g.M(); j++ {
+			ent, mul := g.QueryEntries(j)
+			for p := range ent {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(ent[p]))
+				binary.LittleEndian.PutUint32(buf[4:], uint32(mul[p]))
+				h.Write(buf[:])
+			}
+			binary.LittleEndian.PutUint32(buf[:4], math.MaxUint32)
+			h.Write(buf[:4])
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s%+v: digest %#x, want %#x", tc.d.Name(), tc.d, got, tc.want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/engine"
 	"pooleddata/internal/noise"
+	"pooleddata/internal/pooling"
 	"pooleddata/internal/rng"
 )
 
@@ -31,8 +32,8 @@ func BenchmarkRemoteShardDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		y := cluster.MeasureBatch(s, []*bitvec.Vector{sigma}, noise.Model{})[0]
-		// Warm up once so the one-time scheme install (design CSV write +
-		// parse) stays out of the steady-state measurement.
+		// Warm up once so the one-time scheme install (design frame encode
+		// + parse) stays out of the steady-state measurement.
 		if _, err := cluster.Decode(context.Background(), engine.Job{Scheme: s, Y: y, K: k}); err != nil {
 			b.Fatal(err)
 		}
@@ -110,5 +111,32 @@ func BenchmarkRemoteShardDecode(b *testing.B) {
 			defer sh.Close()
 			runBurst(b, engine.NewClusterOf(sh), burst)
 		})
+	}
+}
+
+// BenchmarkSchemeInstall prices one worker install at the service's
+// home scale (n = 10⁴, m = 600, Γ = n/2): encode the design frame, PUT
+// it to a worker over httptest loopback, parse and validate it there.
+// Client and worker share the process, so allocs/op cover both tiers;
+// SetBytes makes the body size visible as MB/s.
+func BenchmarkSchemeInstall(b *testing.B) {
+	const n, m = 10_000, 600
+	spec := engine.SpecFor(pooling.RandomRegular{}, n, m, 1)
+	g, err := pooling.RandomRegular{}.Build(n, m, pooling.BuildOptions{Seed: spec.Seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := engine.NewSchemeAt(spec, spec.Key(), g, 0)
+	_, ts := newWorker(b, 1, 1, 0, ServerOptions{})
+	sh := newShard(b, ts, nil)
+	b.SetBytes(int64(len(appendDesign(nil, g))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A fresh client record each round, so ensure really ships; the
+		// worker replaces the previous install under the same id.
+		if err := sh.ensure(context.Background(), &schemeState{id: spec.Key(), scheme: sc}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

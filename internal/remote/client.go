@@ -20,7 +20,6 @@ import (
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/engine"
 	"pooleddata/internal/graph"
-	"pooleddata/internal/labio"
 	"pooleddata/internal/noise"
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
@@ -387,12 +386,6 @@ func (s *Shard) Close() {
 	s.hc.CloseIdleConnections()
 }
 
-// specID is the worker-side registry key of a spec scheme: stable
-// across frontends and restarts, so re-ensures are idempotent.
-func specID(spec engine.Spec) string {
-	return fmt.Sprintf("%s|%d|%d|%d", spec.Design, spec.N, spec.M, spec.Seed)
-}
-
 func (s *Shard) adhocID() string {
 	return fmt.Sprintf("adhoc-%d-%d", s.instance, s.adhocSeq.Add(1))
 }
@@ -412,7 +405,7 @@ func (s *Shard) Scheme(des pooling.Design, n, m int, seed uint64) (*engine.Schem
 		<-st.ready
 		return st.scheme, st.err
 	}
-	st := &schemeState{spec: spec, id: specID(spec), ready: make(chan struct{})}
+	st := &schemeState{spec: spec, id: spec.Key(), ready: make(chan struct{})}
 	s.bySpec[spec] = st
 	s.smu.Unlock()
 
@@ -424,7 +417,7 @@ func (s *Shard) Scheme(des pooling.Design, n, m int, seed uint64) (*engine.Schem
 			delete(s.bySpec, spec)
 		}
 	} else {
-		st.scheme = engine.NewSchemeAt(spec, g, int(s.home.Load()))
+		st.scheme = engine.NewSchemeAt(spec, st.id, g, int(s.home.Load()))
 		s.byScheme[st.scheme] = st
 		s.order = append(s.order, st)
 		s.evictLocked()
@@ -435,15 +428,15 @@ func (s *Shard) Scheme(des pooling.Design, n, m int, seed uint64) (*engine.Schem
 }
 
 // SchemeFromGraph wraps an ad-hoc design; the graph ships to the worker
-// before its first decode under its content-hash id (the scheme's ring
-// routing key), so re-uploads and re-ensures after failover are
-// idempotent on the worker's registry.
-func (s *Shard) SchemeFromGraph(g *graph.Bipartite) *engine.Scheme {
-	sc := engine.NewSchemeAt(engine.Spec{}, g, int(s.home.Load()))
-	id := sc.RouteKey()
+// before its first decode under key (the scheme's ring routing key, the
+// content hash the cluster placed it by), so re-uploads and re-ensures
+// after failover are idempotent on the worker's registry.
+func (s *Shard) SchemeFromGraph(g *graph.Bipartite, key string) *engine.Scheme {
+	id := key
 	if id == "" {
 		id = s.adhocID()
 	}
+	sc := engine.NewSchemeAt(engine.Spec{}, key, g, int(s.home.Load()))
 	st := &schemeState{id: id, ready: closedChan(), scheme: sc}
 	s.smu.Lock()
 	s.byScheme[sc] = st
@@ -456,8 +449,9 @@ func (s *Shard) SchemeFromGraph(g *graph.Bipartite) *engine.Scheme {
 // InstallScheme registers a prebuilt design under spec (warm start);
 // the worker receives it lazily before the first decode.
 func (s *Shard) InstallScheme(spec engine.Spec, g *graph.Bipartite) *engine.Scheme {
-	sc := engine.NewSchemeAt(spec, g, int(s.home.Load()))
-	st := &schemeState{spec: spec, id: specID(spec), ready: closedChan(), scheme: sc}
+	id := spec.Key()
+	sc := engine.NewSchemeAt(spec, id, g, int(s.home.Load()))
+	st := &schemeState{spec: spec, id: id, ready: closedChan(), scheme: sc}
 	s.smu.Lock()
 	s.bySpec[spec] = st
 	s.byScheme[sc] = st
@@ -501,7 +495,7 @@ func (s *Shard) stateFor(sc *engine.Scheme) *schemeState {
 	}
 	id := sc.RouteKey() // spec key or ad-hoc content hash
 	if sc.Spec != (engine.Spec{}) {
-		id = specID(sc.Spec)
+		id = sc.Spec.Key()
 	} else if id == "" {
 		id = s.adhocID()
 	}
@@ -1183,33 +1177,35 @@ func (s *Shard) sleepBackoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-// ensure ships the scheme's design CSV to the worker if this client
+// ensure ships the scheme's design frame to the worker if this client
 // hasn't (or a 404 told it the worker lost it). Serialized per scheme;
-// idempotent on the worker.
+// idempotent on the worker. A worker that cannot parse the frame (a
+// version skew answers 415 or 400) fails the install with its reason.
 func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.ensured {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := labio.WriteDesign(&buf, st.scheme.G); err != nil {
-		return fmt.Errorf("remote: serialize design: %w", err)
-	}
 	rctx, cancel := context.WithTimeout(ctx, s.opts.requestTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPut, s.base+schemePathPrefix+url.PathEscape(st.id), &buf)
+	body := bytes.NewReader(appendDesign(nil, st.scheme.G))
+	req, err := http.NewRequestWithContext(rctx, http.MethodPut, s.base+schemePathPrefix+url.PathEscape(st.id), body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "text/csv")
+	req.Header.Set("Content-Type", designMediaType)
 	resp, err := s.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("remote: install scheme on %s: status %d", s.opts.Addr, resp.StatusCode)
+		// A body that is not the JSON error envelope leaves the reason
+		// empty; the status still names the failure.
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		return fmt.Errorf("remote: install scheme on %s: status %d: %s", s.opts.Addr, resp.StatusCode, eb.Error)
 	}
 	st.ensured = true
 	return nil

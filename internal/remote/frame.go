@@ -4,14 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+
+	"pooleddata/internal/graph"
 )
 
-// Binary batch framing: POST /shard/v1/decode-batch carries a coalesced
+// Binary shard framing. POST /shard/v1/decode-batch carries a coalesced
 // batch of decode jobs in one length-prefixed binary frame, and the
-// response carries one status-tagged result per job. The format is
-// versioned by a leading magic+version triplet and uses unsigned varints
-// for every length and small integer, with y-vectors as raw
-// little-endian int64s — the frame layout, negotiation, and
+// response carries one status-tagged result per job. PUT
+// /shard/v1/schemes/{id} carries one design as a delta-coded CSR frame.
+// Every frame is versioned by a leading magic+version triplet and uses
+// unsigned varints for every length and small integer, with y-vectors as
+// raw little-endian int64s — the frame layouts, negotiation, and
 // compatibility rules are specified in docs/shard-protocol.md.
 //
 // Every parse validates claimed lengths against the bytes actually
@@ -29,6 +33,10 @@ const (
 	// itself carries the version byte.
 	batchMediaType = "application/x-pooled-batch"
 
+	// designMediaType names the design install framing; workers answer
+	// 415 to any other install body.
+	designMediaType = "application/x-pooled-design"
+
 	// frameVersion is the current frame layout version.
 	frameVersion = 1
 )
@@ -37,6 +45,7 @@ const (
 var (
 	batchRequestMagic  = [2]byte{'p', 'b'}
 	batchResponseMagic = [2]byte{'p', 'r'}
+	designMagic        = [2]byte{'p', 'd'}
 )
 
 // Parser allocation bounds. A frame that claims more than these is
@@ -46,6 +55,10 @@ const (
 	maxFrameString = 4096
 	maxFrameY      = 1 << 24
 	maxSupportLen  = 1 << 24
+	// maxDesignEntries caps a design frame's n, the one dimension no
+	// frame byte pays for: graph.New allocates per-entry offsets for
+	// entries no query draws.
+	maxDesignEntries = 1 << 24
 )
 
 // batchJob is one decode job inside a request frame — the binary twin of
@@ -194,17 +207,25 @@ func (fr *frameReader) str() (string, error) {
 	return s, nil
 }
 
-func (fr *frameReader) header(magic [2]byte) (int, error) {
+// prelude consumes and checks the magic+version triplet.
+func (fr *frameReader) prelude(magic [2]byte) error {
 	if fr.remaining() < 3 {
-		return 0, fmt.Errorf("remote: frame shorter than its header")
+		return fmt.Errorf("remote: frame shorter than its header")
 	}
 	if fr.data[fr.pos] != magic[0] || fr.data[fr.pos+1] != magic[1] {
-		return 0, fmt.Errorf("remote: bad frame magic %q", fr.data[fr.pos:fr.pos+2])
+		return fmt.Errorf("remote: bad frame magic %q", fr.data[fr.pos:fr.pos+2])
 	}
 	version := int(fr.data[fr.pos+2])
 	fr.pos += 3
 	if version != frameVersion {
-		return 0, fmt.Errorf("remote: unsupported frame version %d (have %d)", version, frameVersion)
+		return fmt.Errorf("remote: unsupported frame version %d (have %d)", version, frameVersion)
+	}
+	return nil
+}
+
+func (fr *frameReader) header(magic [2]byte) (int, error) {
+	if err := fr.prelude(magic); err != nil {
+		return 0, err
 	}
 	count, err := fr.uvarint()
 	if err != nil {
@@ -354,4 +375,98 @@ func parseBatchResponse(data []byte) ([]batchResult, error) {
 		return nil, fmt.Errorf("remote: %d trailing bytes after response frame", fr.remaining())
 	}
 	return results, nil
+}
+
+// appendDesign encodes g as a design frame: n, m, then per query its
+// distinct-entry count and (entry delta, multiplicity) pairs. Entries
+// are strictly increasing within a query, so every delta is >= 1 and —
+// for the paper's dense designs — one byte, as is every multiplicity.
+func appendDesign(buf []byte, g *graph.Bipartite) []byte {
+	buf = slices.Grow(buf, 3+2*binary.MaxVarintLen64+g.M()*binary.MaxVarintLen32+2*int(g.DistinctPairs()))
+	buf = append(buf, designMagic[0], designMagic[1], frameVersion)
+	buf = appendUvarint(buf, uint64(g.N()))
+	buf = appendUvarint(buf, uint64(g.M()))
+	for j := 0; j < g.M(); j++ {
+		ent, mul := g.QueryEntries(j)
+		buf = appendUvarint(buf, uint64(len(ent)))
+		prev := int32(-1)
+		for p, e := range ent {
+			buf = appendUvarint(buf, uint64(e-prev))
+			buf = appendUvarint(buf, uint64(mul[p]))
+			prev = e
+		}
+	}
+	return buf
+}
+
+// parseDesign decodes a design frame into a graph. Claimed counts are
+// checked against the bytes remaining before anything is allocated: a
+// query costs at least its one-byte count and a pair at least two bytes,
+// so the incidence arrays are bounded by the frame's own size. The
+// result goes through graph.New, which validates the CSR again.
+func parseDesign(data []byte) (*graph.Bipartite, error) {
+	fr := &frameReader{data: data}
+	if err := fr.prelude(designMagic); err != nil {
+		return nil, err
+	}
+	n, err := fr.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxDesignEntries {
+		return nil, fmt.Errorf("remote: design frame claims n=%d, limit %d", n, maxDesignEntries)
+	}
+	m, err := fr.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if m > uint64(fr.remaining()) {
+		return nil, fmt.Errorf("remote: design frame claims %d queries, %d bytes remain", m, fr.remaining())
+	}
+	qptr := make([]int64, m+1)
+	maxPairs := fr.remaining() / 2
+	qent := make([]int32, 0, maxPairs)
+	qmul := make([]int32, 0, maxPairs)
+	for j := 0; j < int(m); j++ {
+		d, err := fr.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if d > n || d > uint64(fr.remaining()/2) {
+			return nil, fmt.Errorf("remote: design query %d claims %d entries, n=%d, %d bytes remain", j, d, n, fr.remaining())
+		}
+		prev := int64(-1)
+		for p := uint64(0); p < d; p++ {
+			var delta, mul uint64
+			if pos := fr.pos; pos+1 < len(data) && data[pos]|data[pos+1] < 0x80 {
+				// Dense designs: delta and multiplicity are one byte each.
+				delta, mul = uint64(data[pos]), uint64(data[pos+1])
+				fr.pos += 2
+			} else {
+				if delta, err = fr.uvarint(); err != nil {
+					return nil, err
+				}
+				if mul, err = fr.uvarint(); err != nil {
+					return nil, err
+				}
+			}
+			if delta == 0 {
+				return nil, fmt.Errorf("remote: design query %d repeats entry %d", j, prev)
+			}
+			if delta > n || prev+int64(delta) >= int64(n) {
+				return nil, fmt.Errorf("remote: design query %d references an entry >= n=%d", j, n)
+			}
+			prev += int64(delta)
+			if mul == 0 || mul > math.MaxInt32 {
+				return nil, fmt.Errorf("remote: design query %d entry %d has multiplicity %d", j, prev, mul)
+			}
+			qent = append(qent, int32(prev))
+			qmul = append(qmul, int32(mul))
+		}
+		qptr[j+1] = int64(len(qent))
+	}
+	if fr.remaining() != 0 {
+		return nil, fmt.Errorf("remote: %d trailing bytes after design frame", fr.remaining())
+	}
+	return graph.New(int(n), qptr, qent, qmul)
 }

@@ -11,7 +11,9 @@ import (
 
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/engine"
+	"pooleddata/internal/graph"
 	"pooleddata/internal/noise"
+	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
 	"pooleddata/internal/rng"
 	"pooleddata/metrics"
@@ -275,6 +277,112 @@ func FuzzBatchFrame(f *testing.F) {
 			if !reflect.DeepEqual(again, results) {
 				t.Fatalf("response not stable under re-encode:\n got %+v\nwant %+v", again, results)
 			}
+		}
+	})
+}
+
+// frameTestDesigns covers every design family the frame must carry:
+// multi-edges (random-regular), plain 0/1 incidences (bernoulli,
+// constant-column), an explicit Fixed design with an empty query, and a
+// design with no queries at all.
+func frameTestDesigns(t testing.TB, seed uint64) map[string]*graph.Bipartite {
+	t.Helper()
+	build := func(d pooling.Design, n, m int) *graph.Bipartite {
+		g, err := d.Build(n, m, pooling.BuildOptions{Seed: seed})
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name(), err)
+		}
+		return g
+	}
+	return map[string]*graph.Bipartite{
+		"random-regular":  build(pooling.RandomRegular{}, 300+int(seed%7), 90),
+		"sparse-regular":  build(pooling.RandomRegular{Gamma: 5}, 5000, 40),
+		"bernoulli":       build(pooling.Bernoulli{}, 250, 70),
+		"constant-column": build(pooling.ConstantColumn{}, 200, 60),
+		"fixed":           build(pooling.Fixed{Queries: [][]int{{0, 0, 3, 1, 0}, {}, {5}, {2, 4, 4}}}, 6, 4),
+		"no-queries":      build(pooling.RandomRegular{}, 10, 0),
+	}
+}
+
+// TestDesignFrameRoundTrip: every design family survives encode → parse
+// GraphKey-identical, across seeds.
+func TestDesignFrameRoundTrip(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		for name, g := range frameTestDesigns(t, seed) {
+			got, err := parseDesign(appendDesign(nil, g))
+			if err != nil {
+				t.Fatalf("%s seed %d: parse: %v", name, seed, err)
+			}
+			if engine.GraphKey(got) != engine.GraphKey(g) {
+				t.Fatalf("%s seed %d: round trip changed the graph", name, seed)
+			}
+		}
+	}
+}
+
+// designFrame hand-assembles a design frame from raw uvarints after the
+// prelude, so tests can state hostile frames field by field.
+func designFrame(fields ...uint64) []byte {
+	buf := []byte{'p', 'd', frameVersion}
+	for _, v := range fields {
+		buf = appendUvarint(buf, v)
+	}
+	return buf
+}
+
+// hostileDesignFrames are frames the parser must refuse. Each is also
+// checked in as a FuzzDesignFrame seed under testdata/fuzz, named by its
+// key.
+var hostileDesignFrames = map[string][]byte{
+	"empty":             {},
+	"wrong-magic":       {'p', 'b', frameVersion, 1, 0},
+	"wrong-version":     {'p', 'd', frameVersion + 1, 1, 0},
+	"truncated-prelude": {'p', 'd'},
+	"truncated-header":  designFrame(4),
+	"truncated-query":   designFrame(4, 2, 1, 1, 1),
+	"huge-n":            designFrame(maxDesignEntries+1, 0),
+	"huge-m":            designFrame(4, 1<<40),
+	"huge-distinct":     designFrame(4, 1, 1<<40),
+	"distinct-above-n":  designFrame(2, 1, 3, 1, 1, 1, 1, 1, 1),
+	"zero-delta":        designFrame(4, 1, 2, 1, 1, 0, 1),
+	"entry-at-n":        designFrame(4, 1, 1, 5, 1),
+	"entry-past-n":      designFrame(4, 1, 2, 2, 1, 3, 1),
+	"zero-multiplicity": designFrame(4, 1, 1, 1, 0),
+	"huge-multiplicity": designFrame(4, 1, 1, 1, 1<<31),
+	"trailing-bytes":    append(designFrame(4, 1, 1, 1, 1), 0),
+}
+
+func TestDesignFrameRejectsHostile(t *testing.T) {
+	if _, err := parseDesign(designFrame(4, 1, 2, 1, 1, 2, 3)); err != nil {
+		t.Fatalf("control frame rejected: %v", err)
+	}
+	for name, data := range hostileDesignFrames {
+		if g, err := parseDesign(data); err == nil {
+			t.Errorf("%s: parsed into n=%d m=%d", name, g.N(), g.M())
+		}
+	}
+}
+
+// FuzzDesignFrame throws arbitrary bytes at the design parser: it must
+// never panic or allocate past the input's size class, and any frame it
+// accepts must re-encode and re-parse to the same graph.
+func FuzzDesignFrame(f *testing.F) {
+	for _, g := range frameTestDesigns(f, 1) {
+		if g.DistinctPairs() < 512 {
+			f.Add(appendDesign(nil, g))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := parseDesign(data)
+		if err != nil {
+			return
+		}
+		again, err := parseDesign(appendDesign(nil, g))
+		if err != nil {
+			t.Fatalf("re-encoded design failed to parse: %v", err)
+		}
+		if engine.GraphKey(again) != engine.GraphKey(g) {
+			t.Fatal("design not stable under re-encode")
 		}
 	})
 }

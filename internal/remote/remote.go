@@ -6,11 +6,12 @@
 // scheme, and admission control speaks ErrSaturated — so the wire
 // protocol is a direct transcription of that surface:
 //
-//	PUT  /shard/v1/schemes/{id}  labio design CSV body → 204
-//	                             (idempotent install; the frontend owns
-//	                             the graph and ships it, so worker and
-//	                             frontend are bit-identical by
-//	                             construction — no rebuild drift)
+//	PUT  /shard/v1/schemes/{id}  binary design frame → 204, 415 for any
+//	                             other media type (idempotent install;
+//	                             the frontend owns the graph and ships
+//	                             it, so worker and frontend are
+//	                             bit-identical by construction — no
+//	                             rebuild drift)
 //	POST /shard/v1/decode        {"scheme":id,"y":[...],"k":16,
 //	                             "noise":"gaussian:0.5:7","decoder":""}
 //	                             → 200 result | 404 unknown scheme

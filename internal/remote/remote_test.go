@@ -1,11 +1,13 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/campaign"
 	"pooleddata/internal/engine"
+	"pooleddata/internal/labio"
 	"pooleddata/internal/noise"
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
@@ -462,5 +465,69 @@ func TestWorkerStatsRoundTrip(t *testing.T) {
 	}
 	if !json.Valid(buf) {
 		t.Fatal("cluster stats not valid JSON")
+	}
+}
+
+// TestInstallWantsDesignFrame: the install route takes only the binary
+// design frame. A labio CSV body answers 415 rather than being guessed
+// at, a garbled frame 400, and a valid frame installs the scheme placed
+// and routed under its install id.
+func TestInstallWantsDesignFrame(t *testing.T) {
+	c := engine.NewCluster(engine.ClusterConfig{Shards: 2, Shard: engine.Config{Workers: 1}})
+	t.Cleanup(c.Close)
+	srv := NewServer(c, ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	g, err := pooling.RandomRegular{}.Build(60, 20, pooling.BuildOptions{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := labio.WriteDesign(&csv, g); err != nil {
+		t.Fatal(err)
+	}
+	frame := appendDesign(nil, g)
+	const id = "random-regular{Gamma:0}|60|20|4"
+	put := func(contentType string, body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+schemePathPrefix+url.PathEscape(id), bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+		want        int
+	}{
+		{"text/csv", csv.Bytes(), http.StatusUnsupportedMediaType},
+		{"", frame, http.StatusUnsupportedMediaType},
+		{batchMediaType, frame, http.StatusUnsupportedMediaType},
+		{designMediaType, csv.Bytes(), http.StatusBadRequest},
+		{designMediaType, frame[:len(frame)-1], http.StatusBadRequest},
+		{designMediaType, frame, http.StatusNoContent},
+	} {
+		if got := put(tc.contentType, tc.body); got != tc.want {
+			t.Fatalf("install as %q (%d bytes): status %d, want %d", tc.contentType, len(tc.body), got, tc.want)
+		}
+	}
+	es, ok := srv.lookup(id)
+	if !ok {
+		t.Fatal("valid frame did not install")
+	}
+	if es.RouteKey() != id || engine.GraphKey(es.G) != engine.GraphKey(g) {
+		t.Fatalf("installed scheme routes by %q (want %q) or changed its graph", es.RouteKey(), id)
+	}
+	if owner := c.Owner(es); owner != c.Shard(es.Home()) {
+		t.Fatal("installed scheme was not placed on the shard its install id routes to")
 	}
 }

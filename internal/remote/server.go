@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"pooleddata/internal/engine"
-	"pooleddata/internal/labio"
 	"pooleddata/internal/noise"
 	"pooleddata/metrics"
 )
@@ -125,28 +124,35 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleInstall registers the uploaded design under the caller-chosen
-// id, replacing any previous entry — installs are idempotent, so a
-// frontend re-ensuring after a worker restart or registry eviction
-// needs no coordination. The scheme lands on one of the worker's local
-// shards round-robin, like any ad-hoc upload.
+// handleInstall registers the design frame under the caller-chosen id,
+// replacing any previous entry — installs are idempotent, so a frontend
+// re-ensuring after a worker restart or registry eviction needs no
+// coordination. Any body but a design frame answers 415.
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if id == "" {
 		writeError(w, http.StatusBadRequest, "empty scheme id")
 		return
 	}
-	g, err := labio.ReadDesign(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse design csv: %v", err)
+	if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err != nil || mt != designMediaType {
+		writeError(w, http.StatusUnsupportedMediaType, "scheme install wants Content-Type %s", designMediaType)
 		return
 	}
-	es := s.cluster.SchemeFromGraph(g)
-	// Route and account under the install id — the canonical key the
-	// frontend placed this scheme by (spec key, or the same content hash
+	body, err := s.readBody(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		return
+	}
+	g, err := parseDesign(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "parse design frame: %v", err)
+		return
+	}
+	// Place, route and account under the install id — the canonical key
+	// the frontend placed this scheme by (spec key, or the content hash
 	// for ad-hoc uploads) — so the fleet-merged load table's keys match
 	// the ring the frontend resolves owners on.
-	es.SetRouteKey(id)
+	es := s.cluster.SchemeFromGraph(g, id)
 	s.mu.Lock()
 	if _, ok := s.schemes[id]; !ok {
 		s.order = append(s.order, id)
@@ -271,22 +277,10 @@ func (s *Server) handleDecodeBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotAcceptable, "decode-batch answers %s", batchMediaType)
 		return
 	}
-	// Read with the declared length preallocated (MaxBytesReader already
-	// bounds it), so a large coalesced frame doesn't pay ReadAll's
-	// doubling-growth copies.
-	var body []byte
-	if n := r.ContentLength; n >= 0 && n <= s.opts.maxBody() {
-		body = make([]byte, n)
-		if _, err := io.ReadFull(r.Body, body); err != nil {
-			writeError(w, http.StatusBadRequest, "read request: %v", err)
-			return
-		}
-	} else {
-		var err error
-		if body, err = io.ReadAll(r.Body); err != nil {
-			writeError(w, http.StatusBadRequest, "read request: %v", err)
-			return
-		}
+	body, err := s.readBody(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		return
 	}
 	fr := &frameReader{data: body}
 	count, err := fr.header(batchRequestMagic)
@@ -379,6 +373,18 @@ func (s *Server) handleDecodeBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(handleTimeHeader, strconv.FormatInt(int64(time.Since(start)), 10))
 	w.WriteHeader(http.StatusOK)
 	w.Write(appendBatchResponse(nil, results))
+}
+
+// readBody reads a frame body with the declared length preallocated
+// (MaxBytesReader already bounds it), so a large frame doesn't pay
+// ReadAll's doubling-growth copies.
+func (s *Server) readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= s.opts.maxBody() {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(r.Body)
 }
 
 // batchStatusCode maps a per-job frame status to the HTTP status the

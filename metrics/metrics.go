@@ -90,13 +90,14 @@ type vec struct {
 }
 
 // series is one label tuple's storage. Counter/gauge values live in
-// valBits (float64 bits); histograms use counts/sumBits/n.
+// valBits (float64 bits); histograms use counts/sumBits. A histogram's
+// count is the sum of its bucket snapshot, never a separate counter, so
+// a scrape racing an observation still sees +Inf equal to _count.
 type series struct {
 	values  []string
 	valBits atomic.Uint64
 	counts  []atomic.Uint64
 	sumBits atomic.Uint64
-	n       atomic.Uint64
 }
 
 func (s *series) add(v float64) {
@@ -128,8 +129,6 @@ func (s *series) observe(v float64, upper []float64) {
 		}
 	}
 }
-
-func (s *series) observed() { s.n.Add(1) }
 
 // seriesKey joins label values unambiguously.
 func seriesKey(values []string) string { return strings.Join(values, "\x00") }
@@ -293,7 +292,6 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.s.observe(v, h.upper)
-	h.s.observed()
 }
 
 // ObserveDuration records d in seconds.
@@ -352,11 +350,13 @@ func (r *Registry) Gather() []Family {
 			switch v.typ {
 			case TypeHistogram:
 				buckets := make([]uint64, len(s.counts))
+				var count uint64
 				for i := range s.counts {
 					buckets[i] = s.counts[i].Load()
+					count += buckets[i]
 				}
 				e.Histogram(v.name, v.help, v.upper, buckets,
-					math.Float64frombits(s.sumBits.Load()), s.n.Load(),
+					math.Float64frombits(s.sumBits.Load()), count,
 					pairs(v.labels, s.values)...)
 			default:
 				e.emit(v.name, v.help, v.typ, Sample{
