@@ -46,16 +46,18 @@ bench-remote:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRemoteShardDecode' -benchtime 100x ./internal/remote
 
 # Machine-readable kernel numbers: the decode kernels (bit-sliced batch
-# vs scalar), the noisy batch path, the remote/batched wire parity, and
-# one worker scheme install at n=10^4, m=600, written as
-# BENCH_kernels.json (name -> ns/op, B/op, allocs/op) for CI to archive
-# and for regression tooling to diff.
+# vs scalar), the noisy batch path, design builds (home scale and a very
+# sparse custom design) with graph assembly on its own, the
+# remote/batched wire parity, and one worker scheme install at n=10^4,
+# m=600, written as BENCH_kernels.json (name -> ns/op, B/op, allocs/op)
+# for CI to archive and for regression tooling to diff.
 bench-kernels:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/benchjson ./cmd/benchjson; \
 	{ $(GO) test -short -run '^$$' -benchmem \
-	    -bench 'BenchmarkNoisyBatchDecode|BenchmarkMNDecode|BenchmarkQueryExecute|BenchmarkOneDesignManySignals|BenchmarkTraceOverhead' \
+	    -bench 'BenchmarkNoisyBatchDecode|BenchmarkMNDecode|BenchmarkQueryExecute|BenchmarkOneDesignManySignals|BenchmarkTraceOverhead|BenchmarkDesignBuild' \
 	    -benchtime 1x . ; \
+	  $(GO) test -short -run '^$$' -benchmem -bench 'BenchmarkNew$$' -benchtime 5x ./internal/graph ; \
 	  $(GO) test -short -run '^$$' -benchmem \
 	    -bench 'BenchmarkRemoteShardDecode|BenchmarkSchemeInstall' -benchtime 20x ./internal/remote ; } \
 	| tee /dev/stderr | $$tmp/benchjson > BENCH_kernels.json

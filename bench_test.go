@@ -263,6 +263,20 @@ func BenchmarkDesignBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignBuildSparse measures a very sparse custom design
+// (Γ = 7, n = 10^5, m = 2000). Each query's ⌈n/64⌉-word bitmap walk costs
+// more here than sorting its seven draws would; no served workload has
+// Γ ≪ n/64, and this keeps that accepted trade visible.
+func BenchmarkDesignBuildSparse(b *testing.B) {
+	des := pooling.RandomRegular{Gamma: 7}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := des.Build(100000, 2000, pooling.BuildOptions{Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQueryExecute measures the parallel measurement round.
 func BenchmarkQueryExecute(b *testing.B) {
 	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})

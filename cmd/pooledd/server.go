@@ -239,14 +239,20 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, ent)
 }
 
-// register assigns (or reuses) the entry for a scheme. Cached schemes are
-// deduplicated by spec so repeated POSTs return the same id.
-func (s *server) register(es *engine.Scheme, design string, n, m int, seed uint64, params engine.DesignParams, adhoc bool) *schemeEntry {
+// register assigns (or reuses) the entry for a scheme and returns a copy
+// of it. Cached schemes are deduplicated by spec so repeated POSTs return
+// the same id.
+//
+// Registry entries are shared and migrateSchemes rewrites them under
+// s.mu, so register and lookup hand out copies taken under the lock:
+// handlers encode and dispatch from a consistent snapshot without
+// holding it.
+func (s *server) register(es *engine.Scheme, design string, n, m int, seed uint64, params engine.DesignParams, adhoc bool) schemeEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !adhoc {
 		if id, ok := s.bySpec[es.Spec]; ok {
-			return s.schemes[id]
+			return *s.schemes[id]
 		}
 	}
 	s.nextID++
@@ -272,14 +278,18 @@ func (s *server) register(es *engine.Scheme, design string, n, m int, seed uint6
 			}
 		}
 	}
-	return ent
+	return *ent
 }
 
-func (s *server) lookup(id string) (*schemeEntry, bool) {
+// lookup returns a copy of the registry entry id, taken under s.mu.
+func (s *server) lookup(id string) (schemeEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ent, ok := s.schemes[id]
-	return ent, ok
+	if !ok {
+		return schemeEntry{}, false
+	}
+	return *ent, true
 }
 
 func (s *server) handleGetScheme(w http.ResponseWriter, r *http.Request) {
@@ -869,19 +879,18 @@ func (s *server) migrateSchemes(reason string) {
 
 	moved := 0
 	for _, ent := range ents {
-		key := ent.scheme.RouteKey()
-		owner := s.cluster.OwnerID(key)
 		s.mu.Lock()
-		stale := owner != ent.Owner
+		cur, oldOwner := ent.scheme, ent.Owner
 		s.mu.Unlock()
-		if !stale {
+		owner := s.cluster.OwnerID(cur.RouteKey())
+		if owner == oldOwner {
 			continue
 		}
 		var fresh *engine.Scheme
 		if ent.AdHoc {
-			fresh = s.cluster.SchemeFromGraph(ent.scheme.G, ent.scheme.RouteKey())
+			fresh = s.cluster.SchemeFromGraph(cur.G, cur.RouteKey())
 		} else {
-			fresh = s.cluster.InstallScheme(ent.scheme.Spec, ent.scheme.G)
+			fresh = s.cluster.InstallScheme(cur.Spec, cur.G)
 		}
 		s.mu.Lock()
 		ent.Owner = owner

@@ -33,7 +33,7 @@ type walSchemeRef struct {
 }
 
 // schemeRefFor serializes a registry entry into the journaled form.
-func (s *server) schemeRefFor(ent *schemeEntry) string {
+func (s *server) schemeRefFor(ent schemeEntry) string {
 	buf, err := json.Marshal(walSchemeRef{
 		Design: ent.Design, N: ent.N, M: ent.M, Seed: ent.Seed,
 		Gamma: ent.Gamma, P: ent.P, D: ent.D, AdHoc: ent.AdHoc,
@@ -62,8 +62,9 @@ func (s *server) resolveSchemeRef(refJSON string) (*engine.Scheme, error) {
 		if ent.Design == ref.Design && ent.N == ref.N && ent.M == ref.M &&
 			ent.Seed == ref.Seed && ent.AdHoc == ref.AdHoc &&
 			ent.Gamma == ref.Gamma && ent.P == ref.P && ent.D == ref.D {
+			es := ent.scheme
 			s.mu.Unlock()
-			return ent.scheme, nil
+			return es, nil
 		}
 	}
 	s.mu.Unlock()

@@ -200,16 +200,16 @@ type Campaign struct {
 	// redisp counts per-job re-dispatches after shard-unavailable
 	// failures, keyed by batch index — the budget that keeps a campaign
 	// terminating when no healthy shard ever appears.
-	redisp        map[int]int
-	completed     int
-	failed        int
-	canceledJobs  int
-	results       []JobResult
-	events        []Event       // monotone settlement log; ≤ total+1 entries
-	sealed        bool          // terminal event appended, log closed
-	changed       chan struct{} // closed and replaced on every update
-	finished      time.Time     // set when the last job settles
-	canceledAt    time.Time     // set on the first Cancel
+	redisp       map[int]int
+	completed    int
+	failed       int
+	canceledJobs int
+	results      []JobResult
+	events       []Event       // monotone settlement log; ≤ total+1 entries
+	sealed       bool          // terminal event appended, log closed
+	changed      chan struct{} // closed and replaced on every update
+	finished     time.Time     // set when the last job settles
+	canceledAt   time.Time     // set on the first Cancel
 }
 
 // ID returns the campaign id.

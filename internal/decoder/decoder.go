@@ -26,7 +26,6 @@ import (
 	"pooleddata/internal/graph"
 	"pooleddata/internal/mn"
 	"pooleddata/internal/parsort"
-	"pooleddata/internal/sparse"
 )
 
 // Decoder reconstructs a weight-k signal from a design and its results.
@@ -49,11 +48,18 @@ func validate(g *graph.Bipartite, y []int64, k int) error {
 }
 
 // Predict returns the response vector the additive oracle would produce
-// for the candidate signal est on design g.
+// for the candidate signal est on design g. It scatters the edges of
+// est's support entries into the m results: O(k·Δ*) work over the
+// entry-side CSR, not a pass over every incidence of the design.
 func Predict(g *graph.Bipartite, est *bitvec.Vector) []int64 {
-	x := make([]int64, g.N())
-	est.ForEachSet(func(i int) { x[i] = 1 })
-	return sparse.QueryMultiplicity(g).MulVec(x, nil)
+	pred := make([]int64, g.M())
+	est.ForEachSet(func(i int) {
+		qs, mu := g.EntryQueries(i)
+		for p, j := range qs {
+			pred[j] += int64(mu[p])
+		}
+	})
+	return pred
 }
 
 // Residual returns the L1 misfit Σ_j |y_j − ŷ_j| of a candidate signal.
@@ -295,17 +301,9 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 		passes = 8
 	}
 
-	// Per-query predicted responses for the current estimate, accumulated
-	// from the k selected entries' edges (k·deg work; building the full
-	// query-side matrix as Predict does would cost a whole Γm pass per
-	// decode, dominating the refinement itself on large designs).
-	pred := make([]int64, g.M())
-	est.ForEachSet(func(i int) {
-		qs, mu := g.EntryQueries(i)
-		for p, j := range qs {
-			pred[j] += int64(mu[p])
-		}
-	})
+	// Per-query predicted responses for the current estimate, kept up to
+	// date across swaps.
+	pred := Predict(g, est)
 	misfit := int64(0)
 	for j := range y {
 		misfit += abs64(y[j] - pred[j])

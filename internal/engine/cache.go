@@ -11,7 +11,6 @@ import (
 
 	"pooleddata/internal/graph"
 	"pooleddata/internal/pooling"
-	"pooleddata/internal/sparse"
 )
 
 // Spec identifies a pooling scheme for caching: two requests with equal
@@ -62,9 +61,8 @@ func GraphKey(g *graph.Bipartite) string {
 	return "adhoc|" + strconv.FormatUint(h.Sum64(), 16)
 }
 
-// Scheme is a cached pooling design: the immutable bipartite graph plus
-// the lazily-built query-side multiplicity matrix shared by every job
-// that verifies residuals against this design. Safe for concurrent use.
+// Scheme is a cached pooling design: the immutable bipartite graph every
+// job against this design decodes on. Safe for concurrent use.
 type Scheme struct {
 	// Spec is the cache key; zero for ad-hoc schemes wrapped from a graph.
 	Spec Spec
@@ -85,9 +83,6 @@ type Scheme struct {
 	// a standalone Engine; Cluster.Owner falls back to home for those.
 	// Set before the scheme is published, so routing never races.
 	key string
-
-	qmatOnce sync.Once
-	qmat     *sparse.CSR
 
 	extOnce sync.Once
 	ext     any
@@ -122,13 +117,6 @@ func NewSchemeAt(spec Spec, key string, g *graph.Bipartite, home int) *Scheme {
 func (s *Scheme) Ext(make func() any) any {
 	s.extOnce.Do(func() { s.ext = make() })
 	return s.ext
-}
-
-// QueryMatrix returns the m×n query-side multiplicity matrix of the
-// design, building it on first use and sharing it afterwards.
-func (s *Scheme) QueryMatrix() *sparse.CSR {
-	s.qmatOnce.Do(func() { s.qmat = sparse.QueryMultiplicity(s.G) })
-	return s.qmat
 }
 
 // cacheEntry is one cache slot. ready is closed when the build finished

@@ -347,21 +347,12 @@ func (t *task) settle(res Result, err error) {
 	}
 }
 
-// residual computes the L1 misfit of est against y by scattering the
-// estimate's k support entries' edges into a predicted-response vector —
-// O(k·deg) work against the graph's entry CSR, where a query-side SpMV
-// (as decoder.Residual and earlier revisions do) walks every incidence
-// of the design for each job. The integer sums are identical either way.
-// Predicted counts pass through the noise model first, so threshold jobs
-// compare binarized responses rather than raw counts.
+// residual computes the L1 misfit of est against y from
+// decoder.Predict's O(k·Δ*) scatter. Predicted counts pass through the
+// noise model first, so threshold jobs compare binarized responses
+// rather than raw counts.
 func (e *Engine) residual(s *Scheme, est *bitvec.Vector, y []int64, nm noise.Model) int64 {
-	pred := make([]int64, len(y))
-	est.ForEachSet(func(i int) {
-		qs, mu := s.G.EntryQueries(i)
-		for p, j := range qs {
-			pred[j] += int64(mu[p])
-		}
-	})
+	pred := decoder.Predict(s.G, est)
 	var r int64
 	for j := range y {
 		d := y[j] - nm.TransformExpected(pred[j])

@@ -8,16 +8,26 @@
 // benchmarks, plus a Fixed design for golden tests.
 //
 // All builders are deterministic functions of (n, m, seed): queries (or
-// entries, for the column design) sample from private SplitMix-derived
-// streams indexed by their own position, so the result is identical no
-// matter how many goroutines build it.
+// entries, for the column design) sample from private xoshiro256**
+// streams seeded by rng.DeriveSeed(seed, position), so the result is
+// identical no matter how many goroutines build it.
+//
+// RandomRegular and Fixed build by counting, not sorting (buildCounted).
+// A first pass marks each query's draws in a per-worker bitmap of ⌈n/64⌉
+// words and records how many distinct entries it has. After a prefix sum
+// the query-side CSR arrays are allocated once, at their final size. A
+// second pass redraws each query from its stream and writes its entries
+// in increasing order straight from the bitmap, counting each draw at its
+// entry's rank (a prefix popcount). Per-worker scratch is O(Γ + n/64);
+// for very sparse queries (Γ ≪ n/64) the bitmap walk costs more than
+// sorting a handful of draws would, a trade no served workload hits.
 package pooling
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 
 	"pooleddata/internal/graph"
@@ -57,30 +67,6 @@ type Design interface {
 	Build(n, m int, opts BuildOptions) (*graph.Bipartite, error)
 }
 
-// compressDraws sorts raw draws in place and collapses runs into exactly
-// sized (distinct entry, multiplicity) slices.
-func compressDraws(draws []int32) (ent, mul []int32) {
-	slices.Sort(draws)
-	distinct := 0
-	for i := range draws {
-		if i == 0 || draws[i] != draws[i-1] {
-			distinct++
-		}
-	}
-	ent = make([]int32, 0, distinct)
-	mul = make([]int32, 0, distinct)
-	for i := 0; i < len(draws); {
-		j := i + 1
-		for j < len(draws) && draws[j] == draws[i] {
-			j++
-		}
-		ent = append(ent, draws[i])
-		mul = append(mul, int32(j-i))
-		i = j
-	}
-	return ent, mul
-}
-
 // assemble concatenates per-query compressed lists into graph CSR form,
 // releasing each list once copied (ents and muls are consumed).
 func assemble(n int, ents, muls [][]int32) (*graph.Bipartite, error) {
@@ -102,32 +88,107 @@ func assemble(n int, ents, muls [][]int32) (*graph.Bipartite, error) {
 	return graph.New(n, qptr, qent, qmul)
 }
 
-// buildPerQuery runs sample(j, r, scratch) for every query j in
-// parallel, where sample must fill and return the compressed (entries,
-// mults) of query j using only r, which is a stream private to query j.
-// scratch is a buffer of scratchLen values owned by the calling worker
-// and reused across its queries, so sample may overwrite it but must not
-// return it.
-func buildPerQuery(n, m, scratchLen int, opts BuildOptions, sample func(j int, r *rng.Rand, scratch []int32) ([]int32, []int32)) (*graph.Bipartite, error) {
-	ents := make([][]int32, m)
-	muls := make([][]int32, m)
-	workers := opts.workers(m)
+// forRanges splits [0, items) into one contiguous range per worker, runs
+// body(w, lo, hi) for worker w's range on its own goroutine, and waits
+// for every call to return.
+func forRanges(items int, opts BuildOptions, body func(w, lo, hi int)) {
+	workers := opts.workers(items)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := w * m / workers
-		hi := (w + 1) * m / workers
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			scratch := make([]int32, scratchLen)
-			for j := lo; j < hi; j++ {
-				r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
-				ents[j], muls[j] = sample(j, r, scratch)
-			}
-		}(lo, hi)
+			body(w, w*items/workers, (w+1)*items/workers)
+		}(w)
 	}
 	wg.Wait()
+}
+
+// buildPerQuery runs sample(j, r) for every query j in parallel, where
+// sample must return the compressed (entries, mults) of query j using
+// only r, which is a stream private to query j.
+func buildPerQuery(n, m int, opts BuildOptions, sample func(j int, r *rng.Rand) ([]int32, []int32)) (*graph.Bipartite, error) {
+	ents := make([][]int32, m)
+	muls := make([][]int32, m)
+	forRanges(m, opts, func(_, lo, hi int) {
+		for j := lo; j < hi; j++ {
+			r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
+			ents[j], muls[j] = sample(j, r)
+		}
+	})
 	return assemble(n, ents, muls)
+}
+
+// buildCounted builds the graph whose query j is the multiset of entries
+// that draw(j, buf) writes into buf (of length maxDraws) and returns.
+// draw must be a pure function of j, because every query is drawn twice:
+//
+//   - Pass 1 marks the query's draws in a seen-bitmap of ⌈n/64⌉ words
+//     and stores its distinct count in qptr[j+1].
+//   - A prefix sum over qptr sizes qent and qmul, which are allocated
+//     once, at their final length.
+//   - Pass 2 marks the draws again, writes the set bits in increasing
+//     order as the query's entries, and adds each draw to the
+//     multiplicity at its entry's rank, a prefix popcount over the
+//     bitmap.
+//
+// Each worker owns O(maxDraws + n/64) scratch, and no query allocates.
+func buildCounted(n, m, maxDraws int, opts BuildOptions, draw func(j int, buf []int32) []int32) (*graph.Bipartite, error) {
+	type scratch struct {
+		buf  []int32
+		seen []uint64
+		rank []int32
+	}
+	words := (n + 63) / 64
+	scr := make([]scratch, opts.workers(m))
+	for w := range scr {
+		scr[w] = scratch{make([]int32, maxDraws), make([]uint64, words), make([]int32, words)}
+	}
+	qptr := make([]int64, m+1)
+	forRanges(m, opts, func(w, lo, hi int) {
+		s := scr[w]
+		for j := lo; j < hi; j++ {
+			for _, e := range draw(j, s.buf) {
+				s.seen[e>>6] |= 1 << (e & 63)
+			}
+			distinct := 0
+			for i, x := range s.seen {
+				distinct += bits.OnesCount64(x)
+				s.seen[i] = 0
+			}
+			qptr[j+1] = int64(distinct)
+		}
+	})
+	for j := 0; j < m; j++ {
+		qptr[j+1] += qptr[j]
+	}
+	qent := make([]int32, qptr[m])
+	qmul := make([]int32, qptr[m])
+	forRanges(m, opts, func(w, lo, hi int) {
+		s := scr[w]
+		for j := lo; j < hi; j++ {
+			draws := draw(j, s.buf)
+			for _, e := range draws {
+				s.seen[e>>6] |= 1 << (e & 63)
+			}
+			ent := qent[qptr[j]:qptr[j+1]]
+			mul := qmul[qptr[j]:qptr[j+1]]
+			rank := int32(0)
+			for i, x := range s.seen {
+				s.rank[i] = rank
+				for ; x != 0; x &= x - 1 {
+					ent[rank] = int32(i<<6 + bits.TrailingZeros64(x))
+					rank++
+				}
+			}
+			for _, e := range draws {
+				i := e >> 6
+				mul[s.rank[i]+int32(bits.OnesCount64(s.seen[i]&(1<<(e&63)-1)))]++
+			}
+			clear(s.seen)
+		}
+	})
+	return graph.New(n, qptr, qent, qmul)
 }
 
 // RandomRegular is the paper's pooling design: each query independently
@@ -154,11 +215,12 @@ func (d RandomRegular) Build(n, m int, opts BuildOptions) (*graph.Bipartite, err
 		return nil, fmt.Errorf("pooling: invalid size n=%d m=%d", n, m)
 	}
 	gamma := d.GammaFor(n)
-	return buildPerQuery(n, m, gamma, opts, func(j int, r *rng.Rand, draws []int32) ([]int32, []int32) {
+	return buildCounted(n, m, gamma, opts, func(j int, draws []int32) []int32 {
+		r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
 		for t := range draws {
 			draws[t] = int32(r.Uint64n(uint64(n)))
 		}
-		return compressDraws(draws)
+		return draws
 	})
 }
 
@@ -190,7 +252,7 @@ func (d Bernoulli) Build(n, m int, opts BuildOptions) (*graph.Bipartite, error) 
 		return nil, fmt.Errorf("pooling: Bernoulli probability %v must be < 1", p)
 	}
 	lq := math.Log1p(-p)
-	return buildPerQuery(n, m, 0, opts, func(j int, r *rng.Rand, _ []int32) ([]int32, []int32) {
+	return buildPerQuery(n, m, opts, func(j int, r *rng.Rand) ([]int32, []int32) {
 		var ent, mul []int32
 		// Geometric skip sampling: visit exactly the included entries.
 		i := 0
@@ -250,21 +312,12 @@ func (d ConstantColumn) Build(n, m int, opts BuildOptions) (*graph.Bipartite, er
 	deg := d.DFor(m)
 	// Sample entry-side in parallel: entry i picks deg distinct queries.
 	cols := make([][]int, n)
-	workers := opts.workers(n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(i))))
-				cols[i] = r.SampleK(m, deg)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	forRanges(n, opts, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(i))))
+			cols[i] = r.SampleK(m, deg)
+		}
+	})
 	// Transpose to query-side CSR. Entries are visited in increasing i, so
 	// each query's list is automatically strictly increasing.
 	qlen := make([]int, m)
@@ -300,21 +353,27 @@ func (d Fixed) Name() string { return "fixed" }
 
 // Build implements Design. n must cover every referenced entry; m must
 // equal len(d.Queries).
-func (d Fixed) Build(n, m int, _ BuildOptions) (*graph.Bipartite, error) {
+func (d Fixed) Build(n, m int, opts BuildOptions) (*graph.Bipartite, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("pooling: invalid size n=%d", n)
+	}
 	if m != len(d.Queries) {
 		return nil, fmt.Errorf("pooling: Fixed has %d queries, Build asked for %d", len(d.Queries), m)
 	}
-	ents := make([][]int32, m)
-	muls := make([][]int32, m)
+	maxDraws := 0
 	for j, q := range d.Queries {
-		draws := make([]int32, len(q))
-		for t, e := range q {
+		for _, e := range q {
 			if e < 0 || e >= n {
 				return nil, fmt.Errorf("pooling: Fixed query %d references entry %d outside [0,%d)", j, e, n)
 			}
-			draws[t] = int32(e)
 		}
-		ents[j], muls[j] = compressDraws(draws)
+		maxDraws = max(maxDraws, len(q))
 	}
-	return assemble(n, ents, muls)
+	return buildCounted(n, m, maxDraws, opts, func(j int, buf []int32) []int32 {
+		buf = buf[:len(d.Queries[j])]
+		for t, e := range d.Queries[j] {
+			buf[t] = int32(e)
+		}
+		return buf
+	})
 }

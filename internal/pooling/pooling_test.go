@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pooleddata/internal/graph"
+	"pooleddata/internal/rng"
 )
 
 func TestRandomRegularQuerySizes(t *testing.T) {
@@ -272,6 +274,9 @@ func TestFixedValidation(t *testing.T) {
 	if _, err := d.Build(10, 2, BuildOptions{}); err == nil {
 		t.Fatal("query count mismatch accepted")
 	}
+	if _, err := (Fixed{Queries: [][]int{{}}}).Build(-200, 1, BuildOptions{}); err == nil {
+		t.Fatal("negative n accepted")
+	}
 }
 
 func TestQuickHalfEdgeIdentityAllDesigns(t *testing.T) {
@@ -310,14 +315,19 @@ func TestQuickHalfEdgeIdentityAllDesigns(t *testing.T) {
 func TestBuildsArePinned(t *testing.T) {
 	for _, tc := range []struct {
 		d    Design
+		n, m int
+		seed uint64
 		want uint64
 	}{
-		{RandomRegular{}, 0x6558b58c86a68a29},
-		{RandomRegular{Gamma: 7}, 0xaf636a04768de294},
-		{Bernoulli{}, 0xaea0963893577212},
-		{ConstantColumn{}, 0x23cc6f03953f5fc9},
+		{RandomRegular{}, 1000, 60, 42, 0x6558b58c86a68a29},
+		{RandomRegular{Gamma: 7}, 1000, 60, 42, 0xaf636a04768de294},
+		{Bernoulli{}, 1000, 60, 42, 0xaea0963893577212},
+		{ConstantColumn{}, 1000, 60, 42, 0x23cc6f03953f5fc9},
+		// The service's home scale, the design every benchmark workload
+		// decodes against.
+		{RandomRegular{}, 10000, 600, 1, 0x2b4425403fa34fba},
 	} {
-		g, err := tc.d.Build(1000, 60, BuildOptions{Seed: 42})
+		g, err := tc.d.Build(tc.n, tc.m, BuildOptions{Seed: tc.seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +344,109 @@ func TestBuildsArePinned(t *testing.T) {
 			h.Write(buf[:4])
 		}
 		if got := h.Sum64(); got != tc.want {
-			t.Errorf("%s%+v: digest %#x, want %#x", tc.d.Name(), tc.d, got, tc.want)
+			t.Errorf("%s%+v n=%d m=%d seed=%d: digest %#x, want %#x", tc.d.Name(), tc.d, tc.n, tc.m, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// sortedQuery is the reference the counting build must match: query
+// draws sorted, then collapsed into (distinct entry, multiplicity) runs.
+func sortedQuery(draws []int32) (ent, mul []int32) {
+	draws = slices.Clone(draws)
+	slices.Sort(draws)
+	for i := 0; i < len(draws); {
+		k := i + 1
+		for k < len(draws) && draws[k] == draws[i] {
+			k++
+		}
+		ent = append(ent, draws[i])
+		mul = append(mul, int32(k-i))
+		i = k
+	}
+	return ent, mul
+}
+
+// regularDraws replays the draws of a RandomRegular build: query j takes
+// gamma values in [0, n) from the stream seeded DeriveSeed(seed, j).
+func regularDraws(n, m, gamma int, seed uint64) [][]int32 {
+	out := make([][]int32, m)
+	for j := range out {
+		r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(seed, uint64(j))))
+		out[j] = make([]int32, gamma)
+		for t := range out[j] {
+			out[j][t] = int32(r.Uint64n(uint64(n)))
+		}
+	}
+	return out
+}
+
+// matchesSorted reports the first query of g that differs from the
+// sort-based reference over draws, or -1 when every query matches.
+func matchesSorted(g *graph.Bipartite, draws [][]int32) int {
+	if g.M() != len(draws) {
+		return 0
+	}
+	for j, d := range draws {
+		wantEnt, wantMul := sortedQuery(d)
+		ent, mul := g.QueryEntries(j)
+		if !slices.Equal(ent, wantEnt) || !slices.Equal(mul, wantMul) {
+			return j
+		}
+	}
+	return -1
+}
+
+func TestCountedBuildMatchesSortReference(t *testing.T) {
+	type shape struct{ n, m, gamma int }
+	shapes := []shape{
+		{1, 5, 1}, {1, 3, 9}, {63, 10, 32}, {64, 10, 32}, {65, 10, 33},
+		{64, 4, 1}, {65, 4, 4 * 65}, {200, 0, 100}, {1000, 20, 1},
+		{1000, 20, 4000}, {129, 17, 7},
+	}
+	r := rng.NewRandSeeded(99)
+	for len(shapes) < 60 {
+		n := 1 + r.Intn(3000)
+		shapes = append(shapes, shape{n, r.Intn(40), 1 + r.Intn(2*n)})
+	}
+	for _, sh := range shapes {
+		seed := r.Uint64()
+		draws := regularDraws(sh.n, sh.m, sh.gamma, seed)
+		for _, par := range []int{1, 8} {
+			g, err := RandomRegular{Gamma: sh.gamma}.Build(sh.n, sh.m, BuildOptions{Seed: seed, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j := matchesSorted(g, draws); j >= 0 {
+				t.Fatalf("n=%d m=%d Γ=%d seed=%d par=%d: query %d differs from the sorted reference", sh.n, sh.m, sh.gamma, seed, par, j)
+			}
+		}
+	}
+}
+
+func TestFixedMatchesSortReference(t *testing.T) {
+	r := rng.NewRandSeeded(7)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(200)
+		// Entries from a narrow window make every query duplicate-heavy.
+		span := 1 + r.Intn(min(n, 8))
+		queries := make([][]int, r.Intn(25))
+		draws := make([][]int32, len(queries))
+		for j := range queries {
+			base := r.Intn(n - span + 1)
+			for range r.Intn(30) {
+				e := base + r.Intn(span)
+				queries[j] = append(queries[j], e)
+				draws[j] = append(draws[j], int32(e))
+			}
+		}
+		for _, par := range []int{1, 8} {
+			g, err := Fixed{Queries: queries}.Build(n, len(queries), BuildOptions{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j := matchesSorted(g, draws); j >= 0 {
+				t.Fatalf("trial %d par=%d: query %d = %v differs from the sorted reference", trial, par, j, queries[j])
+			}
 		}
 	}
 }

@@ -5,27 +5,25 @@ import (
 	"math/bits"
 )
 
-// Rand wraps a raw Source with the distribution helpers the simulator
-// needs: bounded integers (bias-free), floats, Bernoulli draws, Fisher-Yates
-// shuffles and weight-k subset sampling. It mirrors the parts of math/rand
-// the paper's C++ code uses from <random>, but with explicit, documented
-// algorithms so results are stable across Go releases.
+// Rand wraps a xoshiro256** stream with the distribution helpers the
+// simulator needs: bounded integers (bias-free), floats, Bernoulli draws,
+// Fisher-Yates shuffles and weight-k subset sampling. It mirrors the
+// parts of math/rand the paper's C++ code uses from <random>, but with
+// explicit, documented algorithms so results are stable across Go
+// releases.
 //
 // A Rand is not safe for concurrent use.
 type Rand struct {
-	src Source
+	src *Xoshiro256
 }
 
 // NewRand wraps src.
-func NewRand(src Source) *Rand { return &Rand{src: src} }
+func NewRand(src *Xoshiro256) *Rand { return &Rand{src: src} }
 
-// NewRandSeeded is shorthand for a xoshiro256**-backed Rand.
+// NewRandSeeded is shorthand for NewRand(NewXoshiro(seed)).
 func NewRandSeeded(seed uint64) *Rand { return &Rand{src: NewXoshiro(seed)} }
 
-// Source returns the underlying raw source.
-func (r *Rand) Source() Source { return r.src }
-
-// Seed reseeds the underlying source.
+// Seed reseeds the underlying generator.
 func (r *Rand) Seed(seed uint64) { r.src.Seed(seed) }
 
 // Uint64 returns a uniform 64-bit value.

@@ -1,66 +1,16 @@
-// Package rng provides the deterministic pseudo-random number generators
-// used throughout the pooled-data simulator.
+// Package rng provides the deterministic pseudo-random numbers used
+// throughout the pooled-data simulator.
 //
-// The reference implementation of the paper (Gebhard et al., IPDPS 2022)
-// generates its random pooling designs with the C++11 Mersenne Twister
-// mt19937_64. This package re-implements that generator from scratch so the
-// Go reproduction draws from the same family, and adds two modern
-// generators — SplitMix64 and xoshiro256** — that are cheaper and support
-// clean seed-splitting for parallel goroutine-private streams.
+// Every random draw in the reproduction — design builds, signals, noise,
+// experiment trials — comes from a xoshiro256** stream (Xoshiro256)
+// wrapped in a Rand. Parallel code never shares a stream: it derives one
+// per unit of work with DeriveSeed(master, index), a pure function of its
+// arguments, so results do not depend on scheduling. A design build, for
+// instance, draws query j from the stream seeded DeriveSeed(seed, j).
 //
-// All generators implement the Source interface. None of them are safe for
-// concurrent use; parallel code must derive one stream per goroutine via
-// NewStreams or SplitMix64-based seed derivation (see streams.go).
+// Graphs built from a seed are pinned (a spec names its graph on every
+// node and across restarts), so the generator, its seeding and the
+// helpers in Rand must not change their outputs.
+//
+// None of the types are safe for concurrent use.
 package rng
-
-// Source is a deterministic stream of uniform 64-bit values.
-//
-// Implementations are not safe for concurrent use. A Source can be re-seeded
-// at any time; after Seed(s) the stream is exactly the stream of a freshly
-// constructed generator with seed s.
-type Source interface {
-	// Uint64 returns the next value of the stream, uniform on [0, 2^64).
-	Uint64() uint64
-	// Seed resets the generator state deterministically from seed.
-	Seed(seed uint64)
-}
-
-// Algorithm selects one of the provided generator families.
-type Algorithm int
-
-const (
-	// AlgMT19937 is the 64-bit Mersenne Twister (the paper's generator).
-	AlgMT19937 Algorithm = iota
-	// AlgXoshiro is xoshiro256**, a small fast all-purpose generator.
-	AlgXoshiro
-	// AlgSplitMix is SplitMix64, used mainly for seeding and stream splitting.
-	AlgSplitMix
-)
-
-// String returns the conventional name of the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgMT19937:
-		return "mt19937_64"
-	case AlgXoshiro:
-		return "xoshiro256**"
-	case AlgSplitMix:
-		return "splitmix64"
-	default:
-		return "unknown"
-	}
-}
-
-// New constructs a seeded Source of the requested family.
-func New(a Algorithm, seed uint64) Source {
-	switch a {
-	case AlgMT19937:
-		return NewMT19937(seed)
-	case AlgXoshiro:
-		return NewXoshiro(seed)
-	case AlgSplitMix:
-		return NewSplitMix(seed)
-	default:
-		return NewXoshiro(seed)
-	}
-}

@@ -1,34 +1,8 @@
 package rng
 
-// SplitMix64 is Steele, Lea and Flood's splittable generator. It passes
-// BigCrush, has a full 2^64 period, and — crucially for this codebase — any
-// 64-bit seed yields a statistically independent stream, which makes it the
-// natural tool for deriving goroutine-private sub-streams from a master
-// seed.
-type SplitMix64 struct {
-	state uint64
-}
-
-// NewSplitMix returns a SplitMix64 seeded with seed.
-func NewSplitMix(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
-// Seed resets the generator to the given seed.
-func (s *SplitMix64) Seed(seed uint64) { s.state = seed }
-
-// Uint64 returns the next output of the stream.
-func (s *SplitMix64) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Mix64 advances a SplitMix64 state by one step and returns both the output
-// and the new state. It is the pure-function form used for seed derivation
-// without allocating a generator.
+// Mix64 advances a SplitMix64 (Steele, Lea and Flood) state by one step
+// and returns both the output and the new state. Xoshiro256 expands its
+// seed with it.
 func Mix64(state uint64) (out, next uint64) {
 	next = state + 0x9e3779b97f4a7c15
 	z := next

@@ -3,8 +3,8 @@ package rng
 import "math/bits"
 
 // Xoshiro256 implements xoshiro256** 1.0 by Blackman and Vigna. It is the
-// default generator for the hot paths of the simulator: it needs four words
-// of state, is branch-free, and supports a 2^128-step Jump for carving a
+// simulator's only generator: it needs four words of state, is
+// branch-free, and supports a 2^128-step Jump for carving a
 // single stream into non-overlapping parallel sub-streams.
 type Xoshiro256 struct {
 	s [4]uint64
