@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-full race bench bench-noise bench-stream bench-remote bench-kernels bench-smoke fuzz-seeds metrics-lint crash-smoke elastic-smoke clean
+.PHONY: all build vet test test-full race bench bench-module bench-noise bench-stream bench-remote bench-kernels bench-smoke fuzz-seeds metrics-lint crash-smoke elastic-smoke clean
 
 all: build vet test
 
@@ -28,6 +28,13 @@ race:
 bench:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
+# The end-to-end benchmark lives in its own module (bench/go.mod), which
+# imports internal packages of this one; vet and short-test it so an API
+# change that breaks `bash bench/run.sh` fails here.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
+
 # The noise subsystem's acceptance benchmark: batched per-signal noise
 # path vs the exact batched path at B=32. -short skips the σ-sweep
 # sub-benchmark (the slow part).
@@ -45,12 +52,12 @@ bench-stream:
 bench-remote:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRemoteShardDecode' -benchtime 100x ./internal/remote
 
-# Machine-readable kernel numbers: the decode kernels (bit-sliced batch
-# vs scalar), the noisy batch path, design builds (home scale and a very
-# sparse custom design) with graph assembly on its own, the
-# remote/batched wire parity, and one worker scheme install at n=10^4,
-# m=600, written as BENCH_kernels.json (name -> ns/op, B/op, allocs/op)
-# for CI to archive and for regression tooling to diff.
+# Machine-readable kernel numbers: the decode kernels (one scatter per
+# signal in the batch path), the noisy batch path, design builds (home
+# scale and a very sparse custom design) with graph assembly on its own,
+# the remote/batched wire parity, and one worker scheme install at
+# n=10^4, m=600, written as BENCH_kernels.json (name -> ns/op, B/op,
+# allocs/op) for CI to archive and for regression tooling to diff.
 bench-kernels:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/benchjson ./cmd/benchjson; \

@@ -514,8 +514,8 @@ func BenchmarkOneDesignManySignals(b *testing.B) {
 
 // BenchmarkNoisyBatchDecode measures the per-signal noise-stream path of
 // the noise subsystem against the exact batched path at the engine's
-// home scale (one n = 10^4 design, B = 32 signals): same single pass
-// over the pooling matrix, plus a seeded per-(signal, query) stream and
+// home scale (one n = 10^4 design, B = 32 signals): the same
+// per-signal scatter, plus a seeded per-(signal, query) stream and
 // the noise policy's robust decoder. The acceptance bar is the gaussian
 // path within 1.5× of the exact path. The σ-sweep sub-benchmark (the
 // slow part — it decodes the batch once per σ) is skipped in -short

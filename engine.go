@@ -424,8 +424,7 @@ func (e *Engine) MeasureBatch(s *Scheme, signals [][]bool) [][]int64 {
 
 // MeasureBatchNoisy is MeasureBatch under a noise model: each signal's
 // counts are perturbed with an independent, reproducible per-signal
-// stream rooted at the model's seed, in the same single pass over the
-// pooling matrix.
+// stream rooted at the model's seed, after the same per-signal scatter.
 func (e *Engine) MeasureBatchNoisy(s *Scheme, signals [][]bool, nm NoiseModel) ([][]int64, error) {
 	m := nm.internal()
 	if err := m.Validate(); err != nil {

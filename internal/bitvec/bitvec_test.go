@@ -247,3 +247,15 @@ func TestQuickSupportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAndPopcountMatchesOverlap(t *testing.T) {
+	r := rng.NewRandSeeded(5)
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + int(r.Uint64n(300))
+		a := Random(n, int(r.Uint64n(uint64(n+1))), r)
+		b := Random(n, int(r.Uint64n(uint64(n+1))), r)
+		if got, want := AndPopcount(a.Words(), b.Words()), a.Overlap(b); got != want {
+			t.Fatalf("n=%d: AndPopcount %d, Overlap %d", n, got, want)
+		}
+	}
+}

@@ -55,19 +55,19 @@ func (d BP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 	variance := make([]float64, m)
 
 	for it := 0; it < iters; it++ {
-		// Query-side Gaussian moments of Σ A_ij X_i under the current
-		// marginals.
-		for j := 0; j < m; j++ {
-			es, mu := g.QueryEntries(j)
-			var mj, vj float64
-			for t, e := range es {
+		// Per-query Gaussian moments of Σ A_ij X_i under the current
+		// marginals, scattered from the entry side: each query's sums
+		// add its entries in increasing order.
+		clear(mean)
+		clear(variance)
+		for e := 0; e < n; e++ {
+			qs, mu := g.EntryQueries(e)
+			pe := p[e]
+			for t, j := range qs {
 				a := float64(mu[t])
-				pe := p[e]
-				mj += a * pe
-				vj += a * a * pe * (1 - pe)
+				mean[j] += a * pe
+				variance[j] += a * a * pe * (1 - pe)
 			}
-			mean[j] = mj
-			variance[j] = vj
 		}
 		// Entry-side LLR updates with cavity (leave-one-out) moments.
 		for i := 0; i < n; i++ {

@@ -26,6 +26,7 @@ import (
 	"pooleddata/internal/graph"
 	"pooleddata/internal/mn"
 	"pooleddata/internal/parsort"
+	"pooleddata/internal/query"
 )
 
 // Decoder reconstructs a weight-k signal from a design and its results.
@@ -48,18 +49,11 @@ func validate(g *graph.Bipartite, y []int64, k int) error {
 }
 
 // Predict returns the response vector the additive oracle would produce
-// for the candidate signal est on design g. It scatters the edges of
-// est's support entries into the m results: O(k·Δ*) work over the
-// entry-side CSR, not a pass over every incidence of the design.
+// for the candidate signal est on design g: query.Counts, an O(k·Δ*)
+// scatter over est's support, not a pass over every incidence of the
+// design.
 func Predict(g *graph.Bipartite, est *bitvec.Vector) []int64 {
-	pred := make([]int64, g.M())
-	est.ForEachSet(func(i int) {
-		qs, mu := g.EntryQueries(i)
-		for p, j := range qs {
-			pred[j] += int64(mu[p])
-		}
-	})
-	return pred
+	return query.Counts(g, est)
 }
 
 // Residual returns the L1 misfit Σ_j |y_j − ŷ_j| of a candidate signal.

@@ -6,7 +6,6 @@ import (
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/graph"
 	"pooleddata/internal/parsort"
-	"pooleddata/internal/sparse"
 )
 
 // LP is a convex-relaxation decoder standing in for the ℓ1/basis-pursuit
@@ -45,10 +44,6 @@ func (d LP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 		tol = 1e-7
 	}
 
-	// A: n×m multiplicity matrix (entry side); Aᵀ: m×n (query side).
-	a := sparse.EntryMultiplicity(g)
-	at := sparse.QueryMultiplicity(g)
-
 	yf := make([]float64, m)
 	for j, v := range y {
 		yf[j] = float64(v)
@@ -56,7 +51,7 @@ func (d LP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 
 	// Lipschitz constant of the gradient: L = ‖A‖₂², estimated by a few
 	// rounds of power iteration on A Aᵀ.
-	l := operatorNormSquared(a, at, n, m)
+	l := operatorNormSquared(g)
 	if l <= 0 {
 		l = 1
 	}
@@ -77,11 +72,11 @@ func (d LP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 
 	for it := 0; it < iters; it++ {
 		// resid = Aᵀz − y; grad = A·resid.
-		at.MulVecFloat(z, resid)
+		mulAT(g, z, resid)
 		for j := range resid {
 			resid[j] -= yf[j]
 		}
-		a.MulVecFloat(resid, grad)
+		mulA(g, resid, grad)
 
 		copy(prevX, x)
 		obj := 0.0
@@ -120,18 +115,18 @@ func (d LP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 
 // operatorNormSquared estimates ‖A‖₂² by power iteration on v ↦ A(Aᵀv)
 // over entry space.
-func operatorNormSquared(a, at *sparse.CSR, n, m int) float64 {
-	v := make([]float64, n)
+func operatorNormSquared(g *graph.Bipartite) float64 {
+	v := make([]float64, g.N())
 	for i := range v {
 		// Deterministic non-degenerate start vector.
 		v[i] = 1 + float64(i%7)/7
 	}
-	tmp := make([]float64, m)
-	next := make([]float64, n)
+	tmp := make([]float64, g.M())
+	next := make([]float64, g.N())
 	lambda := 0.0
 	for it := 0; it < 30; it++ {
-		at.MulVecFloat(v, tmp)
-		a.MulVecFloat(tmp, next)
+		mulAT(g, v, tmp)
+		mulA(g, tmp, next)
 		norm := 0.0
 		for _, x := range next {
 			norm += x * x
@@ -146,4 +141,30 @@ func operatorNormSquared(a, at *sparse.CSR, n, m int) float64 {
 		}
 	}
 	return lambda
+}
+
+// mulA sets out = A·r, with A the n×m multiplicity matrix: entry i's row
+// of the graph dotted with r.
+func mulA(g *graph.Bipartite, r, out []float64) {
+	for i := range out {
+		qs, mu := g.EntryQueries(i)
+		var s float64
+		for p, j := range qs {
+			s += float64(mu[p]) * r[j]
+		}
+		out[i] = s
+	}
+}
+
+// mulAT sets out = Aᵀx by a sequential scatter over the entry side, so
+// each out[j] sums the entries of query j in increasing order, as a
+// query-indexed product would.
+func mulAT(g *graph.Bipartite, x, out []float64) {
+	clear(out)
+	for i, xi := range x {
+		qs, mu := g.EntryQueries(i)
+		for p, j := range qs {
+			out[j] += float64(mu[p]) * xi
+		}
+	}
 }

@@ -8,10 +8,10 @@ import (
 	"pooleddata/internal/query"
 )
 
-// MeasureBatch evaluates every signal against the scheme's design in a
-// single pass over the pooling matrix, amortizing the Γm edge traversal
-// across the batch (the one-design/many-signals regime of a screening
-// campaign). nm declares the measurement oracle: the zero model returns
+// MeasureBatch evaluates every signal against the scheme's design, one
+// O(weight·Δ*) scatter over each signal's support (the
+// one-design/many-signals regime of a screening campaign). nm declares
+// the measurement oracle: the zero model returns
 // exact counts; a Gaussian or threshold model perturbs each signal's
 // counts with an independent, reproducible per-signal stream rooted at
 // the model's seed, so row b equals Execute(g, sigma_b, Options{Oracle:

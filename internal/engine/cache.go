@@ -2,9 +2,7 @@ package engine
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,27 +36,32 @@ func (sp Spec) Key() string {
 }
 
 // GraphKey is the content-addressed routing key of an ad-hoc design: an
-// FNV-1a digest over the graph's full query-side incidence (dimensions,
-// entries, multiplicities). Re-uploading byte-identical pool definitions
+// FNV-1a digest over the graph's full incidence in query order
+// (dimensions, then per query its entries and multiplicities), streamed
+// by the graph's visitor. Re-uploading byte-identical pool definitions
 // yields the same key, so ad-hoc schemes land on the same shard across
 // uploads and membership changes.
 func GraphKey(g *graph.Bipartite) string {
-	h := fnv.New64a()
-	var buf [binary.MaxVarintLen64]byte
+	// FNV-1a over the uvarint bytes of every value, folded in place.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	put := func(v uint64) {
-		h.Write(buf[:binary.PutUvarint(buf[:], v)])
+		for ; v >= 0x80; v >>= 7 {
+			h = (h ^ (v&0x7f | 0x80)) * prime64
+		}
+		h = (h ^ v) * prime64
 	}
 	put(uint64(g.N()))
 	put(uint64(g.M()))
-	for j := 0; j < g.M(); j++ {
-		ent, mul := g.QueryEntries(j)
+	g.ForEachQuery(0, g.M(), func(_ int, ent, mul []int32) error {
 		put(uint64(len(ent)))
 		for p := range ent {
 			put(uint64(ent[p]))
 			put(uint64(mul[p]))
 		}
-	}
-	return "adhoc|" + strconv.FormatUint(h.Sum64(), 16)
+		return nil
+	})
+	return "adhoc|" + strconv.FormatUint(h, 16)
 }
 
 // Scheme is a cached pooling design: the immutable bipartite graph every

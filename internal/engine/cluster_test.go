@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pooleddata/internal/bitvec"
+	"pooleddata/internal/graph"
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
 	"pooleddata/internal/rng"
@@ -135,6 +136,33 @@ func TestClusterSubmitRoutesToOwner(t *testing.T) {
 	}
 	if _, err := c.Submit(context.Background(), Job{}); err == nil {
 		t.Fatal("nil-scheme job accepted by cluster")
+	}
+}
+
+// TestGraphKeyGolden pins the content hash of two designs: ad-hoc
+// routing keys and worker install ids are these strings, so a change
+// that reorders or drops a single incidence must fail here.
+func TestGraphKeyGolden(t *testing.T) {
+	home, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The paper's Fig. 1 example, multi-edges included.
+	fig1, err := pooling.Fixed{Queries: [][]int{{0, 1, 3}, {1, 4, 6}, {0, 1, 4, 6, 6}, {2, 4}, {0, 5, 5, 6, 6}}}.Build(7, 5, pooling.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Bipartite
+		want string
+	}{
+		{"home scale (random-regular n=10^4 m=600 seed 1)", home, "adhoc|b9e4b4ffe5f62f3c"},
+		{"Fig. 1 fixed design", fig1, "adhoc|a78951d46bce068f"},
+	} {
+		if got := GraphKey(tc.g); got != tc.want {
+			t.Errorf("%s: GraphKey %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

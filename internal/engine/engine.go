@@ -11,14 +11,13 @@
 //
 //   - a scheme cache keyed by (design, n, m, seed) with LRU eviction and
 //     build deduplication: concurrent requests for the same design trigger
-//     exactly one pooling build and share the immutable graph (plus its
-//     lazily-built query-side multiplicity matrix);
+//     exactly one pooling build and share the immutable graph;
 //   - a decode pipeline: Submit(job) → Future over a bounded worker pool,
 //     with per-job decoder selection, context cancellation, and per-job
 //     stats (queue wait, decode time, residual, consistency) aggregated
 //     into engine-level counters;
 //   - a batched measurement path (MeasureBatch) that evaluates many
-//     signals against one design in a single pass over the pooling matrix.
+//     signals against one design, one scatter over each signal's support.
 package engine
 
 import (

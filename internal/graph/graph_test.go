@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"slices"
 	"testing"
 )
 
@@ -34,14 +36,24 @@ func TestNewSizes(t *testing.T) {
 	}
 }
 
+// queryRows collects every query's row through ForEachQuery.
+func queryRows(g *Bipartite) (ents, muls [][]int32) {
+	g.ForEachQuery(0, g.M(), func(_ int, e, mu []int32) error {
+		ents = append(ents, slices.Clone(e))
+		muls = append(muls, slices.Clone(mu))
+		return nil
+	})
+	return ents, muls
+}
+
 func TestQueryAccessors(t *testing.T) {
 	g := tiny(t)
-	ent, mul := g.QueryEntries(2)
-	if len(ent) != 3 || ent[0] != 0 || ent[1] != 1 || ent[2] != 4 {
-		t.Fatalf("QueryEntries(2) entries = %v", ent)
+	ents, muls := queryRows(g)
+	if ent := ents[2]; len(ent) != 3 || ent[0] != 0 || ent[1] != 1 || ent[2] != 4 {
+		t.Fatalf("query 2 entries = %v", ent)
 	}
-	if mul[2] != 2 {
-		t.Fatalf("QueryEntries(2) mults = %v, want multi-edge on x4", mul)
+	if muls[2][2] != 2 {
+		t.Fatalf("query 2 mults = %v, want multi-edge on x4", muls[2])
 	}
 	if g.QuerySize(2) != 4 {
 		t.Fatalf("QuerySize(2) = %d, want 4", g.QuerySize(2))
@@ -150,5 +162,155 @@ func TestStatsDistinctWeight(t *testing.T) {
 	qs, _ := g.EntryQueries(1)
 	if len(qs) != 3 {
 		t.Fatalf("x1 distinct queries = %d, want 3", len(qs))
+	}
+}
+
+// TestForEachQueryReproducesRows: the visitor streams back exactly the
+// query-side CSR a graph was built from, including a design large enough
+// (360 000 pairs) to span two visitor blocks.
+func TestForEachQueryReproducesRows(t *testing.T) {
+	for _, tc := range []struct{ n, m, per int }{
+		{1, 3, 1}, {7, 1, 7}, {500, 40, 60}, {3000, 300, 1200},
+	} {
+		qptr, qent, qmul := buildRandomCSR(tc.n, tc.m, tc.per, uint64(tc.n))
+		g, err := New(tc.n, qptr, qent, qmul)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		err = g.ForEachQuery(0, g.M(), func(j int, ents, muls []int32) error {
+			if j != next {
+				t.Fatalf("n=%d: visited query %d, want %d", tc.n, j, next)
+			}
+			next++
+			lo, hi := qptr[j], qptr[j+1]
+			if !slices.Equal(ents, qent[lo:hi]) || !slices.Equal(muls, qmul[lo:hi]) {
+				t.Fatalf("n=%d m=%d: query %d row differs from the CSR it was built from", tc.n, tc.m, j)
+			}
+			return nil
+		})
+		if err != nil || next != tc.m {
+			t.Fatalf("n=%d: visited %d of %d queries, err %v", tc.n, next, tc.m, err)
+		}
+	}
+}
+
+// TestForEachQueryRanges: any sub-range of queries streams the same rows
+// as the full walk, so disjoint ranges can be encoded concurrently. The
+// range [37, 263) holds more pairs than one visitor block.
+func TestForEachQueryRanges(t *testing.T) {
+	qptr, qent, qmul := buildRandomCSR(3000, 300, 1200, 17)
+	g, err := New(3000, qptr, qent, qmul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, muls := queryRows(g)
+	for _, r := range [][2]int{{0, 0}, {0, 1}, {299, 300}, {37, 263}, {150, 300}, {300, 300}} {
+		next := r[0]
+		g.ForEachQuery(r[0], r[1], func(j int, e, mu []int32) error {
+			if j != next || !slices.Equal(e, ents[j]) || !slices.Equal(mu, muls[j]) {
+				t.Fatalf("range %v: query %d (want %d) differs from the full walk", r, j, next)
+			}
+			next++
+			return nil
+		})
+		if next != r[1] {
+			t.Fatalf("range %v: stopped at %d", r, next)
+		}
+	}
+	for _, r := range [][2]int{{-1, 3}, {5, 4}, {0, 301}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("range %v accepted", r)
+				}
+			}()
+			g.ForEachQuery(r[0], r[1], func(int, []int32, []int32) error { return nil })
+		}()
+	}
+}
+
+func TestForEachQueryStopsAtError(t *testing.T) {
+	g := tiny(t)
+	stop := errors.New("stop")
+	calls := 0
+	err := g.ForEachQuery(0, g.M(), func(j int, _, _ []int32) error {
+		calls++
+		if j == 1 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || calls != 2 {
+		t.Fatalf("err %v after %d calls, want stop after 2", err, calls)
+	}
+}
+
+func TestFromQueryRowsRejects(t *testing.T) {
+	fail := errors.New("row source failed")
+	calls := 0
+	for _, tc := range []struct {
+		name string
+		row  RowFunc
+	}{
+		{"source error", func(j int) ([]int32, []int32, error) { return nil, nil, fail }},
+		{"length mismatch", func(j int) ([]int32, []int32, error) { return []int32{0, 1}, []int32{1}, nil }},
+		{"entry out of range", func(j int) ([]int32, []int32, error) { return []int32{3}, []int32{1}, nil }},
+		{"not increasing", func(j int) ([]int32, []int32, error) { return []int32{1, 1}, []int32{1, 1}, nil }},
+		{"zero multiplicity", func(j int) ([]int32, []int32, error) { return []int32{0}, []int32{0}, nil }},
+		{"row changes between passes", func(j int) ([]int32, []int32, error) {
+			calls++
+			if calls > 2 {
+				return []int32{0, 1}, []int32{1, 1}, nil
+			}
+			return []int32{0}, []int32{1}, nil
+		}},
+	} {
+		row := tc.row
+		if _, err := FromQueryRows(3, 2, 1, func() RowFunc { return row }); err == nil {
+			t.Fatalf("%s: expected error", tc.name)
+		}
+	}
+	if _, err := FromQueryRows(-1, 0, 1, nil); err == nil {
+		t.Fatal("negative n accepted")
+	}
+}
+
+func TestFromEntrySide(t *testing.T) {
+	// The transpose of tiny's query side, written per entry.
+	eptr := []int64{0, 3, 6, 8, 9, 12, 13, 14}
+	eqry := []int32{0, 2, 4 /**/, 0, 1, 2 /**/, 0, 3 /**/, 1 /**/, 1, 2, 3 /**/, 4 /**/, 4}
+	emul := []int32{1, 1, 2 /**/, 1, 1, 1 /**/, 1, 1 /**/, 1 /**/, 1, 2, 1 /**/, 1 /**/, 1}
+	g, err := FromEntrySide(5, eptr, eqry, emul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, muls := queryRows(g)
+	we, wm := queryRows(tiny(t))
+	if !slices.EqualFunc(ents, we, slices.Equal) || !slices.EqualFunc(muls, wm, slices.Equal) {
+		t.Fatalf("entry-side build rows %v %v, want %v %v", ents, muls, we, wm)
+	}
+	if g.HalfEdges() != 16 || g.QuerySize(2) != 4 || g.QueryDistinct(4) != 3 {
+		t.Fatalf("query counts: half %d size(2) %d distinct(4) %d", g.HalfEdges(), g.QuerySize(2), g.QueryDistinct(4))
+	}
+	for _, tc := range []struct {
+		name string
+		m    int
+		eptr []int64
+		eqry []int32
+		emul []int32
+	}{
+		{"empty eptr", 2, nil, nil, nil},
+		{"eptr not starting at 0", 2, []int64{1, 1}, nil, nil},
+		{"length mismatch", 2, []int64{0, 2}, []int32{0}, []int32{1}},
+		{"decreasing eptr", 2, []int64{0, 1, 0}, []int32{0}, []int32{1}},
+		{"query out of range", 2, []int64{0, 1}, []int32{2}, []int32{1}},
+		{"not increasing", 2, []int64{0, 2}, []int32{1, 1}, []int32{1, 1}},
+		{"zero multiplicity", 2, []int64{0, 1}, []int32{0}, []int32{0}},
+		{"negative m", -1, []int64{0}, nil, nil},
+	} {
+		if _, err := FromEntrySide(tc.m, tc.eptr, tc.eqry, tc.emul); err == nil {
+			t.Fatalf("%s: expected error", tc.name)
+		}
 	}
 }

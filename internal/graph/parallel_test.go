@@ -2,6 +2,7 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"pooleddata/internal/rng"
@@ -23,33 +24,36 @@ func buildRandomCSR(n, m, perQuery int, seed uint64) (qptr []int64, qent, qmul [
 	return
 }
 
+// TestEntrySideParallelFillMatchesSequential: the entry side and the
+// per-query counts do not depend on how the queries were split among
+// workers, more workers than CPUs or queries included.
 func TestEntrySideParallelFillMatchesSequential(t *testing.T) {
-	// Large enough that buildEntrySide takes its multi-worker path once
-	// GOMAXPROCS allows; results must be identical either way.
 	n, m, per := 3000, 60, 300
 	qptr, qent, qmul := buildRandomCSR(n, m, per, 11)
-
-	old := runtime.GOMAXPROCS(1)
-	gSeq, err := New(n, qptr, qent, qmul)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GOMAXPROCS(6)
-	gPar, err := New(n, qptr, qent, qmul)
-	runtime.GOMAXPROCS(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < n; i++ {
-		q1, m1 := gSeq.EntryQueries(i)
-		q2, m2 := gPar.EntryQueries(i)
-		if len(q1) != len(q2) {
-			t.Fatalf("entry %d: lengths differ", i)
+	rows := func() RowFunc {
+		return func(j int) ([]int32, []int32, error) {
+			return qent[qptr[j]:qptr[j+1]], qmul[qptr[j]:qptr[j+1]], nil
 		}
-		for p := range q1 {
-			if q1[p] != q2[p] || m1[p] != m2[p] {
-				t.Fatalf("entry %d: parallel fill differs at position %d", i, p)
+	}
+	gSeq, err := FromQueryRows(n, m, 1, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 6, 7, 60, 99} {
+		gPar, err := FromQueryRows(n, m, workers, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			q1, m1 := gSeq.EntryQueries(i)
+			q2, m2 := gPar.EntryQueries(i)
+			if !slices.Equal(q1, q2) || !slices.Equal(m1, m2) {
+				t.Fatalf("workers=%d: entry %d row differs from one worker's", workers, i)
+			}
+		}
+		for j := 0; j < m; j++ {
+			if gPar.QueryDistinct(j) != gSeq.QueryDistinct(j) || gPar.QuerySize(j) != gSeq.QuerySize(j) {
+				t.Fatalf("workers=%d: query %d counts differ", workers, j)
 			}
 		}
 	}
@@ -74,10 +78,10 @@ func TestEntrySideSortedByQuery(t *testing.T) {
 	}
 }
 
-// BenchmarkNew prices graph assembly (validation plus the entry-side
-// transpose) at the service's home scale: n = 10⁴, m = 600, and the
-// ~3935 distinct entries per query that Γ = n/2 draws with replacement
-// leave.
+// BenchmarkNew prices graph assembly from query-side CSR arrays (the
+// count and fill passes of FromQueryRows) at the service's home scale:
+// n = 10⁴, m = 600, and the ~3935 distinct entries per query that
+// Γ = n/2 draws with replacement leave.
 func BenchmarkNew(b *testing.B) {
 	qptr, qent, qmul := buildRandomCSR(10_000, 600, 3935, 1)
 	b.ReportAllocs()

@@ -26,6 +26,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 
 	"pooleddata/internal/graph"
@@ -47,8 +48,7 @@ func WriteDesign(w io.Writer, g *graph.Bipartite) error {
 		return err
 	}
 	row := make([]string, 3)
-	for j := 0; j < g.M(); j++ {
-		ents, muls := g.QueryEntries(j)
+	err := g.ForEachQuery(0, g.M(), func(j int, ents, muls []int32) error {
 		for p, e := range ents {
 			row[0] = strconv.Itoa(j)
 			row[1] = strconv.Itoa(int(e))
@@ -57,6 +57,10 @@ func WriteDesign(w io.Writer, g *graph.Bipartite) error {
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	cw.Flush()
 	return cw.Error()
@@ -118,9 +122,8 @@ func ReadDesign(r io.Reader) (*graph.Bipartite, error) {
 		ents[j] = append(ents[j], int32(e))
 		muls[j] = append(muls[j], int32(mu))
 	}
-	// Assemble CSR; rows must be strictly increasing per query, so sort
-	// pairs (files written by WriteDesign already are).
-	qptr := make([]int64, m+1)
+	// Rows must be strictly increasing per query, so sort pairs (files
+	// written by WriteDesign already are).
 	for j := 0; j < m; j++ {
 		sortPairs(ents[j], muls[j])
 		for i := 1; i < len(ents[j]); i++ {
@@ -128,15 +131,10 @@ func ReadDesign(r io.Reader) (*graph.Bipartite, error) {
 				return nil, fmt.Errorf("labio: duplicate entry %d in query %d (use multiplicity)", ents[j][i], j)
 			}
 		}
-		qptr[j+1] = qptr[j] + int64(len(ents[j]))
 	}
-	qent := make([]int32, qptr[m])
-	qmul := make([]int32, qptr[m])
-	for j := 0; j < m; j++ {
-		copy(qent[qptr[j]:], ents[j])
-		copy(qmul[qptr[j]:], muls[j])
-	}
-	return graph.New(n, qptr, qent, qmul)
+	return graph.FromQueryRows(n, m, runtime.GOMAXPROCS(0), func() graph.RowFunc {
+		return func(j int) ([]int32, []int32, error) { return ents[j], muls[j], nil }
+	})
 }
 
 // sortPairs sorts the parallel slices by entry (insertion sort: rows per

@@ -2,11 +2,14 @@ package labio
 
 import (
 	"bytes"
+	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"pooleddata/internal/bitvec"
+	"pooleddata/internal/graph"
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
 	"pooleddata/internal/rng"
@@ -28,17 +31,51 @@ func TestDesignRoundTrip(t *testing.T) {
 	if g2.N() != g.N() || g2.M() != g.M() || g2.HalfEdges() != g.HalfEdges() {
 		t.Fatal("shape changed through round trip")
 	}
-	for j := 0; j < g.M(); j++ {
-		e1, m1 := g.QueryEntries(j)
-		e2, m2 := g2.QueryEntries(j)
-		if len(e1) != len(e2) {
-			t.Fatalf("query %d changed length", j)
+	for i := 0; i < g.N(); i++ {
+		q1, m1 := g.EntryQueries(i)
+		q2, m2 := g2.EntryQueries(i)
+		if !slices.Equal(q1, q2) || !slices.Equal(m1, m2) {
+			t.Fatalf("entry %d changed through round trip", i)
 		}
-		for p := range e1 {
-			if e1[p] != e2[p] || m1[p] != m2[p] {
-				t.Fatalf("query %d changed content", j)
-			}
-		}
+	}
+}
+
+// queryRow returns query j's row, read through the graph's visitor.
+func queryRow(g *graph.Bipartite, j int) (ents, muls []int32) {
+	g.ForEachQuery(j, j+1, func(_ int, e, mu []int32) error {
+		ents, muls = slices.Clone(e), slices.Clone(mu)
+		return nil
+	})
+	return ents, muls
+}
+
+// TestWriteDesignGolden pins the CSV of the service's home-scale design
+// (random-regular, n = 10⁴, m = 600, seed 1): design downloads and
+// re-uploads depend on these bytes, not just on round-tripping.
+func TestWriteDesignGolden(t *testing.T) {
+	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	if err := WriteDesign(h, g); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.Sum64(), uint64(0x84e65df9efa8f23d); got != want {
+		t.Fatalf("home-scale design CSV digest %#x, want %#x", got, want)
+	}
+	var buf bytes.Buffer
+	fig1, err := pooling.Fixed{Queries: [][]int{{0, 1, 3}, {1, 4, 6}, {0, 1, 4, 6, 6}, {2, 4}, {0, 5, 5, 6, 6}}}.Build(7, 5, pooling.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDesign(&buf, fig1); err != nil {
+		t.Fatal(err)
+	}
+	want := "pooled-design,v1,7,5\nquery,entry,multiplicity\n0,0,1\n0,1,1\n0,3,1\n1,1,1\n1,4,1\n1,6,1\n" +
+		"2,0,1\n2,1,1\n2,4,1\n2,6,2\n3,2,1\n3,4,1\n4,0,1\n4,5,2\n4,6,2\n"
+	if buf.String() != want {
+		t.Fatalf("Fig. 1 design CSV = %q, want %q", buf.String(), want)
 	}
 }
 
@@ -147,7 +184,7 @@ func TestReadDesignAcceptsUnsortedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0, m0 := g.QueryEntries(0)
+	e0, m0 := queryRow(g, 0)
 	if len(e0) != 2 || e0[0] != 1 || e0[1] != 2 || m0[1] != 2 {
 		t.Fatalf("query 0 = %v/%v", e0, m0)
 	}

@@ -6,24 +6,29 @@ import (
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/graph"
 	"pooleddata/internal/parsort"
+	"pooleddata/internal/query"
 )
 
 // Incremental is the MN-Algorithm restructured for the partially-parallel
 // regime of §VI: when only L processing units exist, query results arrive
-// in rounds of L, and the decoder can maintain its neighborhood sums
-// incrementally — O(Σ |∂a_j| distinct) per batch — instead of recomputing
-// Ψ from scratch. Combined with a consistency check this enables early
-// stopping: the lab can halt the remaining rounds as soon as the current
-// estimate explains all results received so far.
+// in rounds of L, and the decoder maintains its neighborhood sums across
+// rounds, adding each batch's results as they come. The graph keeps no
+// query-indexed copy, so absorbing a batch is one sweep over the entry
+// side (the cost of one Ψ pass), whatever the batch size. Combined with a
+// consistency check this enables early stopping: the lab can halt the
+// remaining rounds as soon as the current estimate explains all results
+// received so far.
 //
 // The scores after every batch are identical to running Reconstruct on
 // the prefix of answered queries (the design stays non-adaptive; only the
 // schedule is staged).
 type Incremental struct {
 	g        *graph.Bipartite
-	answered []bool
+	round    []int32 // round[j]: the batch that answered query j, 0 if none
+	result   []int64 // result[j]: query j's answer, once answered
 	psi      []int64 // Ψ_i over answered queries
 	distinct []int64 // Δ*_i over answered queries
+	rounds   int32
 	count    int
 }
 
@@ -31,7 +36,8 @@ type Incremental struct {
 func NewIncremental(g *graph.Bipartite) *Incremental {
 	return &Incremental{
 		g:        g,
-		answered: make([]bool, g.M()),
+		round:    make([]int32, g.M()),
+		result:   make([]int64, g.M()),
 		psi:      make([]int64, g.N()),
 		distinct: make([]int64, g.N()),
 	}
@@ -47,20 +53,25 @@ func (inc *Incremental) AddBatch(queries []int, results []int64) {
 	if len(queries) != len(results) {
 		panic(fmt.Sprintf("mn: %d queries with %d results", len(queries), len(results)))
 	}
+	inc.rounds++
 	for i, j := range queries {
 		if j < 0 || j >= inc.g.M() {
 			panic(fmt.Sprintf("mn: query %d outside [0,%d)", j, inc.g.M()))
 		}
-		if inc.answered[j] {
+		if inc.round[j] != 0 {
 			panic(fmt.Sprintf("mn: query %d answered twice", j))
 		}
-		inc.answered[j] = true
+		inc.round[j] = inc.rounds
+		inc.result[j] = results[i]
 		inc.count++
-		y := results[i]
-		ents, _ := inc.g.QueryEntries(j)
-		for _, e := range ents {
-			inc.psi[e] += y
-			inc.distinct[e]++
+	}
+	for e := range inc.psi {
+		qs, _ := inc.g.EntryQueries(e)
+		for _, j := range qs {
+			if inc.round[j] == inc.rounds {
+				inc.psi[e] += inc.result[j]
+				inc.distinct[e]++
+			}
 		}
 	}
 }
@@ -94,18 +105,9 @@ func (inc *Incremental) ConsistentSoFar(est *bitvec.Vector, y []int64) bool {
 	if len(y) != inc.g.M() {
 		return false
 	}
-	for j := 0; j < inc.g.M(); j++ {
-		if !inc.answered[j] {
-			continue
-		}
-		ents, muls := inc.g.QueryEntries(j)
-		var pred int64
-		for p, e := range ents {
-			if est.Get(int(e)) {
-				pred += int64(muls[p])
-			}
-		}
-		if pred != y[j] {
+	pred := query.Counts(inc.g, est)
+	for j, r := range inc.round {
+		if r != 0 && pred[j] != y[j] {
 			return false
 		}
 	}

@@ -12,15 +12,21 @@
 // streams seeded by rng.DeriveSeed(seed, position), so the result is
 // identical no matter how many goroutines build it.
 //
-// RandomRegular and Fixed build by counting, not sorting (buildCounted).
-// A first pass marks each query's draws in a per-worker bitmap of ⌈n/64⌉
-// words and records how many distinct entries it has. After a prefix sum
-// the query-side CSR arrays are allocated once, at their final size. A
-// second pass redraws each query from its stream and writes its entries
-// in increasing order straight from the bitmap, counting each draw at its
-// entry's rank (a prefix popcount). Per-worker scratch is O(Γ + n/64);
-// for very sparse queries (Γ ≪ n/64) the bitmap walk costs more than
-// sorting a handful of draws would, a trade no served workload hits.
+// Every builder hands graph.FromQueryRows a pure function from a query
+// index to its row, and FromQueryRows asks for each row twice: once to
+// validate it and count each entry's queries, once to write it at its
+// place in the entry-side CSR. Rows come from private xoshiro256**
+// streams (or the fixed lists), so both answers agree, and no build ever
+// holds the query side next to the entry side. ConstantColumn samples per
+// entry, so it writes the entry side directly.
+//
+// RandomRegular and Fixed rows come from counting, not sorting
+// (countedRows): the query's draws are marked in a per-worker bitmap of
+// ⌈n/64⌉ words and counted per entry, and the set bits are read out in
+// increasing order as the query's entries, each with its count as the
+// multiplicity. Per-worker scratch is O(Γ + n); for very sparse queries
+// (Γ ≪ n/64) the bitmap walk costs more than sorting a handful of draws
+// would, a trade no served workload hits.
 package pooling
 
 import (
@@ -67,27 +73,6 @@ type Design interface {
 	Build(n, m int, opts BuildOptions) (*graph.Bipartite, error)
 }
 
-// assemble concatenates per-query compressed lists into graph CSR form,
-// releasing each list once copied (ents and muls are consumed).
-func assemble(n int, ents, muls [][]int32) (*graph.Bipartite, error) {
-	m := len(ents)
-	qptr := make([]int64, m+1)
-	for j := 0; j < m; j++ {
-		qptr[j+1] = qptr[j] + int64(len(ents[j]))
-	}
-	qent := make([]int32, qptr[m])
-	qmul := make([]int32, qptr[m])
-	for j := 0; j < m; j++ {
-		copy(qent[qptr[j]:], ents[j])
-		copy(qmul[qptr[j]:], muls[j])
-		// A collection during the copy or graph.New must not find both
-		// forms live: its heap goal would then let the service grow to
-		// three times the graph's size before the next one.
-		ents[j], muls[j] = nil, nil
-	}
-	return graph.New(n, qptr, qent, qmul)
-}
-
 // forRanges splits [0, items) into one contiguous range per worker, runs
 // body(w, lo, hi) for worker w's range on its own goroutine, and waits
 // for every call to return.
@@ -104,91 +89,38 @@ func forRanges(items int, opts BuildOptions, body func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// buildPerQuery runs sample(j, r) for every query j in parallel, where
-// sample must return the compressed (entries, mults) of query j using
-// only r, which is a stream private to query j.
-func buildPerQuery(n, m int, opts BuildOptions, sample func(j int, r *rng.Rand) ([]int32, []int32)) (*graph.Bipartite, error) {
-	ents := make([][]int32, m)
-	muls := make([][]int32, m)
-	forRanges(m, opts, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
-			ents[j], muls[j] = sample(j, r)
-		}
-	})
-	return assemble(n, ents, muls)
-}
-
-// buildCounted builds the graph whose query j is the multiset of entries
-// that draw(j, buf) writes into buf (of length maxDraws) and returns.
-// draw must be a pure function of j, because every query is drawn twice:
-//
-//   - Pass 1 marks the query's draws in a seen-bitmap of ⌈n/64⌉ words
-//     and stores its distinct count in qptr[j+1].
-//   - A prefix sum over qptr sizes qent and qmul, which are allocated
-//     once, at their final length.
-//   - Pass 2 marks the draws again, writes the set bits in increasing
-//     order as the query's entries, and adds each draw to the
-//     multiplicity at its entry's rank, a prefix popcount over the
-//     bitmap.
-//
-// Each worker owns O(maxDraws + n/64) scratch, and no query allocates.
-func buildCounted(n, m, maxDraws int, opts BuildOptions, draw func(j int, buf []int32) []int32) (*graph.Bipartite, error) {
-	type scratch struct {
-		buf  []int32
-		seen []uint64
-		rank []int32
-	}
-	words := (n + 63) / 64
-	scr := make([]scratch, opts.workers(m))
-	for w := range scr {
-		scr[w] = scratch{make([]int32, maxDraws), make([]uint64, words), make([]int32, words)}
-	}
-	qptr := make([]int64, m+1)
-	forRanges(m, opts, func(w, lo, hi int) {
-		s := scr[w]
-		for j := lo; j < hi; j++ {
-			for _, e := range draw(j, s.buf) {
-				s.seen[e>>6] |= 1 << (e & 63)
+// countedRows returns the row function of the graph whose query j is the
+// multiset of entries that draw(j, buf) writes into buf (of length
+// maxDraws) and returns; draw must be a pure function of j. The row marks
+// each draw in a seen-bitmap and counts it in a per-entry counter, then
+// reads the bitmap's set bits out in increasing order as the query's
+// entries, taking (and clearing) each one's count as its multiplicity.
+// Each worker owns O(maxDraws + n) scratch, and no query allocates.
+func countedRows(n, maxDraws int, draw func(j int, buf []int32) []int32) func() graph.RowFunc {
+	return func() graph.RowFunc {
+		buf := make([]int32, maxDraws)
+		seen := make([]uint64, (n+63)/64)
+		count := make([]int32, n)
+		ent := make([]int32, min(maxDraws, n))
+		mul := make([]int32, min(maxDraws, n))
+		return func(j int) ([]int32, []int32, error) {
+			for _, e := range draw(j, buf) {
+				seen[e>>6] |= 1 << (e & 63)
+				count[e]++
 			}
-			distinct := 0
-			for i, x := range s.seen {
-				distinct += bits.OnesCount64(x)
-				s.seen[i] = 0
-			}
-			qptr[j+1] = int64(distinct)
-		}
-	})
-	for j := 0; j < m; j++ {
-		qptr[j+1] += qptr[j]
-	}
-	qent := make([]int32, qptr[m])
-	qmul := make([]int32, qptr[m])
-	forRanges(m, opts, func(w, lo, hi int) {
-		s := scr[w]
-		for j := lo; j < hi; j++ {
-			draws := draw(j, s.buf)
-			for _, e := range draws {
-				s.seen[e>>6] |= 1 << (e & 63)
-			}
-			ent := qent[qptr[j]:qptr[j+1]]
-			mul := qmul[qptr[j]:qptr[j+1]]
-			rank := int32(0)
-			for i, x := range s.seen {
-				s.rank[i] = rank
+			d := 0
+			for i, x := range seen {
 				for ; x != 0; x &= x - 1 {
-					ent[rank] = int32(i<<6 + bits.TrailingZeros64(x))
-					rank++
+					e := int32(i<<6 + bits.TrailingZeros64(x))
+					ent[d], mul[d] = e, count[e]
+					count[e] = 0
+					d++
 				}
+				seen[i] = 0
 			}
-			for _, e := range draws {
-				i := e >> 6
-				mul[s.rank[i]+int32(bits.OnesCount64(s.seen[i]&(1<<(e&63)-1)))]++
-			}
-			clear(s.seen)
+			return ent[:d], mul[:d], nil
 		}
-	})
-	return graph.New(n, qptr, qent, qmul)
+	}
 }
 
 // RandomRegular is the paper's pooling design: each query independently
@@ -215,13 +147,13 @@ func (d RandomRegular) Build(n, m int, opts BuildOptions) (*graph.Bipartite, err
 		return nil, fmt.Errorf("pooling: invalid size n=%d m=%d", n, m)
 	}
 	gamma := d.GammaFor(n)
-	return buildCounted(n, m, gamma, opts, func(j int, draws []int32) []int32 {
+	return graph.FromQueryRows(n, m, opts.workers(m), countedRows(n, gamma, func(j int, draws []int32) []int32 {
 		r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
 		for t := range draws {
 			draws[t] = int32(r.Uint64n(uint64(n)))
 		}
 		return draws
-	})
+	}))
 }
 
 // Bernoulli is the i.i.d. design: each (entry, query) pair is connected by
@@ -252,25 +184,32 @@ func (d Bernoulli) Build(n, m int, opts BuildOptions) (*graph.Bipartite, error) 
 		return nil, fmt.Errorf("pooling: Bernoulli probability %v must be < 1", p)
 	}
 	lq := math.Log1p(-p)
-	return buildPerQuery(n, m, opts, func(j int, r *rng.Rand) ([]int32, []int32) {
-		var ent, mul []int32
-		// Geometric skip sampling: visit exactly the included entries.
-		i := 0
-		for {
-			u := r.Float64()
-			if u <= 0 {
-				u = math.SmallestNonzeroFloat64
-			}
-			skip := int(math.Log(u) / lq)
-			i += skip
-			if i >= n {
-				break
-			}
-			ent = append(ent, int32(i))
-			mul = append(mul, 1)
-			i++
+	return graph.FromQueryRows(n, m, opts.workers(m), func() graph.RowFunc {
+		var ent []int32
+		ones := make([]int32, n)
+		for i := range ones {
+			ones[i] = 1
 		}
-		return ent, mul
+		return func(j int) ([]int32, []int32, error) {
+			r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
+			ent = ent[:0]
+			// Geometric skip sampling: visit exactly the included entries.
+			i := 0
+			for {
+				u := r.Float64()
+				if u <= 0 {
+					u = math.SmallestNonzeroFloat64
+				}
+				skip := int(math.Log(u) / lq)
+				i += skip
+				if i >= n {
+					break
+				}
+				ent = append(ent, int32(i))
+				i++
+			}
+			return ent, ones[:len(ent)], nil
+		}
 	})
 }
 
@@ -306,39 +245,31 @@ func (d ConstantColumn) Build(n, m int, opts BuildOptions) (*graph.Bipartite, er
 	if n <= 0 || m < 0 {
 		return nil, fmt.Errorf("pooling: invalid size n=%d m=%d", n, m)
 	}
-	if m == 0 {
-		return assemble(n, nil, nil)
+	deg := 0
+	if m > 0 {
+		deg = d.DFor(m)
 	}
-	deg := d.DFor(m)
-	// Sample entry-side in parallel: entry i picks deg distinct queries.
-	cols := make([][]int, n)
+	// Sample entry-side in parallel: entry i picks deg distinct queries,
+	// in increasing order, which is exactly its row.
+	eptr := make([]int64, n+1)
+	for i := range eptr {
+		eptr[i] = int64(i) * int64(deg)
+	}
+	eqry := make([]int32, eptr[n])
+	emul := make([]int32, eptr[n])
 	forRanges(n, opts, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(i))))
-			cols[i] = r.SampleK(m, deg)
+			row := eqry[eptr[i]:eptr[i+1]]
+			for p, q := range r.SampleK(m, deg) {
+				row[p] = int32(q)
+			}
 		}
 	})
-	// Transpose to query-side CSR. Entries are visited in increasing i, so
-	// each query's list is automatically strictly increasing.
-	qlen := make([]int, m)
-	for _, qs := range cols {
-		for _, q := range qs {
-			qlen[q]++
-		}
+	for p := range emul {
+		emul[p] = 1
 	}
-	ents := make([][]int32, m)
-	muls := make([][]int32, m)
-	for j := 0; j < m; j++ {
-		ents[j] = make([]int32, 0, qlen[j])
-		muls[j] = make([]int32, 0, qlen[j])
-	}
-	for i, qs := range cols {
-		for _, q := range qs {
-			ents[q] = append(ents[q], int32(i))
-			muls[q] = append(muls[q], 1)
-		}
-	}
-	return assemble(n, ents, muls)
+	return graph.FromEntrySide(m, eptr, eqry, emul)
 }
 
 // Fixed wraps an explicit query list: Queries[j] is the multiset of
@@ -369,11 +300,11 @@ func (d Fixed) Build(n, m int, opts BuildOptions) (*graph.Bipartite, error) {
 		}
 		maxDraws = max(maxDraws, len(q))
 	}
-	return buildCounted(n, m, maxDraws, opts, func(j int, buf []int32) []int32 {
+	return graph.FromQueryRows(n, m, opts.workers(m), countedRows(n, maxDraws, func(j int, buf []int32) []int32 {
 		buf = buf[:len(d.Queries[j])]
 		for t, e := range d.Queries[j] {
 			buf[t] = int32(e)
 		}
 		return buf
-	})
+	}))
 }

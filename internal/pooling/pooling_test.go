@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -86,19 +87,19 @@ func equalGraphs(a, b *graph.Bipartite) bool {
 	if a.N() != b.N() || a.M() != b.M() {
 		return false
 	}
-	for j := 0; j < a.M(); j++ {
-		ea, ma := a.QueryEntries(j)
-		eb, mb := b.QueryEntries(j)
-		if len(ea) != len(eb) {
-			return false
-		}
-		for p := range ea {
-			if ea[p] != eb[p] || ma[p] != mb[p] {
-				return false
-			}
-		}
-	}
-	return true
+	ea, ma := queryRows(a)
+	eb, mb := queryRows(b)
+	return slices.EqualFunc(ea, eb, slices.Equal) && slices.EqualFunc(ma, mb, slices.Equal)
+}
+
+// queryRows collects every query's row through the graph's visitor.
+func queryRows(g *graph.Bipartite) (ents, muls [][]int32) {
+	g.ForEachQuery(0, g.M(), func(_ int, e, mu []int32) error {
+		ents = append(ents, slices.Clone(e))
+		muls = append(muls, slices.Clone(mu))
+		return nil
+	})
+	return ents, muls
 }
 
 func TestRandomRegularConcentration(t *testing.T) {
@@ -130,8 +131,8 @@ func TestRandomRegularMultiEdgesExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	multi := false
-	for j := 0; j < g.M() && !multi; j++ {
-		_, mul := g.QueryEntries(j)
+	for i := 0; i < g.N() && !multi; i++ {
+		_, mul := g.EntryQueries(i)
 		for _, mu := range mul {
 			if mu > 1 {
 				multi = true
@@ -169,8 +170,8 @@ func TestBernoulliInclusionRate(t *testing.T) {
 		t.Fatalf("Bernoulli pairs = %v, want about %v", pairs, want)
 	}
 	// No multi-edges in a Bernoulli design.
-	for j := 0; j < g.M(); j++ {
-		_, mul := g.QueryEntries(j)
+	for i := 0; i < g.N(); i++ {
+		_, mul := g.EntryQueries(i)
 		for _, mu := range mul {
 			if mu != 1 {
 				t.Fatal("Bernoulli produced a multi-edge")
@@ -333,8 +334,7 @@ func TestBuildsArePinned(t *testing.T) {
 		}
 		h := fnv.New64a()
 		var buf [8]byte
-		for j := 0; j < g.M(); j++ {
-			ent, mul := g.QueryEntries(j)
+		g.ForEachQuery(0, g.M(), func(_ int, ent, mul []int32) error {
 			for p := range ent {
 				binary.LittleEndian.PutUint32(buf[:4], uint32(ent[p]))
 				binary.LittleEndian.PutUint32(buf[4:], uint32(mul[p]))
@@ -342,7 +342,8 @@ func TestBuildsArePinned(t *testing.T) {
 			}
 			binary.LittleEndian.PutUint32(buf[:4], math.MaxUint32)
 			h.Write(buf[:4])
-		}
+			return nil
+		})
 		if got := h.Sum64(); got != tc.want {
 			t.Errorf("%s%+v n=%d m=%d seed=%d: digest %#x, want %#x", tc.d.Name(), tc.d, tc.n, tc.m, tc.seed, got, tc.want)
 		}
@@ -386,10 +387,10 @@ func matchesSorted(g *graph.Bipartite, draws [][]int32) int {
 	if g.M() != len(draws) {
 		return 0
 	}
+	ents, muls := queryRows(g)
 	for j, d := range draws {
 		wantEnt, wantMul := sortedQuery(d)
-		ent, mul := g.QueryEntries(j)
-		if !slices.Equal(ent, wantEnt) || !slices.Equal(mul, wantMul) {
+		if !slices.Equal(ents[j], wantEnt) || !slices.Equal(muls[j], wantMul) {
 			return j
 		}
 	}
@@ -448,5 +449,24 @@ func TestFixedMatchesSortReference(t *testing.T) {
 				t.Fatalf("trial %d par=%d: query %d = %v differs from the sorted reference", trial, par, j, queries[j])
 			}
 		}
+	}
+}
+
+// TestHomeScaleBuildFootprint guards the build's memory: the home-scale
+// design (n = 10⁴, m = 600) allocates its entry side once, at its final
+// size, plus O(n + m) scratch — never a query-side copy next to it.
+func TestHomeScaleBuildFootprint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := RandomRegular{}.Build(10000, 600, BuildOptions{Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(1.1*8*float64(g.DistinctPairs())) + 64*uint64(g.N()) + 64*uint64(g.M())
+	if alloc > limit {
+		t.Fatalf("building the home-scale design allocated %d bytes, limit %d (8 bytes per pair: %d)", alloc, limit, 8*g.DistinctPairs())
 	}
 }

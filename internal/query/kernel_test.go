@@ -8,6 +8,7 @@ import (
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/rng"
+	"pooleddata/internal/sparse"
 )
 
 // gaussPerturber is a minimal stream-consuming Perturber standing in for
@@ -24,11 +25,11 @@ func (p gaussPerturber) Perturb(v int64, r *rng.Rand) int64 {
 
 func (gaussPerturber) Deterministic() bool { return false }
 
-// TestBatchKernelsBitIdentical is the property test of the word-parallel
-// rewrite: for random (n, m, B) instances — including batch sizes
-// straddling the 64-bit lane boundary and degenerate all-zero/all-one
-// signals — every kernel produces counts bit-identical to the scalar
-// reference, which itself matches per-signal Execute.
+// TestBatchKernelsBitIdentical is the property test of the batch path:
+// for random (n, m, B) instances — including batch sizes straddling the
+// 64-bit word boundary and degenerate all-zero/all-one signals — every
+// row of ExecuteBatch, at any worker count, equals per-signal Execute and
+// the product of the query-indexed multiplicity matrix with the signal.
 func TestBatchKernelsBitIdentical(t *testing.T) {
 	type instance struct {
 		n, m, batch int
@@ -73,57 +74,29 @@ func TestBatchKernelsBitIdentical(t *testing.T) {
 				}
 			}
 
-			// Reference: the scalar kernel (single worker).
-			ref := forceKernel(g.M(), sigmas, func(out [][]int64) {
-				runBatch(g, sigmas, 1, kernelScalar, collectInto(out))
-			})
-			for _, kern := range []batchKernel{kernelSliced, kernelPlanes} {
-				for _, workers := range []int{1, 3} {
-					got := forceKernel(g.M(), sigmas, func(out [][]int64) {
-						runBatch(g, sigmas, workers, kern, collectInto(out))
-					})
-					if !reflect.DeepEqual(got, ref) {
-						t.Fatalf("kernel %d workers %d diverges from scalar reference", kern, workers)
-					}
+			at := sparse.QueryMultiplicity(g)
+			ref := make([][]int64, tc.batch)
+			for b, s := range sigmas {
+				x := make([]int64, tc.n)
+				s.ForEachSet(func(i int) { x[i] = 1 })
+				ref[b] = at.MulVec(x, nil)
+				if want := Execute(g, s, Options{}).Y; !reflect.DeepEqual(want, ref[b]) {
+					t.Fatalf("Execute row %d diverges from the matrix product", b)
 				}
 			}
-
-			// The public entry point (whatever kernel it picks) matches
-			// per-signal Execute bit for bit.
-			ys := ExecuteBatch(g, sigmas, 0)
-			for b := range sigmas {
-				want := Execute(g, sigmas[b], Options{}).Y
-				if !reflect.DeepEqual(ys[b], want) {
-					t.Fatalf("ExecuteBatch row %d diverges from Execute", b)
+			for _, workers := range []int{0, 1, 3} {
+				if got := ExecuteBatch(g, sigmas, workers); !reflect.DeepEqual(got, ref) {
+					t.Fatalf("workers %d: ExecuteBatch diverges from per-signal Execute", workers)
 				}
 			}
 		})
 	}
 }
 
-func collectInto(out [][]int64) func() func(int, []int64) {
-	return func() func(int, []int64) {
-		return func(j int, acc []int64) {
-			for b, v := range acc {
-				out[b][j] = v
-			}
-		}
-	}
-}
-
-func forceKernel(m int, sigmas []*bitvec.Vector, run func(out [][]int64)) [][]int64 {
-	out := make([][]int64, len(sigmas))
-	for b := range out {
-		out[b] = make([]int64, m)
-	}
-	run(out)
-	return out
-}
-
 // TestBatchNoisyKernelsBitIdentical: the noisy batched path perturbs the
-// same exact counts with the same per-cell streams regardless of kernel,
-// worker count, or batch composition — so every kernel must reproduce
-// per-signal Execute with a Noisy oracle bit for bit.
+// same exact counts with the same per-cell streams regardless of worker
+// count or batch composition — so it must reproduce per-signal Execute
+// with a Noisy oracle bit for bit.
 func TestBatchNoisyKernelsBitIdentical(t *testing.T) {
 	g, err := pooling.RandomRegular{}.Build(400, 80, pooling.BuildOptions{Seed: 21})
 	if err != nil {
@@ -157,30 +130,5 @@ func TestBatchNoisyKernelsBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPickKernelShape sanity-checks the cost model: tiny batches stay on
-// the scalar reference, sparse big batches go sliced, and dense batches
-// over a large entry range go to the popcount planes.
-func TestPickKernelShape(t *testing.T) {
-	g, err := pooling.RandomRegular{}.Build(2000, 40, pooling.BuildOptions{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse := make([]*bitvec.Vector, 32)
-	dense := make([]*bitvec.Vector, 32)
-	for b := range sparse {
-		sparse[b] = bitvec.Random(2000, 8, rng.NewRandSeeded(uint64(b+1)))
-		dense[b] = bitvec.Random(2000, 1800, rng.NewRandSeeded(uint64(b+100)))
-	}
-	if k := pickKernel(g, sparse[:2]); k != kernelScalar {
-		t.Fatalf("B=2 picked kernel %d, want scalar", k)
-	}
-	if k := pickKernel(g, sparse); k != kernelSliced {
-		t.Fatalf("sparse batch picked kernel %d, want sliced", k)
-	}
-	if k := pickKernel(g, dense); k != kernelPlanes {
-		t.Fatalf("dense batch picked kernel %d, want planes", k)
 	}
 }

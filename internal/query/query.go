@@ -9,9 +9,13 @@
 //
 //   - Oracles: the additive oracle of the paper (exact count of one-entries,
 //     multi-edges counted with multiplicity), plus noisy and threshold
-//     variants used by the extension experiments.
-//   - A parallel executor that evaluates all queries with a bounded worker
-//     pool (the simulation's real parallelism).
+//     variants used by the extension experiments. Each maps a query's
+//     exact count to its response.
+//   - An executor with one kernel: a signal's exact counts come from
+//     scattering the edges of its support entries into the m results
+//     (O(weight·Δ*) over the graph's entry side), then each query's
+//     oracle answer and simulated latency draw from a stream private to
+//     the query. Batches scatter one signal per worker at a time.
 //   - A virtual-time scheduler for the partially-parallel regime of §VI:
 //     only L processing units exist, so the m queries are list-scheduled
 //     onto the units and the simulated makespan is reported.
@@ -19,7 +23,6 @@ package query
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -29,13 +32,15 @@ import (
 	"pooleddata/internal/rng"
 )
 
-// Oracle answers one pooled query over the hidden signal. entries/mults
-// describe the query's multiset ∂a_j in compressed form. r is a stream
-// private to the query for randomized (noisy) oracles; deterministic
-// oracles ignore it.
+// Oracle answers one pooled query from the exact number v of one-entries
+// in its pool, counted with multiplicity (an entry drawn twice counts
+// twice) — the only thing the paper's oracle and its noisy and threshold
+// variants depend on. r is a stream private to the query for randomized
+// (noisy) oracles; deterministic oracles ignore it.
 type Oracle interface {
-	// Answer returns the oracle's response for the given pool.
-	Answer(sigma *bitvec.Vector, entries, mults []int32, r *rng.Rand) int64
+	// Answer returns the oracle's response to a pool holding v
+	// one-entries.
+	Answer(v int64, r *rng.Rand) int64
 	// Name identifies the oracle in experiment output.
 	Name() string
 }
@@ -49,15 +54,7 @@ type Additive struct{}
 func (Additive) Name() string { return "additive" }
 
 // Answer implements Oracle.
-func (Additive) Answer(sigma *bitvec.Vector, entries, mults []int32, _ *rng.Rand) int64 {
-	var s int64
-	for p, e := range entries {
-		if sigma.Get(int(e)) {
-			s += int64(mults[p])
-		}
-	}
-	return s
-}
+func (Additive) Answer(v int64, _ *rng.Rand) int64 { return v }
 
 // Noisy wraps the additive count with additive rounded Gaussian noise of
 // standard deviation Sigma — the standard robustness model for pooled
@@ -70,8 +67,7 @@ type Noisy struct {
 func (o Noisy) Name() string { return fmt.Sprintf("noisy(σ=%g)", o.Sigma) }
 
 // Answer implements Oracle.
-func (o Noisy) Answer(sigma *bitvec.Vector, entries, mults []int32, r *rng.Rand) int64 {
-	v := Additive{}.Answer(sigma, entries, mults, nil)
+func (o Noisy) Answer(v int64, r *rng.Rand) int64 {
 	if o.Sigma > 0 && r != nil {
 		v += int64(o.Sigma*r.NormFloat64() + 0.5)
 	}
@@ -92,12 +88,8 @@ type Threshold struct {
 func (o Threshold) Name() string { return fmt.Sprintf("threshold(T=%d)", o.T) }
 
 // Answer implements Oracle.
-func (o Threshold) Answer(sigma *bitvec.Vector, entries, mults []int32, _ *rng.Rand) int64 {
-	t := o.T
-	if t < 1 {
-		t = 1
-	}
-	if (Additive{}).Answer(sigma, entries, mults, nil) >= t {
+func (o Threshold) Answer(v int64, _ *rng.Rand) int64 {
+	if v >= max(o.T, 1) {
 		return 1
 	}
 	return 0
@@ -178,305 +170,77 @@ type Result struct {
 	TotalWork time.Duration
 }
 
-// Execute evaluates every query of g against sigma. The response vector is
-// deterministic given (g, sigma, Options.Seed) regardless of worker count;
-// the simulated schedule is computed with virtual time, not wall time.
+// Counts returns the exact additive count of every query for sigma, by
+// scattering the edges of its support entries into the m results:
+// O(weight·Δ*) work over the entry side, not a pass over every incidence
+// of the design.
+func Counts(g *graph.Bipartite, sigma *bitvec.Vector) []int64 {
+	y := make([]int64, g.M())
+	sigma.ForEachSet(func(i int) {
+		qs, mu := g.EntryQueries(i)
+		for p, j := range qs {
+			y[j] += int64(mu[p])
+		}
+	})
+	return y
+}
+
+// forRanges splits [0, items) into at most workers contiguous ranges (0
+// means GOMAXPROCS) and runs body on each, inline when one suffices.
+func forRanges(items, workers int, body func(lo, hi int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, items)
+	if workers <= 1 {
+		body(0, items)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(w*items/workers, (w+1)*items/workers)
+	}
+	wg.Wait()
+}
+
+// Execute evaluates every query of g against sigma: the exact counts come
+// from one scatter over sigma's support (Counts), then query j's oracle
+// answer and simulated duration draw, in that order, from a stream
+// seeded by (Options.Seed, j). The response vector is deterministic given
+// (g, sigma, Options.Seed) regardless of worker count; the simulated
+// schedule is computed with virtual time, not wall time.
 func Execute(g *graph.Bipartite, sigma *bitvec.Vector, opts Options) Result {
 	if g.N() != sigma.Len() {
 		panic(fmt.Sprintf("query: design over %d entries, signal has %d", g.N(), sigma.Len()))
 	}
 	m := g.M()
-	res := Result{Y: make([]int64, m)}
+	res := Result{Y: Counts(g, sigma)}
 	oracle := opts.oracle()
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
 	durations := make([]time.Duration, m)
 	lat := opts.latency()
-
-	if workers <= 1 {
-		for j := 0; j < m; j++ {
+	forRanges(m, opts.Workers, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
 			r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
-			e, mu := g.QueryEntries(j)
-			res.Y[j] = oracle.Answer(sigma, e, mu, r)
+			res.Y[j] = oracle.Answer(res.Y[j], r)
 			durations[j] = lat.Duration(j, r)
 		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * m / workers
-			hi := (w + 1) * m / workers
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for j := lo; j < hi; j++ {
-					r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
-					e, mu := g.QueryEntries(j)
-					res.Y[j] = oracle.Answer(sigma, e, mu, r)
-					durations[j] = lat.Duration(j, r)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-
+	})
 	res.Rounds, res.Makespan, res.TotalWork = Schedule(durations, opts.Units)
 	return res
 }
 
-// batchKernel selects the inner loop of the one-pass batched execute.
-// Every kernel computes the same exact integer counts, so the choice is
-// purely a cost model — results are bit-identical by construction.
-type batchKernel int
-
-const (
-	// kernelScalar is the reference loop: per incidence, B per-signal
-	// membership tests. Lowest setup cost — selected for tiny batches.
-	kernelScalar batchKernel = iota
-	// kernelSliced walks each query's entry list once per 64-signal lane
-	// of the transposed bit-slab, loading one word per incidence and
-	// iterating only its set bits — output-sensitive, so sparse signals
-	// cost O(incidences + members) instead of O(incidences·B).
-	kernelSliced
-	// kernelPlanes decomposes each query's multiplicities into bit-plane
-	// masks over the entry range and scores each signal with
-	// AND+popcount, 64 entries per bits.OnesCount64 — the win once
-	// signals are dense enough that set-bit iteration degenerates.
-	kernelPlanes
-)
-
-// slicedMinBatch is the batch size below which the word-parallel kernels
-// cannot recoup their transpose/plane setup; smaller batches take the
-// scalar reference path.
-const slicedMinBatch = 4
-
-// pickKernel chooses the cheapest kernel from the instance shape: batch
-// size, total signal weight, and the design's incidence count.
-func pickKernel(g *graph.Bipartite, sigmas []*bitvec.Vector) batchKernel {
-	nb := len(sigmas)
-	n := g.N()
-	if nb < slicedMinBatch || n == 0 {
-		return kernelScalar
-	}
-	totalW := 0
-	for _, s := range sigmas {
-		totalW += s.Weight()
-	}
-	lanes := int64((nb + 63) / 64)
-	pairs := g.DistinctPairs()
-	wpn := int64((n + 63) / 64)
-	// Word-ops per full pass: the sliced kernel loads one slab word per
-	// (incidence, lane) plus one set-bit step per (incidence, member
-	// signal); the plane kernel pays one build pass over the incidences
-	// plus planes·wpn popcount words per (query, signal). Multiplicities
-	// come from Poisson thinning and stay small, so two planes is the
-	// right planning estimate.
-	slicedCost := pairs*lanes + pairs*int64(totalW)/int64(n)
-	planeCost := pairs + int64(g.M())*int64(nb)*2*wpn
-	if planeCost < slicedCost {
-		return kernelPlanes
-	}
-	return kernelSliced
-}
-
-// queryPlanes is the pooling matrix re-packed for AND+popcount scoring:
-// plane t, row j is an n-bit mask whose entry-e bit is set iff bit t of
-// the multiplicity A_je is set. The exact count of signal σ in query j is
-// then Σ_t 2^t · popcount(plane_t[j] AND σ).
-type queryPlanes struct {
-	wpn    int        // words per n-bit row
-	planes [][]uint64 // planes[t][j*wpn : (j+1)*wpn] is query j's mask
-}
-
-func buildQueryPlanes(g *graph.Bipartite) *queryPlanes {
-	n, m := g.N(), g.M()
-	qp := &queryPlanes{wpn: (n + 63) / 64}
-	for j := 0; j < m; j++ {
-		entries, mults := g.QueryEntries(j)
-		row := j * qp.wpn
-		for p, e := range entries {
-			mu := uint32(mults[p])
-			for t := 0; mu != 0; t++ {
-				if mu&1 != 0 {
-					for len(qp.planes) <= t {
-						qp.planes = append(qp.planes, make([]uint64, m*qp.wpn))
-					}
-					qp.planes[t][row+int(e)>>6] |= 1 << (uint(e) & 63)
-				}
-				mu >>= 1
-			}
-		}
-	}
-	return qp
-}
-
-// runBatch computes the exact additive count of every (signal, query)
-// cell in one pass over the pooling matrix and streams each query's row
-// to an emitter. Workers cover contiguous query ranges; newEmit runs
-// once per worker so emitters can hold private state (the noisy path's
-// reseedable rng stream). The acc slice passed to an emitter is reused
-// across queries and must not be retained.
-func runBatch(g *graph.Bipartite, sigmas []*bitvec.Vector, workers int, kern batchKernel, newEmit func() func(j int, acc []int64)) {
-	nb := len(sigmas)
-	m := g.M()
-	if nb == 0 || m == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
-
-	// Shared read-only kernel state, built once before the fan-out.
-	var slab *bitvec.Slab
-	var planes *queryPlanes
-	switch kern {
-	case kernelSliced:
-		slab = bitvec.NewSlab(sigmas)
-	case kernelPlanes:
-		planes = buildQueryPlanes(g)
-	}
-
-	scan := func(lo, hi int) {
-		emit := newEmit()
-		acc := make([]int64, nb)
-		switch kern {
-		case kernelSliced:
-			scanSliced(g, slab, lo, hi, acc, emit)
-		case kernelPlanes:
-			scanPlanes(g, planes, sigmas, lo, hi, acc, emit)
-		default:
-			scanScalar(g, sigmas, lo, hi, acc, emit)
-		}
-	}
-	if workers <= 1 {
-		scan(0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * m / workers
-		hi := (w + 1) * m / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			scan(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// scanScalar is the reference kernel: B membership tests per incidence.
-func scanScalar(g *graph.Bipartite, sigmas []*bitvec.Vector, lo, hi int, acc []int64, emit func(int, []int64)) {
-	for j := lo; j < hi; j++ {
-		entries, mults := g.QueryEntries(j)
-		for b := range acc {
-			acc[b] = 0
-		}
-		for p, e := range entries {
-			mu := int64(mults[p])
-			for b, s := range sigmas {
-				if s.Get(int(e)) {
-					acc[b] += mu
-				}
-			}
-		}
-		emit(j, acc)
-	}
-}
-
-// scanSliced scores 64 signals per loaded slab word: entries absent from
-// every signal of a lane cost one load+test, and set bits are iterated
-// directly via TrailingZeros64 — no per-signal Get calls.
-func scanSliced(g *graph.Bipartite, slab *bitvec.Slab, lo, hi int, acc []int64, emit func(int, []int64)) {
-	lanes := slab.Lanes()
-	for j := lo; j < hi; j++ {
-		entries, mults := g.QueryEntries(j)
-		for b := range acc {
-			acc[b] = 0
-		}
-		for l := 0; l < lanes; l++ {
-			lane := slab.Lane(l)
-			// Slab bits beyond the batch size are zero, so the lane's
-			// sub-slice of acc is never indexed past nb.
-			accL := acc[l*64:]
-			for p, e := range entries {
-				w := lane[e]
-				if w == 0 {
-					continue
-				}
-				mu := int64(mults[p])
-				for w != 0 {
-					accL[bits.TrailingZeros64(w)] += mu
-					w &= w - 1
-				}
-			}
-		}
-		emit(j, acc)
-	}
-}
-
-// scanPlanes scores 64 entries per popcount against the precomputed
-// multiplicity bit-planes.
-func scanPlanes(g *graph.Bipartite, qp *queryPlanes, sigmas []*bitvec.Vector, lo, hi int, acc []int64, emit func(int, []int64)) {
-	for j := lo; j < hi; j++ {
-		row := j * qp.wpn
-		for b, s := range sigmas {
-			words := s.Words()
-			var v int64
-			for t, plane := range qp.planes {
-				if c := bitvec.AndPopcount(plane[row:row+qp.wpn], words); c != 0 {
-					v += int64(c) << uint(t)
-				}
-			}
-			acc[b] = v
-		}
-		emit(j, acc)
-	}
-}
-
-// ExecuteBatch evaluates every query of g against B signals in a single
-// pass over the pooling matrix: each query's edge list is traversed once
-// and scored against all signals, amortizing the Γm edge traversal across
-// the batch (B separate Execute calls traverse it B times). Large batches
-// run word-parallel — 64 signals per machine word through a transposed
-// bit-slab, or 64 entries per popcount through multiplicity bit-planes
-// when the signals are dense — with the scalar loop kept as the reference
-// path for tiny batches; all kernels produce identical exact counts.
-// Only the exact additive oracle is supported here — imperfect oracles go
-// through ExecuteBatchNoisy, which shares the pass and perturbs
-// per-signal. Row b of the result is the count vector of sigmas[b]; it is
-// bit-identical to Execute(g, sigmas[b], ...).Y.
+// ExecuteBatch evaluates every query of g against B signals: row b is
+// Counts(g, sigmas[b]), one O(weight·Δ*) scatter per signal, with the
+// signals split among workers (0 means GOMAXPROCS). Only the exact
+// additive oracle is supported here — imperfect oracles go through
+// ExecuteBatchNoisy. Row b of the result is bit-identical to
+// Execute(g, sigmas[b], ...).Y.
 func ExecuteBatch(g *graph.Bipartite, sigmas []*bitvec.Vector, workers int) [][]int64 {
-	nb := len(sigmas)
-	for b, s := range sigmas {
-		if g.N() != s.Len() {
-			panic(fmt.Sprintf("query: design over %d entries, signal %d has %d", g.N(), b, s.Len()))
-		}
-	}
-	m := g.M()
-	out := make([][]int64, nb)
-	for b := range out {
-		out[b] = make([]int64, m)
-	}
-	if nb == 0 || m == 0 {
-		return out
-	}
-	runBatch(g, sigmas, workers, pickKernel(g, sigmas), func() func(int, []int64) {
-		return func(j int, acc []int64) {
-			for b, v := range acc {
-				out[b][j] = v
-			}
-		}
-	})
-	return out
+	return ExecuteBatchNoisy(g, sigmas, workers, nil, nil)
 }
 
 // Perturber maps the exact additive count of one (signal, query) cell to
@@ -491,15 +255,15 @@ type Perturber interface {
 	Deterministic() bool
 }
 
-// ExecuteBatchNoisy is ExecuteBatch for imperfect oracles: one pass over
-// the pooling matrix computes every signal's exact counts, then each
+// ExecuteBatchNoisy is ExecuteBatch for imperfect oracles: each signal's
+// exact counts come from one scatter over its support, then each
 // (signal b, query j) cell is perturbed with a stream derived from
-// (seeds[b], j) — the same derivation Execute uses from (Options.Seed, j).
-// Row b is therefore bit-identical to Execute(g, sigmas[b],
-// Options{Oracle: ..., Seed: seeds[b]}) for count-only oracles,
-// independent of batch composition and worker count, and two batches with
-// equal seeds perturb identically. len(seeds) must equal len(sigmas);
-// deterministic perturbers may pass nil seeds.
+// (seeds[b], j) — the same derivation Execute uses from
+// (Options.Seed, j). Row b is therefore bit-identical to
+// Execute(g, sigmas[b], Options{Oracle: ..., Seed: seeds[b]}) for
+// count-only oracles, independent of batch composition and worker count,
+// and two batches with equal seeds perturb identically. len(seeds) must
+// equal len(sigmas); a nil or deterministic perturber may pass nil seeds.
 func ExecuteBatchNoisy(g *graph.Bipartite, sigmas []*bitvec.Vector, workers int, p Perturber, seeds []uint64) [][]int64 {
 	nb := len(sigmas)
 	for b, s := range sigmas {
@@ -511,32 +275,25 @@ func ExecuteBatchNoisy(g *graph.Bipartite, sigmas []*bitvec.Vector, workers int,
 	if needStreams && len(seeds) != nb {
 		panic(fmt.Sprintf("query: %d noise seeds for %d signals", len(seeds), nb))
 	}
-	m := g.M()
 	out := make([][]int64, nb)
-	for b := range out {
-		out[b] = make([]int64, m)
-	}
-	if nb == 0 || m == 0 {
-		return out
-	}
-
-	runBatch(g, sigmas, workers, pickKernel(g, sigmas), func() func(int, []int64) {
+	forRanges(nb, workers, func(lo, hi int) {
 		var r *rng.Rand
 		if needStreams {
 			r = rng.NewRand(rng.NewXoshiro(0))
 		}
-		return func(j int, acc []int64) {
-			for b, v := range acc {
-				if p != nil {
+		for b := lo; b < hi; b++ {
+			y := Counts(g, sigmas[b])
+			if p != nil {
+				for j, v := range y {
 					if needStreams {
 						// Reset the worker's stream to the cell's seed:
 						// identical to a freshly constructed generator.
 						r.Seed(rng.DeriveSeed(seeds[b], uint64(j)))
 					}
-					v = p.Perturb(v, r)
+					y[j] = p.Perturb(v, r)
 				}
-				out[b][j] = v
 			}
+			out[b] = y
 		}
 	})
 	return out

@@ -57,19 +57,18 @@ func TestAdditiveMatchesCountIn(t *testing.T) {
 		}
 		sigma := bitvec.Random(n, k, r)
 		res := Execute(g, sigma, Options{Seed: seed})
-		for j := 0; j < m; j++ {
-			ents, muls := g.QueryEntries(j)
+		ok := true
+		g.ForEachQuery(0, g.M(), func(j int, ents, muls []int32) error {
 			flat := make([]int, 0, g.QuerySize(j))
 			for p, e := range ents {
 				for c := int32(0); c < muls[p]; c++ {
 					flat = append(flat, int(e))
 				}
 			}
-			if res.Y[j] != int64(sigma.CountIn(flat)) {
-				return false
-			}
-		}
-		return true
+			ok = ok && res.Y[j] == int64(sigma.CountIn(flat))
+			return nil
+		})
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 
 	"pooleddata/internal/graph"
 )
@@ -56,8 +59,8 @@ const (
 	maxFrameY      = 1 << 24
 	maxSupportLen  = 1 << 24
 	// maxDesignEntries caps a design frame's n, the one dimension no
-	// frame byte pays for: graph.New allocates per-entry offsets for
-	// entries no query draws.
+	// frame byte pays for: graph.FromQueryRows allocates a counter and
+	// an offset per entry (16 bytes), drawn by a query or not.
 	maxDesignEntries = 1 << 24
 )
 
@@ -381,29 +384,101 @@ func parseBatchResponse(data []byte) ([]batchResult, error) {
 // distinct-entry count and (entry delta, multiplicity) pairs. Entries
 // are strictly increasing within a query, so every delta is >= 1 and —
 // for the paper's dense designs — one byte, as is every multiplicity.
+// Query records are independent, so a large design is encoded as one
+// range of queries per CPU, each streamed by the graph's visitor into
+// its own buffer, and the buffers are joined in query order.
 func appendDesign(buf []byte, g *graph.Bipartite) []byte {
-	buf = slices.Grow(buf, 3+2*binary.MaxVarintLen64+g.M()*binary.MaxVarintLen32+2*int(g.DistinctPairs()))
+	m := g.M()
+	buf = slices.Grow(buf, 3+2*binary.MaxVarintLen64+m*binary.MaxVarintLen32+2*int(g.DistinctPairs()))
 	buf = append(buf, designMagic[0], designMagic[1], frameVersion)
 	buf = appendUvarint(buf, uint64(g.N()))
-	buf = appendUvarint(buf, uint64(g.M()))
-	for j := 0; j < g.M(); j++ {
-		ent, mul := g.QueryEntries(j)
-		buf = appendUvarint(buf, uint64(len(ent)))
-		prev := int32(-1)
-		for p, e := range ent {
-			buf = appendUvarint(buf, uint64(e-prev))
-			buf = appendUvarint(buf, uint64(mul[p]))
-			prev = e
-		}
+	buf = appendUvarint(buf, uint64(m))
+	parts := 1
+	if g.DistinctPairs() >= parallelDesignPairs {
+		parts = max(1, min(runtime.GOMAXPROCS(0), m))
+	}
+	tails := make([][]byte, parts)
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			size := 0
+			for j := lo; j < hi; j++ {
+				size += binary.MaxVarintLen32 + 2*g.QueryDistinct(j)
+			}
+			tails[p] = appendQueries(make([]byte, 0, size), g, lo, hi)
+		}(p*m/parts, (p+1)*m/parts)
+	}
+	buf = appendQueries(buf, g, 0, m/parts)
+	wg.Wait()
+	for _, tail := range tails[1:] {
+		buf = append(buf, tail...)
 	}
 	return buf
 }
 
-// parseDesign decodes a design frame into a graph. Claimed counts are
-// checked against the bytes remaining before anything is allocated: a
-// query costs at least its one-byte count and a pair at least two bytes,
-// so the incidence arrays are bounded by the frame's own size. The
-// result goes through graph.New, which validates the CSR again.
+// parallelDesignPairs is the design size, in distinct pairs, from which
+// design frames are encoded and parsed on every CPU.
+const parallelDesignPairs = 1 << 16
+
+// appendQueries appends the design-frame records of queries [lo, hi).
+func appendQueries(buf []byte, g *graph.Bipartite, lo, hi int) []byte {
+	g.ForEachQuery(lo, hi, func(_ int, ent, mul []int32) error {
+		buf = appendUvarint(buf, uint64(len(ent)))
+		prev := int32(-1)
+		for p, e := range ent {
+			if delta, mu := uint32(e-prev), uint32(mul[p]); delta|mu < 0x80 {
+				// Dense designs: one byte each.
+				buf = append(buf, byte(delta), byte(mu))
+			} else {
+				buf = appendUvarint(buf, uint64(delta))
+				buf = appendUvarint(buf, uint64(mu))
+			}
+			prev = e
+		}
+		return nil
+	})
+	return buf
+}
+
+// skipVarints returns the offset just past the k varints that start at
+// data[pos:], or -1 if data ends first. Every byte with its high bit
+// clear ends one varint, so whole words are skipped by counting those
+// bytes while the k-th end lies beyond them.
+func skipVarints(data []byte, pos int, k uint64) int {
+	for k > 8 && pos+8 <= len(data) {
+		ends := uint64(bits.OnesCount64(^binary.LittleEndian.Uint64(data[pos:]) & 0x8080808080808080))
+		if ends >= k {
+			break
+		}
+		k -= ends
+		pos += 8
+	}
+	for ; k > 0; k-- {
+		for pos < len(data) && data[pos] >= 0x80 {
+			pos++
+		}
+		if pos == len(data) {
+			return -1
+		}
+		pos++
+	}
+	return pos
+}
+
+// parseDesign decodes a design frame into a graph. A first walk finds
+// where each query's record starts: it checks every claimed count
+// against the bytes remaining before using it (a query costs at least its
+// one-byte count and a pair at least two bytes) and skips the record's
+// varints without decoding them. The records are then decoded, on every
+// CPU for large frames, in the two passes of graph.FromQueryRows: the
+// count pass checks every entry and multiplicity against n and that each
+// record ends where the next begins, and the fill pass decodes each
+// record again from its start. Parser scratch is one row per worker and
+// m+1 offsets, all bounded by the frame's own size, and the entry side is
+// allocated only after the whole frame has been checked, at exactly its
+// final size. FromQueryRows validates every row again.
 func parseDesign(data []byte) (*graph.Bipartite, error) {
 	fr := &frameReader{data: data}
 	if err := fr.prelude(designMagic); err != nil {
@@ -423,11 +498,9 @@ func parseDesign(data []byte) (*graph.Bipartite, error) {
 	if m > uint64(fr.remaining()) {
 		return nil, fmt.Errorf("remote: design frame claims %d queries, %d bytes remain", m, fr.remaining())
 	}
-	qptr := make([]int64, m+1)
-	maxPairs := fr.remaining() / 2
-	qent := make([]int32, 0, maxPairs)
-	qmul := make([]int32, 0, maxPairs)
-	for j := 0; j < int(m); j++ {
+	start := make([]int, m+1) // start[j]: the frame offset of query j's record
+	for j := range start[:m] {
+		start[j] = fr.pos
 		d, err := fr.uvarint()
 		if err != nil {
 			return nil, err
@@ -435,38 +508,59 @@ func parseDesign(data []byte) (*graph.Bipartite, error) {
 		if d > n || d > uint64(fr.remaining()/2) {
 			return nil, fmt.Errorf("remote: design query %d claims %d entries, n=%d, %d bytes remain", j, d, n, fr.remaining())
 		}
-		prev := int64(-1)
-		for p := uint64(0); p < d; p++ {
-			var delta, mul uint64
-			if pos := fr.pos; pos+1 < len(data) && data[pos]|data[pos+1] < 0x80 {
-				// Dense designs: delta and multiplicity are one byte each.
-				delta, mul = uint64(data[pos]), uint64(data[pos+1])
-				fr.pos += 2
-			} else {
-				if delta, err = fr.uvarint(); err != nil {
-					return nil, err
-				}
-				if mul, err = fr.uvarint(); err != nil {
-					return nil, err
-				}
-			}
-			if delta == 0 {
-				return nil, fmt.Errorf("remote: design query %d repeats entry %d", j, prev)
-			}
-			if delta > n || prev+int64(delta) >= int64(n) {
-				return nil, fmt.Errorf("remote: design query %d references an entry >= n=%d", j, n)
-			}
-			prev += int64(delta)
-			if mul == 0 || mul > math.MaxInt32 {
-				return nil, fmt.Errorf("remote: design query %d entry %d has multiplicity %d", j, prev, mul)
-			}
-			qent = append(qent, int32(prev))
-			qmul = append(qmul, int32(mul))
+		if fr.pos = skipVarints(data, fr.pos, 2*d); fr.pos < 0 {
+			return nil, fmt.Errorf("remote: design query %d truncated", j)
 		}
-		qptr[j+1] = int64(len(qent))
 	}
+	start[m] = fr.pos
 	if fr.remaining() != 0 {
 		return nil, fmt.Errorf("remote: %d trailing bytes after design frame", fr.remaining())
 	}
-	return graph.New(int(n), qptr, qent, qmul)
+	workers := 1
+	if len(data) >= 2*parallelDesignPairs {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	rowCap := min(n, uint64(len(data)/2))
+	return graph.FromQueryRows(int(n), int(m), workers, func() graph.RowFunc {
+		ents := make([]int32, rowCap)
+		muls := make([]int32, rowCap)
+		return func(j int) ([]int32, []int32, error) {
+			fr := &frameReader{data: data[:start[j+1]], pos: start[j]}
+			d, err := fr.uvarint()
+			if err != nil {
+				return nil, nil, err
+			}
+			prev := int64(-1)
+			for p := uint64(0); p < d; p++ {
+				var delta, mul uint64
+				if pos := fr.pos; pos+1 < len(fr.data) && fr.data[pos]|fr.data[pos+1] < 0x80 {
+					// Dense designs: delta and multiplicity are one byte each.
+					delta, mul = uint64(fr.data[pos]), uint64(fr.data[pos+1])
+					fr.pos += 2
+				} else {
+					if delta, err = fr.uvarint(); err != nil {
+						return nil, nil, err
+					}
+					if mul, err = fr.uvarint(); err != nil {
+						return nil, nil, err
+					}
+				}
+				if delta == 0 {
+					return nil, nil, fmt.Errorf("remote: design query %d repeats entry %d", j, prev)
+				}
+				if delta > n || prev+int64(delta) >= int64(n) {
+					return nil, nil, fmt.Errorf("remote: design query %d references an entry >= n=%d", j, n)
+				}
+				prev += int64(delta)
+				if mul == 0 || mul > math.MaxInt32 {
+					return nil, nil, fmt.Errorf("remote: design query %d entry %d has multiplicity %d", j, prev, mul)
+				}
+				ents[p], muls[p] = int32(prev), int32(mul)
+			}
+			if fr.remaining() != 0 {
+				return nil, nil, fmt.Errorf("remote: design query %d record has %d stray bytes", j, fr.remaining())
+			}
+			return ents[:d], muls[:d], nil
+		}
+	})
 }

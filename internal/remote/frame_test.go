@@ -2,9 +2,13 @@ package remote
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -316,6 +320,84 @@ func TestDesignFrameRoundTrip(t *testing.T) {
 			if engine.GraphKey(got) != engine.GraphKey(g) {
 				t.Fatalf("%s seed %d: round trip changed the graph", name, seed)
 			}
+		}
+	}
+}
+
+// TestDesignFrameGolden pins the install frame's bytes: frontends and
+// workers of different builds must read each other's frames, so the
+// encoding may not drift whatever the graph stores.
+func TestDesignFrameGolden(t *testing.T) {
+	home, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	frame := appendDesign(nil, home)
+	h.Write(frame)
+	if got, want := h.Sum64(), uint64(0x1a91490559cd5e4b); got != want || len(frame) != 4721059 {
+		t.Fatalf("home-scale frame: %d bytes, digest %#x; want 4721059 bytes, %#x", len(frame), got, want)
+	}
+	fig1, err := pooling.Fixed{Queries: [][]int{{0, 1, 3}, {1, 4, 6}, {0, 1, 4, 6, 6}, {2, 4}, {0, 5, 5, 6, 6}}}.Build(7, 5, pooling.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "70640107050301010101020103020103010201040101010103010202020301020103010105020102"
+	if got := hex.EncodeToString(appendDesign(nil, fig1)); got != want {
+		t.Fatalf("Fig. 1 frame %s, want %s", got, want)
+	}
+}
+
+// TestDesignFrameParseFootprint guards the install path's memory: parsing
+// the home-scale frame allocates the entry side once, at its final size,
+// plus O(n + m) scratch — never a query-side copy next to it.
+func TestDesignFrameParseFootprint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := appendDesign(nil, g)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := parseDesign(frame)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(1.1*8*float64(got.DistinctPairs())) + 64*uint64(got.N()) + 64*uint64(got.M())
+	if alloc > limit {
+		t.Fatalf("parsing the home-scale frame allocated %d bytes, limit %d (8 bytes per pair: %d)", alloc, limit, 8*got.DistinctPairs())
+	}
+}
+
+// TestSkipVarints checks the word-at-a-time varint skip against a byte
+// walk on random varint streams, cut short at random.
+func TestSkipVarints(t *testing.T) {
+	naive := func(data []byte, pos int, k uint64) int {
+		for ; k > 0; k-- {
+			for pos < len(data) && data[pos] >= 0x80 {
+				pos++
+			}
+			if pos == len(data) {
+				return -1
+			}
+			pos++
+		}
+		return pos
+	}
+	r := rng.NewRandSeeded(3)
+	for trial := 0; trial < 2000; trial++ {
+		var data []byte
+		for v := r.Intn(80); v > 0; v-- {
+			data = binary.AppendUvarint(data, r.Uint64()>>(r.Intn(64)))
+		}
+		data = data[:r.Intn(len(data)+1)]
+		pos := r.Intn(len(data) + 1)
+		k := uint64(r.Intn(90))
+		if got, want := skipVarints(data, pos, k), naive(data, pos, k); got != want {
+			t.Fatalf("trial %d: skipVarints(%x, %d, %d) = %d, want %d", trial, data, pos, k, got, want)
 		}
 	}
 }

@@ -8,8 +8,9 @@
 //	Δ* = M·1   and   Ψ = M·y .
 //
 // This package implements exactly that: integer CSR SpMV, parallelized over
-// contiguous row blocks with one goroutine per block, plus a weighted
-// variant (multiplicities A_ij) used by the baseline decoders.
+// contiguous row blocks with one goroutine per block, plus the weighted
+// query-indexed matrix (multiplicities A_ij) for code that wants the
+// design as an explicit operator.
 package sparse
 
 import (
@@ -91,26 +92,9 @@ func EntryAdjacency(g *graph.Bipartite) *CSR {
 	return &CSR{rows: n, cols: g.M(), ptr: ptr, col: col, val: val}
 }
 
-// EntryMultiplicity returns the n×m matrix A with A_ij = multiplicity of
-// entry i in query j (the weighted adjacency used by Φ and the baselines).
-func EntryMultiplicity(g *graph.Bipartite) *CSR {
-	n := g.N()
-	ptr := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		ptr[i+1] = ptr[i] + int64(g.DistinctDegree(i))
-	}
-	col := make([]int32, ptr[n])
-	val := make([]int32, ptr[n])
-	for i := 0; i < n; i++ {
-		qs, mu := g.EntryQueries(i)
-		copy(col[ptr[i]:], qs)
-		copy(val[ptr[i]:], mu)
-	}
-	return &CSR{rows: n, cols: g.M(), ptr: ptr, col: col, val: val}
-}
-
-// QueryMultiplicity returns the m×n transpose of EntryMultiplicity,
-// indexed by query. Used by decoders that iterate query-side.
+// QueryMultiplicity returns the m×n matrix Aᵀ indexed by query: row j
+// holds the multiplicity of every entry of query a_j, streamed out of the
+// graph's entry side in query order.
 func QueryMultiplicity(g *graph.Bipartite) *CSR {
 	m := g.M()
 	ptr := make([]int64, m+1)
@@ -119,11 +103,11 @@ func QueryMultiplicity(g *graph.Bipartite) *CSR {
 	}
 	col := make([]int32, ptr[m])
 	val := make([]int32, ptr[m])
-	for j := 0; j < m; j++ {
-		es, mu := g.QueryEntries(j)
+	g.ForEachQuery(0, g.M(), func(j int, es, mu []int32) error {
 		copy(col[ptr[j]:], es)
 		copy(val[ptr[j]:], mu)
-	}
+		return nil
+	})
 	return &CSR{rows: m, cols: g.N(), ptr: ptr, col: col, val: val}
 }
 

@@ -130,7 +130,20 @@ func TestTransposeAgainstQuerySide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := EntryMultiplicity(g).Transpose()
+	// The entry-indexed multiplicity matrix A, straight off the graph.
+	ptr := make([]int64, g.N()+1)
+	var col, val []int32
+	for i := 0; i < g.N(); i++ {
+		qs, mu := g.EntryQueries(i)
+		col = append(col, qs...)
+		val = append(val, mu...)
+		ptr[i+1] = int64(len(col))
+	}
+	entry, err := NewCSR(g.N(), g.M(), ptr, col, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := entry.Transpose()
 	b := QueryMultiplicity(g)
 	if a.Rows() != b.Rows() || a.NNZ() != b.NNZ() {
 		t.Fatal("transpose of entry side differs from query side in shape")
@@ -184,7 +197,8 @@ func TestEntryMultiplicityRowSumsAreDegrees(t *testing.T) {
 	for j := range ones {
 		ones[j] = 1
 	}
-	sums := EntryMultiplicity(g).MulVec(ones, nil)
+	// A = (Aᵀ)ᵀ: the entry-indexed multiplicity matrix.
+	sums := QueryMultiplicity(g).Transpose().MulVec(ones, nil)
 	for i := 0; i < g.N(); i++ {
 		if sums[i] != int64(g.Degree(i)) {
 			t.Fatalf("weighted row sum %d != Δ_%d = %d", sums[i], i, g.Degree(i))

@@ -127,25 +127,26 @@ func (DD) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
 			}
 		}
 	}
-	est := bitvec.New(n)
-	for j := 0; j < g.M(); j++ {
-		if y[j] != 1 {
+	// Scatter the unexcluded entries into their pools: count[j] (capped
+	// at 2) of them sit in pool j, the last one seen being only[j].
+	count := make([]uint8, g.M())
+	only := make([]int32, g.M())
+	for i := 0; i < n; i++ {
+		if !possible[i] {
 			continue
 		}
-		ents, _ := g.QueryEntries(j)
-		last := -1
-		count := 0
-		for _, e := range ents {
-			if possible[e] {
-				count++
-				last = int(e)
-				if count > 1 {
-					break
-				}
+		qs, _ := g.EntryQueries(i)
+		for _, j := range qs {
+			if count[j] < 2 {
+				count[j]++
+				only[j] = int32(i)
 			}
 		}
-		if count == 1 {
-			est.Set(last)
+	}
+	est := bitvec.New(n)
+	for j, c := range count {
+		if c == 1 && y[j] == 1 {
+			est.Set(int(only[j]))
 		}
 	}
 	return est, nil

@@ -158,8 +158,7 @@ func (s *Scheme) M() int { return s.m }
 // many times as the design drew it.
 func (s *Scheme) Pools() [][]int {
 	out := make([][]int, s.m)
-	for j := 0; j < s.m; j++ {
-		ents, muls := s.g.QueryEntries(j)
+	s.g.ForEachQuery(0, s.m, func(j int, ents, muls []int32) error {
 		pool := make([]int, 0, s.g.QuerySize(j))
 		for p, e := range ents {
 			for c := int32(0); c < muls[p]; c++ {
@@ -167,7 +166,8 @@ func (s *Scheme) Pools() [][]int {
 			}
 		}
 		out[j] = pool
-	}
+		return nil
+	})
 	return out
 }
 
@@ -182,10 +182,10 @@ func (s *Scheme) Measure(signal []bool) []int64 {
 }
 
 // MeasureBatch simulates the measurement round for many signals against
-// this one design in a single pass over the pooling matrix: the Γm edge
-// traversal is amortized across the batch, which is how a screening lab
-// or feature-selection pipeline actually runs (one design, many plates).
-// Row b of the result equals Measure(signals[b]).
+// this one design — how a screening lab or feature-selection pipeline
+// actually runs (one design, many plates). Each signal costs one scatter
+// over its support's edges, O(weight·Δ*), spread over the scheme's
+// workers. Row b of the result equals Measure(signals[b]).
 func (s *Scheme) MeasureBatch(signals [][]bool) [][]int64 {
 	return query.ExecuteBatch(s.g, s.batchVectors(signals), s.workers)
 }
@@ -242,8 +242,8 @@ func (nm NoiseModel) internal() noise.Model {
 func (nm NoiseModel) Validate() error { return nm.internal().Validate() }
 
 // MeasureBatchNoisy simulates the batched measurement round under a
-// noise model: one pass over the pooling matrix computes every signal's
-// exact counts, then each signal's counts are perturbed with an
+// noise model: one scatter per signal computes its exact counts, then
+// each signal's counts are perturbed with an
 // independent per-signal stream rooted at the model's seed. Row b equals
 // a single noisy measurement of signals[b] with seed nm.Seed⊕b-derived
 // streams, and two calls with equal models perturb identically.
