@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-full race bench bench-module bench-noise bench-stream bench-remote bench-kernels bench-smoke fuzz-seeds metrics-lint crash-smoke elastic-smoke clean
+.PHONY: all build vet fmt-check test test-full race bench bench-module bench-noise bench-stream bench-remote bench-kernels bench-smoke fuzz-seeds metrics-lint crash-smoke elastic-smoke clean
 
 all: build vet test
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over the tracked Go files only, so build output such as
+# .bench_build/ stays out of the walk; any file it lists fails the gate.
+fmt-check:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	test -z "$$files" || { echo "gofmt -l lists:" >&2; echo "$$files" >&2; exit 1; }
 
 # Fast CI gate: -short skips the full figure sweeps, -race catches
 # concurrency bugs in the engine/scheme paths.

@@ -232,7 +232,9 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 	}
 	es, err := s.cluster.Scheme(des, req.N, req.M, req.Seed)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "build scheme: %v", err)
+		// A build is a pure function of the request: if it fails, the
+		// parameters are what is wrong.
+		httpError(w, http.StatusBadRequest, "build scheme: %v", err)
 		return
 	}
 	ent := s.register(es, des.Name(), req.N, req.M, req.Seed, params, false)

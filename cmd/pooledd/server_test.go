@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"pooleddata/internal/bitvec"
@@ -198,6 +199,40 @@ func TestUploadDesignCSV(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/decode", decodeRequest{Scheme: sch.ID, K: k, Counts: y}, &dec)
 	if !bitvec.FromIndices(n, dec.Support).Equal(sigma) {
 		t.Fatal("decode on uploaded design failed")
+	}
+}
+
+// TestInvalidDesignsAre400: designs the builders or the CSV parser
+// refuse are the client's error, answered 400 with the cause. Refusing
+// them costs nothing: neither Γ = 10^11 draws nor a header claiming 10^12
+// queries is allocated, and the server keeps answering.
+func TestInvalidDesignsAre400(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, tc := range []struct{ ct, body, want string }{
+		{"application/json", `{"design":"bernoulli","n":100,"m":10,"p":1.5}`, "probability 1.5 must be < 1"},
+		{"application/json", `{"design":"random-regular","n":10,"m":1,"gamma":2551}`, "more than 255 times, the multiplicity limit"},
+		{"application/json", `{"design":"random-regular","n":10,"m":1,"gamma":100000000000}`, "more than 255 times, the multiplicity limit"},
+		{"text/csv", "pooled-design,v1,4,1\nquery,entry,multiplicity\n0,1,4294967297\n", "multiplicity 4294967297 outside [1,255]"},
+		{"text/csv", "pooled-design,v1,4,1000000000000\nquery,entry,multiplicity\n", "m=1000000000000 outside [0,16777216]"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/schemes", tc.ct, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, tc.want) {
+			t.Fatalf("%s: status %d, error %q (%v); want 400 naming %q", tc.body, resp.StatusCode, body.Error, err, tc.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats after refused designs: status %d", resp.StatusCode)
 	}
 }
 

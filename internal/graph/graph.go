@@ -18,6 +18,15 @@
 // query's row from the entry side with O(n + m) scratch, one range of
 // queries at a time.
 //
+// A stored pair costs five bytes, a four-byte query index and a one-byte
+// multiplicity, so no multiplicity may exceed MaxMultiplicity. The
+// paper's design draws Γ = n/2 entries per query with replacement, so a
+// multiplicity is about Poisson(1/2): at n = 10⁴, m = 600, 77% of the
+// pairs have multiplicity 1 and the largest is 8. FromQueryRows refuses
+// a larger value with an error naming the query, the entry and the
+// value; RowFunc and ForEachQuery carry int32 multiplicities, so a
+// producer reports an over-limit value as it is.
+//
 // FromQueryRows assembles a graph from per-query rows by counting: one
 // pass validates every row and counts each entry's distinct queries, a
 // prefix sum sizes the entry side exactly, and a second pass writes each
@@ -33,6 +42,18 @@ import (
 	"sync"
 )
 
+// MaxMultiplicity is the largest multiplicity a graph stores: one byte
+// per (entry, query) pair.
+const MaxMultiplicity = math.MaxUint8
+
+// MaxParsedDim caps the entry count n and the query count m of a design
+// parsed from outside the program (a labio CSV upload, a worker's install
+// frame) before anything is allocated from them: FromQueryRows allocates
+// a counter and an offset per entry (16 bytes) drawn by a query or not,
+// and a parser allocates per-query state, so a few header bytes could
+// otherwise claim terabytes.
+const MaxParsedDim = 1 << 24
+
 // Bipartite is an immutable bipartite multigraph between n entries and m
 // queries. Build one with FromQueryRows, New or FromEntrySide; all
 // methods are safe for concurrent use after construction.
@@ -44,7 +65,7 @@ type Bipartite struct {
 	// increasing) with multiplicities emul at the same positions.
 	eptr []int64
 	eqry []int32
-	emul []int32
+	emul []uint8
 
 	// qdist[j] is the number of distinct entries of query j; qsize[j] its
 	// size |∂a_j| counted with multiplicity.
@@ -53,17 +74,18 @@ type Bipartite struct {
 }
 
 // RowFunc returns the row of query j: its distinct entries, strictly
-// increasing, and their multiplicities (each >= 1). The slices may alias
-// scratch that the next call overwrites. A RowFunc must be a pure
-// function of j: FromQueryRows asks for every row twice and writes the
-// second answer at positions sized from the first.
+// increasing, and their multiplicities (each in [1, MaxMultiplicity]).
+// The slices may alias scratch that the next call overwrites. A RowFunc
+// must be a pure function of j: FromQueryRows asks for every row twice
+// and writes the second answer at positions sized from the first.
 type RowFunc func(j int) (entries, mults []int32, err error)
 
 // FromQueryRows assembles the graph with n entries and m queries whose
 // query j is the row a RowFunc returns for it. The queries are split into
-// one contiguous range per worker (workers is clamped to [1, m]); newRow
-// runs once per worker, and the RowFunc it returns is called by that
-// worker alone, over its range in increasing order, once per pass:
+// one contiguous range per worker (workers is clamped to [1, m]; with
+// m = 0 there are none); newRow runs once per worker, and the RowFunc it
+// returns is called by that worker alone, over its range in increasing
+// order, once per pass:
 //
 //   - The count pass validates every row as New does and counts, in a
 //     per-worker array of n counters, each entry's distinct queries.
@@ -83,6 +105,10 @@ func FromQueryRows(n, m, workers int, newRow func() RowFunc) (*Bipartite, error)
 	}
 	if m < 0 || m > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: query count %d outside [0,%d]", m, math.MaxInt32)
+	}
+	if m == 0 {
+		// No rows to ask for, so no RowFunc (and none of its scratch).
+		return &Bipartite{n: n, eptr: make([]int64, n+1)}, nil
 	}
 	workers = max(1, min(workers, m))
 	rows := make([]RowFunc, workers)
@@ -125,7 +151,7 @@ func FromQueryRows(n, m, workers int, newRow func() RowFunc) (*Bipartite, error)
 	}
 	g.eptr[n] = total
 	g.eqry = make([]int32, total)
-	g.emul = make([]int32, total)
+	g.emul = make([]uint8, total)
 
 	forRanges(m, workers, func(w, lo, hi int) {
 		cur := cursors[w]
@@ -141,7 +167,7 @@ func FromQueryRows(n, m, workers int, newRow func() RowFunc) (*Bipartite, error)
 			for p, e := range ents {
 				c := cur[e]
 				g.eqry[c] = int32(j)
-				g.emul[c] = muls[p]
+				g.emul[c] = uint8(muls[p]) // checkRow bounded it
 				cur[e] = c + 1
 			}
 		}
@@ -167,8 +193,8 @@ func checkRow(n, j int, ents, muls []int32) (int64, error) {
 		if e <= prev {
 			return 0, fmt.Errorf("graph: query %d entry list not strictly increasing at %d", j, e)
 		}
-		if muls[p] < 1 {
-			return 0, fmt.Errorf("graph: query %d has multiplicity %d < 1", j, muls[p])
+		if muls[p] < 1 || muls[p] > MaxMultiplicity {
+			return 0, fmt.Errorf("graph: query %d entry %d has multiplicity %d outside [1,%d]", j, e, muls[p], MaxMultiplicity)
 		}
 		size += int64(muls[p])
 		prev = e
@@ -207,8 +233,8 @@ func firstError(errs []error) error {
 // New assembles a Bipartite from query-side CSR arrays: qptr must have
 // length m+1 with qptr[0] == 0 and be non-decreasing;
 // qent[qptr[j]:qptr[j+1]] must be strictly increasing values in [0, n);
-// qmul entries must be >= 1. The arrays are read, not kept: the result
-// holds only the entry side.
+// qmul entries must be in [1, MaxMultiplicity]. The arrays are read, not
+// kept: the result holds only the entry side.
 func New(n int, qptr []int64, qent, qmul []int32) (*Bipartite, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative entry count %d", n)
@@ -241,8 +267,9 @@ func New(n int, qptr []int64, qent, qmul []int32) (*Bipartite, error) {
 // FromEntrySide wraps entry-side CSR arrays as a graph, for designs
 // sampled per entry: eptr must have length n+1 with eptr[0] == 0 and be
 // non-decreasing; eqry[eptr[i]:eptr[i+1]] must be strictly increasing
-// values in [0, m); emul entries must be >= 1. The graph keeps the arrays.
-func FromEntrySide(m int, eptr []int64, eqry, emul []int32) (*Bipartite, error) {
+// values in [0, m); emul entries must be nonzero. The graph keeps the
+// arrays.
+func FromEntrySide(m int, eptr []int64, eqry []int32, emul []uint8) (*Bipartite, error) {
 	if m < 0 || m > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: query count %d outside [0,%d]", m, math.MaxInt32)
 	}
@@ -268,8 +295,8 @@ func FromEntrySide(m int, eptr []int64, eqry, emul []int32) (*Bipartite, error) 
 			if j <= prev {
 				return nil, fmt.Errorf("graph: entry %d query list not strictly increasing at %d", i, j)
 			}
-			if mu < 1 {
-				return nil, fmt.Errorf("graph: entry %d has multiplicity %d < 1", i, mu)
+			if mu == 0 {
+				return nil, fmt.Errorf("graph: entry %d query %d has multiplicity 0", i, j)
 			}
 			g.qdist[j]++
 			g.qsize[j] += int64(mu)
@@ -338,7 +365,7 @@ func (g *Bipartite) ForEachQuery(lo, hi int, fn func(j int, entries, mults []int
 			for ; k < len(eq) && eq[k] < end; k++ {
 				c := cur[eq[k]]
 				ents[c] = int32(i)
-				muls[c] = em[k]
+				muls[c] = int32(em[k])
 				cur[eq[k]] = c + 1
 			}
 			pos[i] = p + int64(k)
@@ -362,9 +389,10 @@ func (g *Bipartite) N() int { return g.n }
 func (g *Bipartite) M() int { return g.m }
 
 // EntryQueries returns the distinct queries containing entry i (the set
-// ∂*x_i) and the multiplicities with which i occurs in each. The returned
-// slices alias internal storage and must not be modified.
-func (g *Bipartite) EntryQueries(i int) (queries, mults []int32) {
+// ∂*x_i), strictly increasing, and the multiplicity with which i occurs
+// in each, in [1, MaxMultiplicity]. The returned slices alias internal
+// storage and must not be modified.
+func (g *Bipartite) EntryQueries(i int) (queries []int32, mults []uint8) {
 	return g.eqry[g.eptr[i]:g.eptr[i+1]], g.emul[g.eptr[i]:g.eptr[i+1]]
 }
 

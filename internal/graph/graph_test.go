@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -276,11 +277,56 @@ func TestFromQueryRowsRejects(t *testing.T) {
 	}
 }
 
+// TestFromQueryRowsNoQueries: with m = 0 there is no row to ask for, so
+// newRow (which may allocate per-worker scratch sized by the design) is
+// never called.
+func TestFromQueryRowsNoQueries(t *testing.T) {
+	g, err := FromQueryRows(3, 0, 4, nil)
+	if err != nil || g.N() != 3 || g.M() != 0 || g.DistinctPairs() != 0 || g.DistinctDegree(2) != 0 {
+		t.Fatalf("m=0: %v, %v", g, err)
+	}
+}
+
+// TestMultiplicityLimit: a multiplicity of MaxMultiplicity is stored and
+// read back, one more is refused by New and by FromQueryRows with an
+// error naming the query, the entry, the value and the limit.
+func TestMultiplicityLimit(t *testing.T) {
+	qptr := []int64{0, 1, 3}
+	qent := []int32{2, 0, 1}
+	for _, mu := range []int32{MaxMultiplicity, MaxMultiplicity + 1} {
+		qmul := []int32{1, 1, mu}
+		g, errNew := New(3, qptr, qent, qmul)
+		_, errRows := FromQueryRows(3, 2, 2, func() RowFunc {
+			return func(j int) ([]int32, []int32, error) {
+				return qent[qptr[j]:qptr[j+1]], qmul[qptr[j]:qptr[j+1]], nil
+			}
+		})
+		if mu == MaxMultiplicity {
+			if errNew != nil || errRows != nil {
+				t.Fatalf("multiplicity %d refused: %v, %v", mu, errNew, errRows)
+			}
+			if _, muls := g.EntryQueries(1); len(muls) != 1 || muls[0] != MaxMultiplicity {
+				t.Fatalf("entry 1 multiplicities %v, want [%d]", muls, MaxMultiplicity)
+			}
+			if _, muls := queryRows(g); muls[1][1] != MaxMultiplicity || g.QuerySize(1) != MaxMultiplicity+1 || g.Degree(1) != MaxMultiplicity {
+				t.Fatalf("query 1 multiplicities %v, size %d, degree(1) %d", muls[1], g.QuerySize(1), g.Degree(1))
+			}
+			continue
+		}
+		want := "query 1 entry 1 has multiplicity 256 outside [1,255]"
+		for _, err := range []error{errNew, errRows} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("multiplicity %d: error %v, want one containing %q", mu, err, want)
+			}
+		}
+	}
+}
+
 func TestFromEntrySide(t *testing.T) {
 	// The transpose of tiny's query side, written per entry.
 	eptr := []int64{0, 3, 6, 8, 9, 12, 13, 14}
 	eqry := []int32{0, 2, 4 /**/, 0, 1, 2 /**/, 0, 3 /**/, 1 /**/, 1, 2, 3 /**/, 4 /**/, 4}
-	emul := []int32{1, 1, 2 /**/, 1, 1, 1 /**/, 1, 1 /**/, 1 /**/, 1, 2, 1 /**/, 1 /**/, 1}
+	emul := []uint8{1, 1, 2 /**/, 1, 1, 1 /**/, 1, 1 /**/, 1 /**/, 1, 2, 1 /**/, 1 /**/, 1}
 	g, err := FromEntrySide(5, eptr, eqry, emul)
 	if err != nil {
 		t.Fatal(err)
@@ -298,15 +344,15 @@ func TestFromEntrySide(t *testing.T) {
 		m    int
 		eptr []int64
 		eqry []int32
-		emul []int32
+		emul []uint8
 	}{
 		{"empty eptr", 2, nil, nil, nil},
 		{"eptr not starting at 0", 2, []int64{1, 1}, nil, nil},
-		{"length mismatch", 2, []int64{0, 2}, []int32{0}, []int32{1}},
-		{"decreasing eptr", 2, []int64{0, 1, 0}, []int32{0}, []int32{1}},
-		{"query out of range", 2, []int64{0, 1}, []int32{2}, []int32{1}},
-		{"not increasing", 2, []int64{0, 2}, []int32{1, 1}, []int32{1, 1}},
-		{"zero multiplicity", 2, []int64{0, 1}, []int32{0}, []int32{0}},
+		{"length mismatch", 2, []int64{0, 2}, []int32{0}, []uint8{1}},
+		{"decreasing eptr", 2, []int64{0, 1, 0}, []int32{0}, []uint8{1}},
+		{"query out of range", 2, []int64{0, 1}, []int32{2}, []uint8{1}},
+		{"not increasing", 2, []int64{0, 2}, []int32{1, 1}, []uint8{1, 1}},
+		{"zero multiplicity", 2, []int64{0, 1}, []int32{0}, []uint8{0}},
 		{"negative m", -1, []int64{0}, nil, nil},
 	} {
 		if _, err := FromEntrySide(tc.m, tc.eptr, tc.eqry, tc.emul); err == nil {

@@ -66,7 +66,10 @@ func WriteDesign(w io.Writer, g *graph.Bipartite) error {
 	return cw.Error()
 }
 
-// ReadDesign parses a design file back into a bipartite multigraph.
+// ReadDesign parses a design file back into a bipartite multigraph. The
+// header's n and m may not exceed graph.MaxParsedDim, and every
+// multiplicity must lie in [1, graph.MaxMultiplicity]; both are checked
+// before anything is allocated or converted from them.
 func ReadDesign(r io.Reader) (*graph.Bipartite, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -85,8 +88,8 @@ func ReadDesign(r io.Reader) (*graph.Bipartite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("labio: bad m: %w", err)
 	}
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("labio: negative dimensions %d, %d", n, m)
+	if n < 0 || m < 0 || n > graph.MaxParsedDim || m > graph.MaxParsedDim {
+		return nil, fmt.Errorf("labio: dimensions n=%d, m=%d outside [0,%d]", n, m, graph.MaxParsedDim)
 	}
 	if _, err := cr.Read(); err != nil { // column header
 		return nil, fmt.Errorf("labio: read column header: %w", err)
@@ -116,8 +119,8 @@ func ReadDesign(r io.Reader) (*graph.Bipartite, error) {
 		if e < 0 || e >= n {
 			return nil, fmt.Errorf("labio: entry %d outside [0,%d)", e, n)
 		}
-		if mu < 1 {
-			return nil, fmt.Errorf("labio: multiplicity %d < 1", mu)
+		if mu < 1 || mu > graph.MaxMultiplicity {
+			return nil, fmt.Errorf("labio: query %d entry %d has multiplicity %d outside [1,%d]", j, e, mu, graph.MaxMultiplicity)
 		}
 		ents[j] = append(ents[j], int32(e))
 		muls[j] = append(muls[j], int32(mu))

@@ -161,6 +161,32 @@ func TestReadDesignErrors(t *testing.T) {
 	}
 }
 
+// TestReadDesignLimits: a multiplicity of graph.MaxMultiplicity is read
+// back as it was written, and one more is refused, however large (2^32+1
+// would wrap to 1 in an int32). A header claiming more than
+// graph.MaxParsedDim entries or queries is refused before any per-query
+// state is allocated: 10^12 queries would not fit in memory.
+func TestReadDesignLimits(t *testing.T) {
+	const head = "pooled-design,v1,4,1\nquery,entry,multiplicity\n"
+	g, err := ReadDesign(strings.NewReader(head + "0,1,255\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, mu := queryRow(g, 0); len(e) != 1 || e[0] != 1 || mu[0] != graph.MaxMultiplicity {
+		t.Fatalf("query 0 = %v/%v, want [1]/[255]", e, mu)
+	}
+	for in, want := range map[string]string{
+		head + "0,1,256\n":        "query 0 entry 1 has multiplicity 256 outside [1,255]",
+		head + "0,1,4294967297\n": "query 0 entry 1 has multiplicity 4294967297 outside [1,255]",
+		"pooled-design,v1,4,1000000000000\nquery,entry,multiplicity\n": "m=1000000000000 outside [0,16777216]",
+		"pooled-design,v1,16777217,1\nquery,entry,multiplicity\n":      "n=16777217, m=1 outside [0,16777216]",
+	} {
+		if _, err := ReadDesign(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%q: error %v, want one containing %q", in, err, want)
+		}
+	}
+}
+
 func TestReadCountsErrors(t *testing.T) {
 	cases := map[string]string{
 		"wrong magic": "nope,v1,2\nquery,count\n0,1\n1,2\n",

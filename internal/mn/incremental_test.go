@@ -34,7 +34,7 @@ func prefixEstimate(g graphLike, y []int64, prefix, k int) *bitvec.Vector {
 // graphLike is the slice of the graph API the reference decoder needs.
 type graphLike interface {
 	N() int
-	EntryQueries(i int) (queries, mults []int32)
+	EntryQueries(i int) (queries []int32, mults []uint8)
 }
 
 func TestIncrementalMatchesPrefixDecode(t *testing.T) {

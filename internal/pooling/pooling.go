@@ -126,7 +126,9 @@ func countedRows(n, maxDraws int, draw func(j int, buf []int32) []int32) func() 
 // RandomRegular is the paper's pooling design: each query independently
 // draws Gamma entries uniformly at random with replacement.
 type RandomRegular struct {
-	// Gamma is the query size; 0 means the paper's default ⌈n/2⌉.
+	// Gamma is the query size; 0 means the paper's default ⌈n/2⌉. Build
+	// refuses a Gamma above graph.MaxMultiplicity·n, which would draw
+	// some entry more often than a graph can store.
 	Gamma int
 }
 
@@ -147,6 +149,13 @@ func (d RandomRegular) Build(n, m int, opts BuildOptions) (*graph.Bipartite, err
 		return nil, fmt.Errorf("pooling: invalid size n=%d m=%d", n, m)
 	}
 	gamma := d.GammaFor(n)
+	// Pigeonhole: with Γ > MaxMultiplicity·n (tested so that it cannot
+	// overflow), every query draws some entry more often than a graph can
+	// store, so refuse before allocating the draws.
+	if m > 0 && (gamma-1)/graph.MaxMultiplicity >= n {
+		return nil, fmt.Errorf("pooling: query size %d over n=%d entries draws some entry more than %d times, the multiplicity limit",
+			gamma, n, graph.MaxMultiplicity)
+	}
 	return graph.FromQueryRows(n, m, opts.workers(m), countedRows(n, gamma, func(j int, draws []int32) []int32 {
 		r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(j))))
 		for t := range draws {
@@ -256,7 +265,7 @@ func (d ConstantColumn) Build(n, m int, opts BuildOptions) (*graph.Bipartite, er
 		eptr[i] = int64(i) * int64(deg)
 	}
 	eqry := make([]int32, eptr[n])
-	emul := make([]int32, eptr[n])
+	emul := make([]uint8, eptr[n])
 	forRanges(n, opts, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := rng.NewRand(rng.NewXoshiro(rng.DeriveSeed(opts.Seed, uint64(i))))

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +281,44 @@ func TestFixedValidation(t *testing.T) {
 	}
 }
 
+// TestMultiplicityLimit: builders store multiplicities up to
+// graph.MaxMultiplicity and refuse one more. With n = 1 every
+// random-regular draw is entry 0, so Γ = 255 is the largest query that
+// fits; a larger Γ is refused before its draws are allocated (2^40 of
+// them would not fit in memory), and with m = 0 nothing is drawn at all.
+func TestMultiplicityLimit(t *testing.T) {
+	g, err := RandomRegular{Gamma: graph.MaxMultiplicity}.Build(1, 3, BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs, mu := g.EntryQueries(0); len(qs) != 3 || mu[0] != 255 || mu[1] != 255 || mu[2] != 255 || g.QuerySize(2) != 255 {
+		t.Fatalf("Γ=255, n=1: entry 0 in queries %v with multiplicities %v", qs, mu)
+	}
+	for _, gamma := range []int{graph.MaxMultiplicity + 1, 1 << 40} {
+		_, err := RandomRegular{Gamma: gamma}.Build(1, 3, BuildOptions{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "more than 255 times, the multiplicity limit") {
+			t.Fatalf("Γ=%d, n=1: error %v, want the multiplicity limit", gamma, err)
+		}
+	}
+	if g, err := (RandomRegular{Gamma: 1 << 40}).Build(1, 0, BuildOptions{}); err != nil || g.M() != 0 {
+		t.Fatalf("Γ=2^40, m=0: %v, %v", g, err)
+	}
+
+	// Fixed: query 1 lists entry 0 (a zeroed slice) 255, then 256 times.
+	fixed := func(times int) Fixed { return Fixed{Queries: [][]int{{1}, make([]int, times)}} }
+	g, err = fixed(graph.MaxMultiplicity).Build(2, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, mu := g.EntryQueries(0); len(mu) != 1 || mu[0] != 255 {
+		t.Fatalf("Fixed entry 0 listed 255 times: multiplicities %v", mu)
+	}
+	want := "query 1 entry 0 has multiplicity 256 outside [1,255]"
+	if _, err := fixed(graph.MaxMultiplicity+1).Build(2, 2, BuildOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Fixed entry 0 listed 256 times: error %v, want one containing %q", err, want)
+	}
+}
+
 func TestQuickHalfEdgeIdentityAllDesigns(t *testing.T) {
 	designs := []Design{RandomRegular{}, Bernoulli{P: 0.3}, ConstantColumn{D: 4}}
 	f := func(seed uint64) bool {
@@ -454,7 +493,8 @@ func TestFixedMatchesSortReference(t *testing.T) {
 
 // TestHomeScaleBuildFootprint guards the build's memory: the home-scale
 // design (n = 10⁴, m = 600) allocates its entry side once, at its final
-// size, plus O(n + m) scratch — never a query-side copy next to it.
+// size of 5 bytes a pair (a query index and a one-byte multiplicity),
+// plus O(n + m) scratch — never a query-side copy next to it.
 func TestHomeScaleBuildFootprint(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var before, after runtime.MemStats
@@ -465,8 +505,8 @@ func TestHomeScaleBuildFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(1.1*8*float64(g.DistinctPairs())) + 64*uint64(g.N()) + 64*uint64(g.M())
+	limit := uint64(1.1*5*float64(g.DistinctPairs())) + 64*uint64(g.N()) + 64*uint64(g.M())
 	if alloc > limit {
-		t.Fatalf("building the home-scale design allocated %d bytes, limit %d (8 bytes per pair: %d)", alloc, limit, 8*g.DistinctPairs())
+		t.Fatalf("building the home-scale design allocated %d bytes, limit %d (5 bytes per pair: %d)", alloc, limit, 5*g.DistinctPairs())
 	}
 }

@@ -58,10 +58,6 @@ const (
 	maxFrameString = 4096
 	maxFrameY      = 1 << 24
 	maxSupportLen  = 1 << 24
-	// maxDesignEntries caps a design frame's n, the one dimension no
-	// frame byte pays for: graph.FromQueryRows allocates a counter and
-	// an offset per entry (16 bytes), drawn by a query or not.
-	maxDesignEntries = 1 << 24
 )
 
 // batchJob is one decode job inside a request frame — the binary twin of
@@ -488,8 +484,10 @@ func parseDesign(data []byte) (*graph.Bipartite, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxDesignEntries {
-		return nil, fmt.Errorf("remote: design frame claims n=%d, limit %d", n, maxDesignEntries)
+	// n is the one dimension no frame byte pays for; m is bounded by the
+	// bytes that follow.
+	if n > graph.MaxParsedDim {
+		return nil, fmt.Errorf("remote: design frame claims n=%d, limit %d", n, graph.MaxParsedDim)
 	}
 	m, err := fr.uvarint()
 	if err != nil {
@@ -552,8 +550,8 @@ func parseDesign(data []byte) (*graph.Bipartite, error) {
 					return nil, nil, fmt.Errorf("remote: design query %d references an entry >= n=%d", j, n)
 				}
 				prev += int64(delta)
-				if mul == 0 || mul > math.MaxInt32 {
-					return nil, nil, fmt.Errorf("remote: design query %d entry %d has multiplicity %d", j, prev, mul)
+				if mul == 0 || mul > graph.MaxMultiplicity {
+					return nil, nil, fmt.Errorf("remote: design query %d entry %d has multiplicity %d outside [1,%d]", j, prev, mul, graph.MaxMultiplicity)
 				}
 				ents[p], muls[p] = int32(prev), int32(mul)
 			}

@@ -349,8 +349,9 @@ func TestDesignFrameGolden(t *testing.T) {
 }
 
 // TestDesignFrameParseFootprint guards the install path's memory: parsing
-// the home-scale frame allocates the entry side once, at its final size,
-// plus O(n + m) scratch — never a query-side copy next to it.
+// the home-scale frame allocates the entry side once, at its final size
+// of 5 bytes a pair, plus O(n + m) scratch — never a query-side copy next
+// to it.
 func TestDesignFrameParseFootprint(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
@@ -366,9 +367,9 @@ func TestDesignFrameParseFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(1.1*8*float64(got.DistinctPairs())) + 64*uint64(got.N()) + 64*uint64(got.M())
+	limit := uint64(1.1*5*float64(got.DistinctPairs())) + 64*uint64(got.N()) + 64*uint64(got.M())
 	if alloc > limit {
-		t.Fatalf("parsing the home-scale frame allocated %d bytes, limit %d (8 bytes per pair: %d)", alloc, limit, 8*got.DistinctPairs())
+		t.Fatalf("parsing the home-scale frame allocated %d bytes, limit %d (5 bytes per pair: %d)", alloc, limit, 5*got.DistinctPairs())
 	}
 }
 
@@ -422,7 +423,7 @@ var hostileDesignFrames = map[string][]byte{
 	"truncated-prelude": {'p', 'd'},
 	"truncated-header":  designFrame(4),
 	"truncated-query":   designFrame(4, 2, 1, 1, 1),
-	"huge-n":            designFrame(maxDesignEntries+1, 0),
+	"huge-n":            designFrame(graph.MaxParsedDim+1, 0),
 	"huge-m":            designFrame(4, 1<<40),
 	"huge-distinct":     designFrame(4, 1, 1<<40),
 	"distinct-above-n":  designFrame(2, 1, 3, 1, 1, 1, 1, 1, 1),
@@ -430,13 +431,16 @@ var hostileDesignFrames = map[string][]byte{
 	"entry-at-n":        designFrame(4, 1, 1, 5, 1),
 	"entry-past-n":      designFrame(4, 1, 2, 2, 1, 3, 1),
 	"zero-multiplicity": designFrame(4, 1, 1, 1, 0),
+	"multiplicity-256":  designFrame(4, 1, 1, 1, graph.MaxMultiplicity+1),
 	"huge-multiplicity": designFrame(4, 1, 1, 1, 1<<31),
 	"trailing-bytes":    append(designFrame(4, 1, 1, 1, 1), 0),
 }
 
 func TestDesignFrameRejectsHostile(t *testing.T) {
-	if _, err := parseDesign(designFrame(4, 1, 2, 1, 1, 2, 3)); err != nil {
-		t.Fatalf("control frame rejected: %v", err)
+	for _, mu := range []uint64{3, graph.MaxMultiplicity} {
+		if _, err := parseDesign(designFrame(4, 1, 2, 1, 1, 2, mu)); err != nil {
+			t.Fatalf("control frame with multiplicity %d rejected: %v", mu, err)
+		}
 	}
 	for name, data := range hostileDesignFrames {
 		if g, err := parseDesign(data); err == nil {

@@ -136,7 +136,9 @@ func TestTransposeAgainstQuerySide(t *testing.T) {
 	for i := 0; i < g.N(); i++ {
 		qs, mu := g.EntryQueries(i)
 		col = append(col, qs...)
-		val = append(val, mu...)
+		for _, v := range mu {
+			val = append(val, int32(v))
+		}
 		ptr[i+1] = int64(len(col))
 	}
 	entry, err := NewCSR(g.N(), g.M(), ptr, col, val)
