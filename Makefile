@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-full race bench bench-module bench-noise bench-stream bench-remote bench-kernels bench-smoke fuzz-seeds metrics-lint crash-smoke elastic-smoke clean
+.PHONY: all build vet fmt-check test test-full race bench bench-module bench-noise bench-stream bench-remote bench-smoke fuzz-seeds metrics-lint crash-smoke elastic-smoke clean
 
 all: build vet test
 
@@ -57,24 +57,6 @@ bench-stream:
 # shard — the per-job wire overhead a deployment amortizes by batching.
 bench-remote:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRemoteShardDecode' -benchtime 100x ./internal/remote
-
-# Machine-readable kernel numbers: the decode kernels (one scatter per
-# signal in the batch path), the noisy batch path, design builds (home
-# scale and a very sparse custom design) with graph assembly on its own,
-# the remote/batched wire parity, and one worker scheme install at
-# n=10^4, m=600, written as BENCH_kernels.json (name -> ns/op, B/op,
-# allocs/op) for CI to archive and for regression tooling to diff.
-bench-kernels:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/benchjson ./cmd/benchjson; \
-	{ $(GO) test -short -run '^$$' -benchmem \
-	    -bench 'BenchmarkNoisyBatchDecode|BenchmarkMNDecode|BenchmarkQueryExecute|BenchmarkOneDesignManySignals|BenchmarkTraceOverhead|BenchmarkDesignBuild' \
-	    -benchtime 1x . ; \
-	  $(GO) test -short -run '^$$' -benchmem -bench 'BenchmarkNew$$' -benchtime 5x ./internal/graph ; \
-	  $(GO) test -short -run '^$$' -benchmem \
-	    -bench 'BenchmarkRemoteShardDecode|BenchmarkSchemeInstall' -benchtime 20x ./internal/remote ; } \
-	| tee /dev/stderr | $$tmp/benchjson > BENCH_kernels.json
-	@echo "wrote BENCH_kernels.json"
 
 # One -race iteration of every benchmark: catches data races that only
 # the benchmark drivers exercise (burst submits, coalesced senders)

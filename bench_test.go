@@ -23,7 +23,6 @@ import (
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
 	"pooleddata/internal/rng"
-	"pooleddata/internal/sparse"
 	"pooleddata/internal/thresholds"
 	"pooleddata/metrics"
 )
@@ -239,18 +238,6 @@ func BenchmarkAblationThresholdGT(b *testing.B) {
 
 // --- micro-benchmarks of the parallel kernels ---
 
-func benchInstance(b *testing.B, n, k, m int) (*pooling.RandomRegular, *bitvec.Vector, []int64, *sparse.CSR) {
-	b.Helper()
-	des := pooling.RandomRegular{}
-	g, err := des.Build(n, m, pooling.BuildOptions{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sigma := bitvec.Random(n, k, rng.NewRandSeeded(2))
-	y := query.Execute(g, sigma, query.Options{Seed: 3}).Y
-	return &des, sigma, y, sparse.EntryAdjacency(g)
-}
-
 // BenchmarkDesignBuild measures parallel design construction (n = 10^4,
 // m = 600: the HIV-example scale).
 func BenchmarkDesignBuild(b *testing.B) {
@@ -291,27 +278,33 @@ func BenchmarkQueryExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMV measures the decoder's bulk kernel Ψ = M·y, sequential vs
-// parallel.
-func BenchmarkSpMV(b *testing.B) {
-	g, err := pooling.RandomRegular{}.Build(20000, 1200, pooling.BuildOptions{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkPsi measures the decoder's bulk kernel Ψ = M·y, the sum of y
+// over each entry's distinct queries, at the home scale (n = 10^4,
+// m = 600) on one core: on the paper's design, which the graph stores as
+// bits, and on a Bernoulli design of density 1/100, which keeps its
+// query-index array.
+func BenchmarkPsi(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		design pooling.Design
+	}{
+		{"bits/random-regular", pooling.RandomRegular{}},
+		{"index/bernoulli-0.01", pooling.Bernoulli{P: 0.01}},
+	} {
+		g, err := bc.design.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sigma := bitvec.Random(10000, 16, rng.NewRandSeeded(2))
+		y := query.Execute(g, sigma, query.Options{Seed: 3}).Y
+		psi := make([]int64, g.N())
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Psi(y, psi, 1)
+			}
+		})
 	}
-	mat := sparse.EntryAdjacency(g)
-	sigma := bitvec.Random(20000, 20, rng.NewRandSeeded(2))
-	y := query.Execute(g, sigma, query.Options{Seed: 3}).Y
-	out := make([]int64, mat.Rows())
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.MulVec(y, out)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.MulVecParallel(y, out, 0)
-		}
-	})
 }
 
 // BenchmarkMNDecode measures the full MN-Algorithm on the HIV-example
@@ -330,6 +323,25 @@ func BenchmarkMNDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkRefinedGaussian measures MN with swap refinement, the
+// service's pick for gaussian counts with σ < 3, at the home scale on
+// σ = 0.5 counts.
+func BenchmarkRefinedGaussian(b *testing.B) {
+	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sigma := bitvec.Random(10000, 16, rng.NewRandSeeded(2))
+	y := query.Execute(g, sigma, query.Options{Oracle: query.Noisy{Sigma: 0.5}, Seed: 3}).Y
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (decoder.Refined{}).Decode(g, y, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDecoders times each baseline decoder on one mid-size instance.
 func BenchmarkDecoders(b *testing.B) {
 	g, err := pooling.RandomRegular{}.Build(2000, 300, pooling.BuildOptions{Seed: 1})
@@ -338,7 +350,7 @@ func BenchmarkDecoders(b *testing.B) {
 	}
 	sigma := bitvec.Random(2000, 9, rng.NewRandSeeded(2))
 	y := query.Execute(g, sigma, query.Options{Seed: 3}).Y
-	for _, dec := range []decoder.Decoder{decoder.MN{}, decoder.Greedy{}, decoder.BP{}, decoder.Refined{}} {
+	for _, dec := range []decoder.Decoder{decoder.MN{}, decoder.Greedy{}, decoder.BP{}, decoder.Refined{}, decoder.LP{}} {
 		b.Run(dec.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := dec.Decode(g, y, 9); err != nil {

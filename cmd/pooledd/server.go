@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"strings"
@@ -15,8 +16,10 @@ import (
 	"pooleddata/internal/campaign"
 	"pooleddata/internal/decoder"
 	"pooleddata/internal/engine"
+	"pooleddata/internal/graph"
 	"pooleddata/internal/labio"
 	"pooleddata/internal/noise"
+	"pooleddata/internal/pooling"
 	"pooleddata/internal/remote"
 	"pooleddata/metrics"
 	"pooleddata/metrics/trace"
@@ -226,6 +229,9 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 	}
 	params := engine.DesignParams{Gamma: req.Gamma, P: req.P, D: req.D}
 	des, err := engine.DesignByName(req.Design, params)
+	if err == nil {
+		err = checkSpecSize(des, req.N, req.M)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -239,6 +245,36 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 	}
 	ent := s.register(es, des.Name(), req.N, req.M, req.Seed, params, false)
 	writeJSON(w, http.StatusCreated, ent)
+}
+
+// checkSpecSize refuses a parametric design too large to build: n or m
+// above graph.MaxParsedDim, the cap uploads have, or a bound on its
+// (entry, query) pairs above graph.MaxSpecPairs. The bound is Γ·m draws
+// for random-regular, n·D for constant-column and every cell, n·m, for
+// bernoulli. A Γ above MaxMultiplicity·n counts as that much:
+// RandomRegular.Build refuses it before drawing, naming the
+// multiplicity limit.
+func checkSpecSize(des pooling.Design, n, m int) error {
+	var a, b int
+	switch d := des.(type) {
+	case pooling.RandomRegular:
+		a, b = d.GammaFor(n), m
+		if (a-1)/graph.MaxMultiplicity >= n { // a > MaxMultiplicity·n, without overflow
+			a = graph.MaxMultiplicity * n
+		}
+	case pooling.ConstantColumn:
+		a, b = n, d.DFor(m)
+	default:
+		a, b = n, m
+	}
+	if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi != 0 || lo > graph.MaxSpecPairs {
+		return fmt.Errorf("%s design with n=%d m=%d may hold up to %d×%d pairs, over the pair budget of %d",
+			des.Name(), n, m, a, b, graph.MaxSpecPairs)
+	}
+	if n > graph.MaxParsedDim || m > graph.MaxParsedDim {
+		return fmt.Errorf("design size n=%d m=%d over the dimension limit %d", n, m, graph.MaxParsedDim)
+	}
+	return nil
 }
 
 // register assigns (or reuses) the entry for a scheme and returns a copy

@@ -14,6 +14,7 @@ import (
 	"pooleddata/internal/engine"
 	"pooleddata/internal/labio"
 	"pooleddata/internal/noise"
+	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
 	"pooleddata/internal/rng"
 )
@@ -234,6 +235,56 @@ func TestInvalidDesignsAre400(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats after refused designs: status %d", resp.StatusCode)
 	}
+}
+
+// TestSpecSizeBudget: a parametric spec whose pair bound exceeds
+// graph.MaxSpecPairs, or whose n or m exceeds graph.MaxParsedDim, is
+// answered 400 naming the limit before anything is built, and the server
+// keeps answering.
+func TestSpecSizeBudget(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, tc := range []struct{ body, want string }{
+		{`{"design":"random-regular","n":2000000000,"m":1}`, "over the pair budget of 67108864"},
+		{`{"design":"random-regular","n":10000,"m":20000,"gamma":5000}`, "over the pair budget of 67108864"},
+		{`{"design":"bernoulli","n":100000,"m":1000,"p":0.001}`, "over the pair budget of 67108864"},
+		{`{"design":"constant-column","n":9000000,"m":100,"d":10}`, "over the pair budget of 67108864"},
+		{`{"design":"random-regular","n":16777217,"m":0}`, "over the dimension limit 16777216"},
+		{`{"design":"bernoulli","n":1,"m":16777217}`, "over the dimension limit 16777216"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/schemes", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, tc.want) {
+			t.Fatalf("%s: status %d, error %q (%v); want 400 naming %q", tc.body, resp.StatusCode, body.Error, err, tc.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats after refused specs: status %d", resp.StatusCode)
+	}
+	// The home scale and the largest spec the tests build stay in budget.
+	for _, req := range []schemeRequest{{Design: "random-regular", N: 10000, M: 600}, {Design: "bernoulli", N: 6000, M: 3000}} {
+		if err := checkSpecSize(mustDesign(t, req.Design), req.N, req.M); err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+	}
+}
+
+func mustDesign(t *testing.T, name string) pooling.Design {
+	t.Helper()
+	des, err := engine.DesignByName(name, engine.DesignParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return des
 }
 
 func TestErrorPaths(t *testing.T) {

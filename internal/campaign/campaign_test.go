@@ -382,11 +382,20 @@ func TestCampaignNoiseHammer(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, campaigns)
+	deadline := time.Now().Add(20 * time.Second)
 	for i := range preps {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cp, err := st.Create(Request{Scheme: preps[i].s, Batch: preps[i].ys, K: k, Noise: preps[i].nm})
+			// Create refuses a campaign while its shard's queue is full
+			// (the documented 429); retry as a client would, within the
+			// deadline.
+			req := Request{Scheme: preps[i].s, Batch: preps[i].ys, K: k, Noise: preps[i].nm}
+			cp, err := st.Create(req)
+			for errors.Is(err, engine.ErrSaturated) && time.Now().Before(deadline) {
+				time.Sleep(2 * time.Millisecond)
+				cp, err = st.Create(req)
+			}
 			if err != nil {
 				errs[i] = err
 				return

@@ -53,6 +53,7 @@ func (d BP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 	}
 	mean := make([]float64, m)
 	variance := make([]float64, m)
+	rs := readRows(g)
 
 	for it := 0; it < iters; it++ {
 		// Per-query Gaussian moments of Σ A_ij X_i under the current
@@ -61,7 +62,7 @@ func (d BP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 		clear(mean)
 		clear(variance)
 		for e := 0; e < n; e++ {
-			qs, mu := g.EntryQueries(e)
+			qs, mu := rs.row(e)
 			pe := p[e]
 			for t, j := range qs {
 				a := float64(mu[t])
@@ -71,7 +72,7 @@ func (d BP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 		}
 		// Entry-side LLR updates with cavity (leave-one-out) moments.
 		for i := 0; i < n; i++ {
-			qs, mu := g.EntryQueries(i)
+			qs, mu := rs.row(i)
 			llr := logPrior
 			pi := p[i]
 			for t, j := range qs {

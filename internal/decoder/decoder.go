@@ -149,6 +149,7 @@ func (d Exhaustive) search(g *graph.Bipartite, y []int64, k int, limit int64) (*
 	// cheap pruning: a branch dies when any residual goes negative, or
 	// when fewer than (needed) entries remain.
 	chosen := make([]int, 0, k)
+	var scratch []int32 // one row at a time: deeper levels reuse it
 	var first *bitvec.Vector
 	var count int64
 	var nodes int64
@@ -172,7 +173,8 @@ func (d Exhaustive) search(g *graph.Bipartite, y []int64, k int, limit int64) (*
 			return nil
 		}
 		for i := start; i <= n-left; i++ {
-			qs, mu := g.EntryQueries(i)
+			qs, mu := g.Row(i, scratch)
+			scratch = qs
 			ok := true
 			for p, j := range qs {
 				residual[j] -= int64(mu[p])
@@ -188,15 +190,11 @@ func (d Exhaustive) search(g *graph.Bipartite, y []int64, k int, limit int64) (*
 				chosen = chosen[:len(chosen)-1]
 				if limit > 0 && count >= limit {
 					// Undo and abort: caller only needs "at least limit".
-					for p, j := range qs {
-						residual[j] += int64(mu[p])
-					}
+					g.AddRow(i, residual, 1)
 					return nil
 				}
 			}
-			for p, j := range qs {
-				residual[j] += int64(mu[p])
-			}
+			g.AddRow(i, residual, 1)
 		}
 		return nil
 	}
@@ -224,23 +222,20 @@ func (Greedy) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, erro
 	residual := make([]int64, len(y))
 	copy(residual, y)
 	est := bitvec.New(n)
-	// remaining[i] tracks how many picks are still pending; simple linear
-	// scans keep this O(k·(n + E/m·deg)) which is fine at experiment scale.
+	psi := make([]int64, n)
+	// Each round is one Ψ pass over the residual and a linear scan, so
+	// the decoder costs k MN score passes, fine at experiment scale.
 	for round := 0; round < k; round++ {
 		bestIdx := -1
 		bestScore := math.Inf(-1)
-		for i := 0; i < n; i++ {
+		g.Psi(residual, psi, 1)
+		for i, s := range psi {
 			if est.Get(i) {
 				continue
 			}
-			qs, _ := g.EntryQueries(i)
-			var s int64
-			for _, j := range qs {
-				s += residual[j]
-			}
 			// Centralize by the residual weight left in the neighborhood:
 			// score = Ψ_i^res − Δ*_i·(k−round)/2.
-			score := float64(s) - float64(len(qs))*float64(k-round)/2
+			score := float64(s) - float64(g.DistinctDegree(i))*float64(k-round)/2
 			if score > bestScore || (score == bestScore && bestIdx >= 0 && i < bestIdx) {
 				bestScore = score
 				bestIdx = i
@@ -250,10 +245,7 @@ func (Greedy) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, erro
 			break
 		}
 		est.Set(bestIdx)
-		qs, mu := g.EntryQueries(bestIdx)
-		for p, j := range qs {
-			residual[j] -= int64(mu[p])
-		}
+		g.AddRow(bestIdx, residual, -1)
 	}
 	return est, nil
 }
@@ -324,6 +316,14 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 			}
 		}
 	}
+	// Each candidate's row is read once per decode, not once per
+	// (removal, candidate) pair; a removed entry that becomes a candidate
+	// brings its row along.
+	candQs := make([][]int32, len(candIn))
+	candMu := make([][]uint8, len(candIn))
+	for ci, in := range candIn {
+		candQs[ci], candMu[ci] = g.Row(in, nil)
+	}
 
 	// outAdj[j] is the multiplicity of the current removal candidate in
 	// query j and outMask its packed membership over queries, both filled
@@ -334,11 +334,13 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 	// j" with one word-indexed bit instead of a dense int64 load.
 	outAdj := make([]int64, g.M())
 	outMask := bitvec.New(g.M())
+	var outScratch []int32
 	for pass := 0; pass < passes && misfit > 0; pass++ {
 		improved := false
 		ones := est.Support()
 		for _, out := range ones {
-			qsOut, muOut := g.EntryQueries(out)
+			qsOut, muOut := g.Row(out, outScratch)
+			outScratch = qsOut
 			var removeDelta int64
 			for p, j := range qsOut {
 				outAdj[j] = int64(muOut[p])
@@ -351,19 +353,21 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 				if in < 0 || est.Get(in) {
 					continue
 				}
-				delta := removeDelta + insertDelta(g, y, pred, outAdj, outMask.Words(), in)
+				delta := removeDelta + insertDelta(y, pred, outAdj, outMask.Words(), candQs[ci], candMu[ci])
 				if delta < 0 {
 					// Commit the swap.
-					qsIn, muIn := g.EntryQueries(in)
 					for p, j := range qsOut {
 						pred[j] -= int64(muOut[p])
 					}
-					for p, j := range qsIn {
-						pred[j] += int64(muIn[p])
+					for p, j := range candQs[ci] {
+						pred[j] += int64(candMu[ci][p])
 					}
 					est.Clear(out)
 					est.Set(in)
-					candIn[ci] = out // the removed entry becomes a candidate
+					// The removed entry becomes a candidate.
+					candIn[ci] = out
+					candQs[ci] = append(candQs[ci][:0], qsOut...)
+					candMu[ci] = muOut
 					misfit += delta
 					improved = true
 					break
@@ -384,15 +388,14 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 	return est, nil
 }
 
-// insertDelta returns the change in L1 misfit contributed by adding
-// entry in, on top of an already-applied removal described by outAdj
-// (the removed entry's dense per-query multiplicity) and outWords (its
-// packed query membership). The word-indexed bit test keeps the common
-// disjoint-neighborhood case to one load per query, reading outAdj only
-// where the two neighborhoods actually intersect.
-func insertDelta(g *graph.Bipartite, y, pred, outAdj []int64, outWords []uint64, in int) int64 {
+// insertDelta returns the change in L1 misfit contributed by adding the
+// entry with row (qsIn, muIn), on top of an already-applied removal
+// described by outAdj (the removed entry's dense per-query multiplicity)
+// and outWords (its packed query membership). The word-indexed bit test
+// keeps the common disjoint-neighborhood case to one load per query,
+// reading outAdj only where the two neighborhoods actually intersect.
+func insertDelta(y, pred, outAdj []int64, outWords []uint64, qsIn []int32, muIn []uint8) int64 {
 	var delta int64
-	qsIn, muIn := g.EntryQueries(in)
 	for p, j := range qsIn {
 		// If j is also touched by out, account on top of the removal.
 		var adj int64

@@ -51,7 +51,8 @@ func (d LP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 
 	// Lipschitz constant of the gradient: L = ‖A‖₂², estimated by a few
 	// rounds of power iteration on A Aᵀ.
-	l := operatorNormSquared(g)
+	rs := readRows(g)
+	l := operatorNormSquared(g, rs)
 	if l <= 0 {
 		l = 1
 	}
@@ -72,11 +73,11 @@ func (d LP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 
 	for it := 0; it < iters; it++ {
 		// resid = Aᵀz − y; grad = A·resid.
-		mulAT(g, z, resid)
+		mulAT(rs, z, resid)
 		for j := range resid {
 			resid[j] -= yf[j]
 		}
-		mulA(g, resid, grad)
+		mulA(rs, resid, grad)
 
 		copy(prevX, x)
 		obj := 0.0
@@ -115,7 +116,7 @@ func (d LP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 
 // operatorNormSquared estimates ‖A‖₂² by power iteration on v ↦ A(Aᵀv)
 // over entry space.
-func operatorNormSquared(g *graph.Bipartite) float64 {
+func operatorNormSquared(g *graph.Bipartite, rs rows) float64 {
 	v := make([]float64, g.N())
 	for i := range v {
 		// Deterministic non-degenerate start vector.
@@ -125,8 +126,8 @@ func operatorNormSquared(g *graph.Bipartite) float64 {
 	next := make([]float64, g.N())
 	lambda := 0.0
 	for it := 0; it < 30; it++ {
-		mulAT(g, v, tmp)
-		mulA(g, tmp, next)
+		mulAT(rs, v, tmp)
+		mulA(rs, tmp, next)
 		norm := 0.0
 		for _, x := range next {
 			norm += x * x
@@ -145,9 +146,9 @@ func operatorNormSquared(g *graph.Bipartite) float64 {
 
 // mulA sets out = A·r, with A the n×m multiplicity matrix: entry i's row
 // of the graph dotted with r.
-func mulA(g *graph.Bipartite, r, out []float64) {
+func mulA(rs rows, r, out []float64) {
 	for i := range out {
-		qs, mu := g.EntryQueries(i)
+		qs, mu := rs.row(i)
 		var s float64
 		for p, j := range qs {
 			s += float64(mu[p]) * r[j]
@@ -159,12 +160,33 @@ func mulA(g *graph.Bipartite, r, out []float64) {
 // mulAT sets out = Aᵀx by a sequential scatter over the entry side, so
 // each out[j] sums the entries of query j in increasing order, as a
 // query-indexed product would.
-func mulAT(g *graph.Bipartite, x, out []float64) {
+func mulAT(rs rows, x, out []float64) {
 	clear(out)
 	for i, xi := range x {
-		qs, mu := g.EntryQueries(i)
+		qs, mu := rs.row(i)
 		for p, j := range qs {
 			out[j] += float64(mu[p]) * xi
 		}
 	}
+}
+
+// rows is a graph's entry side read once per decode, for the decoders
+// that sweep every row many times: entry i's distinct queries are
+// qry[ptr[i]:ptr[i+1]] with multiplicities mul[ptr[i]:ptr[i+1]]. On a
+// bit-stored graph that is a transient four-byte index per pair.
+type rows struct {
+	ptr []int64
+	qry []int32
+	mul []uint8
+}
+
+func readRows(g *graph.Bipartite) rows {
+	ptr, qry, mul := g.Rows(nil)
+	return rows{ptr, qry, mul}
+}
+
+// row returns entry i's queries, increasing, and their multiplicities.
+func (rs rows) row(i int) ([]int32, []uint8) {
+	lo, hi := rs.ptr[i], rs.ptr[i+1]
+	return rs.qry[lo:hi], rs.mul[lo:hi]
 }

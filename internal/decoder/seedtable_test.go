@@ -1,0 +1,201 @@
+package decoder
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"pooleddata/internal/bitvec"
+	"pooleddata/internal/graph"
+	"pooleddata/internal/mn"
+	"pooleddata/internal/pooling"
+	"pooleddata/internal/query"
+	"pooleddata/internal/rng"
+	"pooleddata/internal/threshgt"
+)
+
+// seedCase is one pinned decode: a design, a seeded signal and its
+// oracle answers, and the decoder run on them.
+type seedCase struct {
+	name   string
+	design pooling.Design
+	n, m   int
+	k      int
+	seed   uint64
+	oracle query.Oracle // nil: exact counts
+	decode func(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
+}
+
+func decoderFn(d Decoder) func(*graph.Bipartite, []int64, int) (*bitvec.Vector, error) {
+	return d.Decode
+}
+
+// incrementalMN feeds the answers to mn.Incremental in three batches
+// over a seeded permutation of the queries and returns the estimate
+// after the last.
+func incrementalMN(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
+	order := rng.NewRandSeeded(99).Perm(g.M())
+	inc := mn.NewIncremental(g)
+	for b := 0; b < 3; b++ {
+		lo, hi := b*len(order)/3, (b+1)*len(order)/3
+		res := make([]int64, 0, hi-lo)
+		for _, j := range order[lo:hi] {
+			res = append(res, y[j])
+		}
+		inc.AddBatch(order[lo:hi], res)
+	}
+	return inc.Estimate(k), nil
+}
+
+// seedCases spans the paper's dense design (bit-stored), two sparse
+// designs that keep the index array, m below 64 and m off a multiple of
+// 64, exact, gaussian and threshold answers.
+func seedCases() []seedCase {
+	rr := pooling.RandomRegular{}
+	sparseB := pooling.Bernoulli{P: 0.02}
+	sparseC := pooling.ConstantColumn{D: 4}
+	thr := pooling.RandomRegular{Gamma: threshgt.RecommendedGamma(1000, 6, 1)}
+	thr2 := pooling.RandomRegular{Gamma: threshgt.RecommendedGamma(1000, 6, 2)}
+	gauss := query.Noisy{Sigma: 0.5}
+	var cs []seedCase
+	for _, seed := range []uint64{1, 2} {
+		for _, d := range []Decoder{MN{}, Refined{}, BP{}, Greedy{}, LP{}} {
+			cs = append(cs, seedCase{d.Name() + "/rr", rr, 1500, 230, 8, seed, nil, decoderFn(d)})
+		}
+		for _, d := range []Decoder{MN{}, Refined{}, Greedy{}} {
+			cs = append(cs,
+				seedCase{d.Name() + "/rr-gauss", rr, 1500, 230, 8, seed, gauss, decoderFn(d)},
+				seedCase{d.Name() + "/rr-hard-gauss", rr, 1500, 130, 8, seed, gauss, decoderFn(d)})
+		}
+		for _, d := range []Decoder{MN{}, Refined{}, BP{}, Greedy{}} {
+			cs = append(cs,
+				seedCase{d.Name() + "/rr-hard", rr, 1500, 130, 8, seed, nil, decoderFn(d)},
+				seedCase{d.Name() + "/rr-small-m", rr, 300, 40, 4, seed, nil, decoderFn(d)},
+				seedCase{d.Name() + "/bernoulli-sparse", sparseB, 1500, 230, 8, seed, nil, decoderFn(d)},
+				seedCase{d.Name() + "/column-sparse", sparseC, 1500, 230, 8, seed, nil, decoderFn(d)})
+		}
+		cs = append(cs,
+			seedCase{"exhaustive/rr", rr, 30, 25, 3, seed, nil, decoderFn(Exhaustive{})},
+			seedCase{"exhaustive/rr-few", rr, 24, 8, 3, seed, nil, decoderFn(Exhaustive{})},
+			seedCase{"comp/thr1", thr, 1000, 200, 6, seed, query.Threshold{T: 1}, threshgt.COMP{}.Decode},
+			seedCase{"dd/thr1", thr, 1000, 200, 6, seed, query.Threshold{T: 1}, threshgt.DD{}.Decode},
+			seedCase{"threshold-mn/thr1", thr, 1000, 200, 6, seed, query.Threshold{T: 1}, threshgt.Scored{}.Decode},
+			seedCase{"threshold-mn/thr2", thr2, 1000, 200, 6, seed, query.Threshold{T: 2}, threshgt.Scored{}.Decode},
+			seedCase{"incremental-mn/rr", rr, 1500, 230, 8, seed, nil, incrementalMN},
+			seedCase{"incremental-mn/rr-hard", rr, 1500, 130, 8, seed, nil, incrementalMN})
+	}
+	return cs
+}
+
+func (c seedCase) key() string { return fmt.Sprintf("%s/seed%d", c.name, c.seed) }
+
+func (c seedCase) run(t *testing.T) []int {
+	t.Helper()
+	g, err := c.design.Build(c.n, c.m, pooling.BuildOptions{Seed: c.seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma := bitvec.Random(c.n, c.k, rng.NewRandSeeded(c.seed^0x5eed))
+	y := query.Execute(g, sigma, query.Options{Oracle: c.oracle, Seed: c.seed}).Y
+	yc := slices.Clone(y)
+	est, err := c.decode(g, y, c.k)
+	if err != nil {
+		t.Fatalf("%s: %v", c.key(), err)
+	}
+	if !slices.Equal(y, yc) {
+		t.Fatalf("%s modified y", c.key())
+	}
+	return est.Support()
+}
+
+// TestDecoderSeedTable pins the support every decoder returns on seeded
+// instances, so a change to how the graph stores or walks its pairs
+// cannot change a decode.
+func TestDecoderSeedTable(t *testing.T) {
+	for _, c := range seedCases() {
+		got := c.run(t)
+		want, ok := seedTable[c.key()]
+		if !ok {
+			t.Errorf("%q: %#v,", c.key(), got)
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: support %v, want %v", c.key(), got, want)
+		}
+	}
+}
+
+// seedTable was recorded before the graph learned to store dense designs
+// as bits. Never edit it to make a change pass.
+var seedTable = map[string][]int{
+	"mn/rr/seed1":                       {118, 132, 136, 201, 259, 745, 761, 940},
+	"mn-refined/rr/seed1":               {118, 132, 136, 201, 259, 745, 761, 940},
+	"bp/rr/seed1":                       {118, 132, 136, 201, 259, 745, 761, 940},
+	"greedy-omp/rr/seed1":               {118, 132, 136, 201, 259, 745, 761, 940},
+	"lp-relaxation/rr/seed1":            {118, 132, 136, 201, 259, 745, 761, 940},
+	"mn/rr-gauss/seed1":                 {118, 132, 136, 201, 259, 434, 745, 761},
+	"mn/rr-hard-gauss/seed1":            {101, 118, 132, 136, 201, 259, 745, 761},
+	"mn-refined/rr-gauss/seed1":         {118, 132, 136, 201, 259, 745, 761, 940},
+	"mn-refined/rr-hard-gauss/seed1":    {118, 132, 136, 201, 259, 434, 745, 761},
+	"greedy-omp/rr-gauss/seed1":         {118, 132, 136, 201, 259, 745, 761, 940},
+	"greedy-omp/rr-hard-gauss/seed1":    {118, 132, 136, 201, 259, 745, 761, 940},
+	"mn/rr-hard/seed1":                  {101, 118, 132, 136, 201, 259, 745, 761},
+	"mn/rr-small-m/seed1":               {26, 27, 41, 149},
+	"mn/bernoulli-sparse/seed1":         {135, 236, 328, 423, 466, 664, 1081, 1129},
+	"mn/column-sparse/seed1":            {33, 118, 132, 134, 201, 259, 761, 940},
+	"mn-refined/rr-hard/seed1":          {118, 132, 136, 201, 259, 745, 761, 940},
+	"mn-refined/rr-small-m/seed1":       {26, 27, 40, 149},
+	"mn-refined/bernoulli-sparse/seed1": {25, 188, 436, 813, 923, 1129, 1173, 1326},
+	"mn-refined/column-sparse/seed1":    {118, 132, 136, 201, 259, 745, 761, 940},
+	"bp/rr-hard/seed1":                  {118, 132, 136, 201, 259, 694, 745, 761},
+	"bp/rr-small-m/seed1":               {26, 27, 40, 149},
+	"bp/bernoulli-sparse/seed1":         {118, 132, 136, 201, 259, 745, 761, 940},
+	"bp/column-sparse/seed1":            {118, 132, 136, 201, 259, 745, 761, 940},
+	"greedy-omp/rr-hard/seed1":          {118, 132, 136, 201, 259, 745, 761, 940},
+	"greedy-omp/rr-small-m/seed1":       {26, 27, 41, 149},
+	"greedy-omp/bernoulli-sparse/seed1": {118, 132, 135, 236, 328, 423, 466, 664},
+	"greedy-omp/column-sparse/seed1":    {33, 118, 132, 136, 201, 259, 745, 940},
+	"exhaustive/rr/seed1":               {2, 14, 28},
+	"exhaustive/rr-few/seed1":           {2, 11, 22},
+	"comp/thr1/seed1":                   {79, 88, 90, 134, 497, 507},
+	"dd/thr1/seed1":                     {79, 88, 90, 134, 497, 507},
+	"threshold-mn/thr1/seed1":           {53, 79, 88, 134, 497, 507},
+	"threshold-mn/thr2/seed1":           {79, 88, 90, 134, 497, 507},
+	"incremental-mn/rr/seed1":           {118, 132, 136, 201, 259, 745, 761, 940},
+	"incremental-mn/rr-hard/seed1":      {101, 118, 132, 136, 201, 259, 745, 761},
+	"mn/rr/seed2":                       {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"mn-refined/rr/seed2":               {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"bp/rr/seed2":                       {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"greedy-omp/rr/seed2":               {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"lp-relaxation/rr/seed2":            {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"mn/rr-gauss/seed2":                 {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"mn/rr-hard-gauss/seed2":            {69, 158, 826, 1287, 1394, 1477, 1483, 1493},
+	"mn-refined/rr-gauss/seed2":         {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"mn-refined/rr-hard-gauss/seed2":    {69, 158, 499, 826, 1287, 1394, 1477, 1493},
+	"greedy-omp/rr-gauss/seed2":         {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"greedy-omp/rr-hard-gauss/seed2":    {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"mn/rr-hard/seed2":                  {69, 158, 826, 1287, 1394, 1477, 1483, 1493},
+	"mn/rr-small-m/seed2":               {13, 31, 266, 298},
+	"mn/bernoulli-sparse/seed2":         {77, 187, 335, 366, 406, 414, 514, 649},
+	"mn/column-sparse/seed2":            {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"mn-refined/rr-hard/seed2":          {69, 158, 499, 826, 1287, 1394, 1477, 1493},
+	"mn-refined/rr-small-m/seed2":       {13, 31, 297, 298},
+	"mn-refined/bernoulli-sparse/seed2": {10, 108, 142, 154, 350, 701, 996, 1474},
+	"mn-refined/column-sparse/seed2":    {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"bp/rr-hard/seed2":                  {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"bp/rr-small-m/seed2":               {13, 31, 297, 298},
+	"bp/bernoulli-sparse/seed2":         {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"bp/column-sparse/seed2":            {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"greedy-omp/rr-hard/seed2":          {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"greedy-omp/rr-small-m/seed2":       {13, 31, 297, 298},
+	"greedy-omp/bernoulli-sparse/seed2": {77, 187, 335, 355, 366, 701, 1287, 1477},
+	"greedy-omp/column-sparse/seed2":    {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"exhaustive/rr/seed2":               {1, 28, 29},
+	"exhaustive/rr-few/seed2":           {1, 22, 23},
+	"comp/thr1/seed2":                   {46, 106, 551, 931, 991, 995},
+	"dd/thr1/seed2":                     {46, 106, 551, 931, 991, 995},
+	"threshold-mn/thr1/seed2":           {46, 106, 551, 931, 991, 995},
+	"threshold-mn/thr2/seed2":           {46, 551, 856, 931, 991, 995},
+	"incremental-mn/rr/seed2":           {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
+	"incremental-mn/rr-hard/seed2":      {69, 158, 826, 1287, 1394, 1477, 1483, 1493},
+}

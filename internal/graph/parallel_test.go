@@ -26,9 +26,9 @@ func buildRandomCSR(n, m, perQuery int, seed uint64) (qptr []int64, qent, qmul [
 
 // TestEntrySideParallelFillMatchesSequential: the entry side and the
 // per-query counts do not depend on how the queries were split among
-// workers, more workers than CPUs or queries included.
+// workers, more workers than CPUs or 64-query blocks included.
 func TestEntrySideParallelFillMatchesSequential(t *testing.T) {
-	n, m, per := 3000, 60, 300
+	n, m, per := 3000, 460, 300
 	qptr, qent, qmul := buildRandomCSR(n, m, per, 11)
 	rows := func() RowFunc {
 		return func(j int) ([]int32, []int32, error) {

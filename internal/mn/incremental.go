@@ -13,11 +13,11 @@ import (
 // regime of §VI: when only L processing units exist, query results arrive
 // in rounds of L, and the decoder maintains its neighborhood sums across
 // rounds, adding each batch's results as they come. The graph keeps no
-// query-indexed copy, so absorbing a batch is one sweep over the entry
-// side (the cost of one Ψ pass), whatever the batch size. Combined with a
-// consistency check this enables early stopping: the lab can halt the
-// remaining rounds as soon as the current estimate explains all results
-// received so far.
+// query-indexed copy, so absorbing a batch costs two Ψ passes over the
+// entry side, one for the batch's results and one for its membership,
+// whatever the batch size. Combined with a consistency check this
+// enables early stopping: the lab can halt the remaining rounds as soon
+// as the current estimate explains all results received so far.
 //
 // The scores after every batch are identical to running Reconstruct on
 // the prefix of answered queries (the design stays non-adaptive; only the
@@ -25,11 +25,14 @@ import (
 type Incremental struct {
 	g        *graph.Bipartite
 	round    []int32 // round[j]: the batch that answered query j, 0 if none
-	result   []int64 // result[j]: query j's answer, once answered
 	psi      []int64 // Ψ_i over answered queries
 	distinct []int64 // Δ*_i over answered queries
 	rounds   int32
 	count    int
+
+	// Scratch for AddBatch, zero between calls: a batch's results and
+	// membership indexed by query, and one Ψ pass over either.
+	batch, member, sums []int64
 }
 
 // NewIncremental prepares an incremental decoder for design g.
@@ -37,9 +40,11 @@ func NewIncremental(g *graph.Bipartite) *Incremental {
 	return &Incremental{
 		g:        g,
 		round:    make([]int32, g.M()),
-		result:   make([]int64, g.M()),
 		psi:      make([]int64, g.N()),
 		distinct: make([]int64, g.N()),
+		batch:    make([]int64, g.M()),
+		member:   make([]int64, g.M()),
+		sums:     make([]int64, g.N()),
 	}
 }
 
@@ -54,25 +59,28 @@ func (inc *Incremental) AddBatch(queries []int, results []int64) {
 		panic(fmt.Sprintf("mn: %d queries with %d results", len(queries), len(results)))
 	}
 	inc.rounds++
+	m := inc.g.M()
 	for i, j := range queries {
-		if j < 0 || j >= inc.g.M() {
-			panic(fmt.Sprintf("mn: query %d outside [0,%d)", j, inc.g.M()))
+		if j < 0 || j >= m {
+			panic(fmt.Sprintf("mn: query %d outside [0,%d)", j, m))
 		}
 		if inc.round[j] != 0 {
 			panic(fmt.Sprintf("mn: query %d answered twice", j))
 		}
 		inc.round[j] = inc.rounds
-		inc.result[j] = results[i]
 		inc.count++
+		inc.batch[j], inc.member[j] = results[i], 1
 	}
-	for e := range inc.psi {
-		qs, _ := inc.g.EntryQueries(e)
-		for _, j := range qs {
-			if inc.round[j] == inc.rounds {
-				inc.psi[e] += inc.result[j]
-				inc.distinct[e]++
-			}
-		}
+	inc.g.Psi(inc.batch, inc.sums, 1)
+	for e, s := range inc.sums {
+		inc.psi[e] += s
+	}
+	inc.g.Psi(inc.member, inc.sums, 1)
+	for e, s := range inc.sums {
+		inc.distinct[e] += s
+	}
+	for _, j := range queries {
+		inc.batch[j], inc.member[j] = 0, 0
 	}
 }
 

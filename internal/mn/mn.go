@@ -12,15 +12,14 @@
 // highest-scoring coordinates are declared ones. Theorem 1 shows this
 // succeeds w.h.p. once m ≥ (1+ε)·m_MN(n,θ).
 //
-// The bulk phase is two parallel sparse matrix–vector products (Ψ = M·y,
-// Δ* = M·1, §I "Parallelized Reconstruction") and the ranking is a
-// parallel selection, so the decoder itself scales across cores.
+// The bulk phase is the parallel product Ψ = M·y (§I "Parallelized
+// Reconstruction"; Δ* = M·1 is each entry's distinct degree, which the
+// graph stores) and the ranking is a parallel selection, so the decoder
+// itself scales across cores.
 package mn
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/graph"
@@ -63,73 +62,22 @@ func Reconstruct(g *graph.Bipartite, y []int64, k int, opts Options) *Result {
 
 	// Ψ = M·y with M the unweighted entry-side adjacency: multi-edges
 	// collapse to a single 1, so each neighboring query's result counts
-	// once, exactly as Algorithm 1 line 5 demands. The graph's entry-side
-	// CSR already lists each entry's distinct queries, so Ψ is summed
-	// straight off it — materializing the adjacency as a sparse matrix
-	// (as earlier revisions did) costs a fresh O(n + incidences)
-	// allocation per decode that GC-dominates batched workloads.
-	// Binary responses (threshold oracles) additionally pack y into words
-	// so the membership sum reads one bit, not one int64, per neighbor.
+	// once, exactly as Algorithm 1 line 5 demands. The graph sums it over
+	// whichever layout it stores (graph.Bipartite.Psi), on the workers.
+	psi := make([]int64, n)
+	g.Psi(y, psi, opts.Workers)
 	scores := make([]float64, n)
 	halfK := float64(k) / 2
-	var psi, distinct []int64
+	var distinct []int64
 	if opts.KeepScores {
-		psi = make([]int64, n)
 		distinct = make([]int64, n)
 	}
-	var yw []uint64
-	if binaryResponses(y) {
-		yw = make([]uint64, (len(y)+63)/64)
-		for j, v := range y {
-			yw[j>>6] |= uint64(v) << (uint(j) & 63)
+	for i, p := range psi {
+		d := int64(g.DistinctDegree(i))
+		if distinct != nil {
+			distinct[i] = d
 		}
-	}
-	score := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			qs, _ := g.EntryQueries(i)
-			var p int64
-			if yw != nil {
-				for _, j := range qs {
-					p += int64(yw[j>>6] >> (uint(j) & 63) & 1)
-				}
-			} else {
-				for _, j := range qs {
-					p += y[j]
-				}
-			}
-			d := int64(len(qs))
-			if psi != nil {
-				psi[i] = p
-				distinct[i] = d
-			}
-			scores[i] = float64(p) - float64(d)*halfK
-		}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	// With few incidences the fan-out overhead dominates; run inline.
-	if g.DistinctPairs() < 1<<14 {
-		workers = 1
-	}
-	if workers <= 1 {
-		score(0, n)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * n / workers
-			hi := (w + 1) * n / workers
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				score(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
+		scores[i] = float64(p) - float64(d)*halfK
 	}
 
 	top := parsort.TopK(scores, k)
@@ -147,17 +95,6 @@ func Reconstruct(g *graph.Bipartite, y []int64, k int, opts Options) *Result {
 	return res
 }
 
-// binaryResponses reports whether every query result is 0 or 1 — the
-// threshold-oracle shape whose Ψ sums reduce to packed bit reads.
-func binaryResponses(y []int64) bool {
-	for _, v := range y {
-		if v&^1 != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ReconstructSequential is the textbook single-threaded rendition of
 // Algorithm 1, kept as a differential-testing twin for the parallel path.
 func ReconstructSequential(g *graph.Bipartite, y []int64, k int) *bitvec.Vector {
@@ -169,8 +106,10 @@ func ReconstructSequential(g *graph.Bipartite, y []int64, k int) *bitvec.Vector 
 		panic(fmt.Sprintf("mn: weight k=%d out of [0,%d]", k, n))
 	}
 	scores := make([]float64, n)
+	var scratch []int32
 	for i := 0; i < n; i++ {
-		qs, _ := g.EntryQueries(i) // distinct queries of x_i
+		qs, _ := g.Row(i, scratch) // distinct queries of x_i
+		scratch = qs
 		var psi int64
 		for _, j := range qs {
 			psi += y[j]

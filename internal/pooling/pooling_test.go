@@ -493,8 +493,9 @@ func TestFixedMatchesSortReference(t *testing.T) {
 
 // TestHomeScaleBuildFootprint guards the build's memory: the home-scale
 // design (n = 10⁴, m = 600) allocates its entry side once, at its final
-// size of 5 bytes a pair (a query index and a one-byte multiplicity),
-// plus O(n + m) scratch — never a query-side copy next to it.
+// size of a multiplicity byte per pair and a bit per (entry, query) cell,
+// plus O(n + m) scratch — never a query index per pair, nor a query-side
+// copy next to it.
 func TestHomeScaleBuildFootprint(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var before, after runtime.MemStats
@@ -505,8 +506,10 @@ func TestHomeScaleBuildFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(1.1*5*float64(g.DistinctPairs())) + 64*uint64(g.N()) + 64*uint64(g.M())
+	size := g.DistinctPairs() + int64(g.N())*int64((g.M()+63)/64)*8
+	limit := uint64(1.1*float64(size)) + 64*uint64(g.N()) + 64*uint64(g.M())
+	t.Logf("building the home-scale design allocated %d bytes, limit %d", alloc, limit)
 	if alloc > limit {
-		t.Fatalf("building the home-scale design allocated %d bytes, limit %d (5 bytes per pair: %d)", alloc, limit, 5*g.DistinctPairs())
+		t.Fatalf("building the home-scale design allocated %d bytes, limit %d (pairs and bitmap: %d)", alloc, limit, size)
 	}
 }

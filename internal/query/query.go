@@ -176,12 +176,7 @@ type Result struct {
 // of the design.
 func Counts(g *graph.Bipartite, sigma *bitvec.Vector) []int64 {
 	y := make([]int64, g.M())
-	sigma.ForEachSet(func(i int) {
-		qs, mu := g.EntryQueries(i)
-		for p, j := range qs {
-			y[j] += int64(mu[p])
-		}
-	})
+	sigma.ForEachSet(func(i int) { g.AddRow(i, y, 1) })
 	return y
 }
 

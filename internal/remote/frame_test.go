@@ -350,8 +350,9 @@ func TestDesignFrameGolden(t *testing.T) {
 
 // TestDesignFrameParseFootprint guards the install path's memory: parsing
 // the home-scale frame allocates the entry side once, at its final size
-// of 5 bytes a pair, plus O(n + m) scratch — never a query-side copy next
-// to it.
+// of a multiplicity byte per pair and a bit per (entry, query) cell, plus
+// O(n + m) scratch — never a query index per pair, nor a query-side copy
+// next to it.
 func TestDesignFrameParseFootprint(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
@@ -367,9 +368,11 @@ func TestDesignFrameParseFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(1.1*5*float64(got.DistinctPairs())) + 64*uint64(got.N()) + 64*uint64(got.M())
+	size := got.DistinctPairs() + int64(got.N())*int64((got.M()+63)/64)*8
+	limit := uint64(1.1*float64(size)) + 64*uint64(got.N()) + 64*uint64(got.M())
+	t.Logf("parsing the home-scale frame allocated %d bytes, limit %d", alloc, limit)
 	if alloc > limit {
-		t.Fatalf("parsing the home-scale frame allocated %d bytes, limit %d (5 bytes per pair: %d)", alloc, limit, 5*got.DistinctPairs())
+		t.Fatalf("parsing the home-scale frame allocated %d bytes, limit %d (pairs and bitmap: %d)", alloc, limit, size)
 	}
 }
 

@@ -75,22 +75,13 @@ func (COMP) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error)
 		return nil, err
 	}
 	n := g.N()
+	negatives := negativePools(g, y)
 	scores := make([]float64, n)
-	for i := 0; i < n; i++ {
-		qs, _ := g.EntryQueries(i)
-		pos := 0
-		excluded := false
-		for _, j := range qs {
-			if y[j] == 0 {
-				excluded = true
-				break
-			}
-			pos++
-		}
-		if excluded {
+	for i, neg := range negatives {
+		if neg > 0 {
 			scores[i] = math.Inf(-1)
 		} else {
-			scores[i] = float64(pos)
+			scores[i] = float64(g.DistinctDegree(i))
 		}
 	}
 	est := bitvec.New(n)
@@ -116,26 +107,18 @@ func (DD) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
 		return nil, err
 	}
 	n := g.N()
-	possible := make([]bool, n)
-	for i := 0; i < n; i++ {
-		qs, _ := g.EntryQueries(i)
-		possible[i] = true
-		for _, j := range qs {
-			if y[j] == 0 {
-				possible[i] = false
-				break
-			}
-		}
-	}
+	negatives := negativePools(g, y)
 	// Scatter the unexcluded entries into their pools: count[j] (capped
 	// at 2) of them sit in pool j, the last one seen being only[j].
 	count := make([]uint8, g.M())
 	only := make([]int32, g.M())
-	for i := 0; i < n; i++ {
-		if !possible[i] {
+	var scratch []int32
+	for i, neg := range negatives {
+		if neg > 0 {
 			continue
 		}
-		qs, _ := g.EntryQueries(i)
+		qs, _ := g.Row(i, scratch)
+		scratch = qs
 		for _, j := range qs {
 			if count[j] < 2 {
 				count[j]++
@@ -150,6 +133,21 @@ func (DD) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
 		}
 	}
 	return est, nil
+}
+
+// negativePools returns, for every entry, how many of its distinct pools
+// tested negative: Ψ over the indicator of y_j = 0. An entry of a
+// negative pool is zero (for T = 1).
+func negativePools(g *graph.Bipartite, y []int64) []int64 {
+	neg := make([]int64, len(y))
+	for j, v := range y {
+		if v == 0 {
+			neg[j] = 1
+		}
+	}
+	out := make([]int64, g.N())
+	g.Psi(neg, out, 1)
+	return out
 }
 
 // Scored is the MN-style decoder for general thresholds: rank entries by
@@ -174,15 +172,13 @@ func (Scored) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, erro
 	if m > 0 {
 		base /= float64(m)
 	}
+	// Ψ over binary results counts each entry's positive distinct pools.
+	pos := make([]int64, n)
+	g.Psi(y, pos, 1)
 	scores := make([]float64, n)
-	for i := 0; i < n; i++ {
-		qs, _ := g.EntryQueries(i)
-		var pos float64
-		for _, j := range qs {
-			pos += float64(y[j])
-		}
+	for i, p := range pos {
 		// Positive-pool surplus relative to the base rate.
-		scores[i] = pos - float64(len(qs))*base
+		scores[i] = float64(p) - float64(g.DistinctDegree(i))*base
 	}
 	est := bitvec.New(n)
 	for _, i := range parsort.TopK(scores, k) {
