@@ -53,8 +53,9 @@ bench-stream:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkCampaignStreaming' -benchtime 1x ./internal/campaign
 
 # The federation benchmark: one decode through a worker over httptest
-# loopback (JSON + HTTP + client queue) vs the same decode on a local
-# shard — the per-job wire overhead a deployment amortizes by batching.
+# loopback (a one-job frame + HTTP + client queue) vs the same decode on
+# a local shard — the per-job wire overhead a deployment amortizes by
+# batching.
 bench-remote:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRemoteShardDecode' -benchtime 100x ./internal/remote
 

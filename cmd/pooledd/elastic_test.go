@@ -38,7 +38,7 @@ func startElasticFrontend(t testing.TB, workers ...*httptest.Server) (*httptest.
 	t.Cleanup(f.Close)
 	srv := newServer(cluster, campaign.Config{})
 	srv.fleet = f
-	f.onChange = srv.migrateSchemes
+	f.setOnChange(srv.migrateSchemes)
 	t.Cleanup(srv.campaigns.Close)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
@@ -306,7 +306,7 @@ func TestDrainRacesEviction(t *testing.T) {
 	_, _, f := startElasticFrontend(t, w0)
 	// Slow change hook: stretches each eviction so the drains below
 	// reliably overlap the queued probe-threshold transitions.
-	f.onChange = func(string) { time.Sleep(25 * time.Millisecond) }
+	f.setOnChange(func(string) { time.Sleep(25 * time.Millisecond) })
 
 	for round := 0; round < 3; round++ {
 		// Eviction lands EvictAfter(3) probes after Add — ~40ms at the

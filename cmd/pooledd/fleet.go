@@ -31,15 +31,15 @@ type fleet struct {
 	cluster *engine.Cluster
 	cfg     fleetConfig
 
-	// onChange runs after every ring mutation (add, remove, evict,
-	// rejoin) — the server hangs scheme migration off it. It is always
-	// invoked outside f.mu: migration rescans the whole scheme registry,
-	// and holding the membership lock for that long would stall the
-	// workers API and every probe hook behind one migration pass.
-	onChange func(reason string)
-
 	mu      sync.Mutex
 	workers map[string]*remote.Shard // every tracked client, in-ring or evicted
+	// onChange runs after every ring mutation (add, remove, evict,
+	// rejoin) — the server hangs scheme migration off it. It is read
+	// under mu but always invoked outside it: migration rescans the whole
+	// scheme registry, and holding the membership lock for that long
+	// would stall the workers API and every probe hook behind one
+	// migration pass.
+	onChange func(reason string)
 }
 
 // fleetConfig carries the per-worker client knobs every fleet member is
@@ -64,6 +64,10 @@ func newFleet(addrs []string, cfg fleetConfig) (*fleet, *engine.Cluster) {
 		cfg:     cfg,
 		workers: make(map[string]*remote.Shard, len(addrs)),
 	}
+	// Each client's probe goroutine starts inside remote.New and may call
+	// f.evict, which reads f.workers and f.cluster under f.mu.
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	shards := make([]engine.Shard, len(addrs))
 	for i, a := range addrs {
 		sh := f.newShard(a)
@@ -110,9 +114,20 @@ func (f *fleet) Close() {
 	f.cluster.Close()
 }
 
+// setOnChange installs the ring-mutation hook. Probe goroutines may
+// already be firing hooks, so it is set under f.mu.
+func (f *fleet) setOnChange(fn func(reason string)) {
+	f.mu.Lock()
+	f.onChange = fn
+	f.mu.Unlock()
+}
+
 func (f *fleet) changed(reason string) {
-	if f.onChange != nil {
-		f.onChange(reason)
+	f.mu.Lock()
+	fn := f.onChange
+	f.mu.Unlock()
+	if fn != nil {
+		fn(reason)
 	}
 }
 

@@ -223,7 +223,7 @@ func main() {
 	srv.instrument(reg, logger)
 	if workers != nil {
 		srv.fleet = workers
-		workers.onChange = srv.migrateSchemes
+		workers.setOnChange(srv.migrateSchemes)
 	}
 	if *designs != "" {
 		if err := preloadDesigns(cluster, srv, splitList(*designs), os.Stderr); err != nil {

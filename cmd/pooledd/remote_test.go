@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -242,5 +244,66 @@ func TestRemoteFederationE2E(t *testing.T) {
 	ys0 := noisyBatch(t, n, m, k, 4, seed0, nm)
 	if p := runOn(fed.URL, seed0, ys0); p.Completed != 4 {
 		t.Fatalf("surviving shard campaign: %+v", p)
+	}
+}
+
+// TestFederatedCampaignsBackToBack: an idle federated fleet does not
+// refuse campaigns. One client runs 40 campaigns back to back, each
+// created the moment the last one finished, against a frontend over one
+// worker sized like `pooledd -worker` (4 shards, default decode workers
+// and queues, far shallower than a 64-job frame). Every create is
+// admitted and every job completes, for 8-job and 64-job campaigns.
+func TestFederatedCampaignsBackToBack(t *testing.T) {
+	const n, m, k, campaigns = 2000, 300, 10, 40
+	wc := engine.NewCluster(engine.ClusterConfig{Shards: 4, Shard: engine.Config{CacheCapacity: 16}})
+	t.Cleanup(wc.Close)
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	w := httptest.NewServer(remote.NewServer(wc, remote.ServerOptions{Logger: quiet}).Handler())
+	t.Cleanup(w.Close)
+	f, cluster := newFleet([]string{w.Listener.Addr().String()}, fleetConfig{log: quiet})
+	t.Cleanup(f.Close)
+	srv := newServer(cluster, campaign.Config{})
+	srv.fleet = f
+	f.setOnChange(srv.migrateSchemes)
+	t.Cleanup(srv.campaigns.Close)
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+
+	var sch schemeEntry
+	if resp := postJSON(t, ts.URL+"/v1/schemes", schemeRequest{Design: "random-regular", N: n, M: m, Seed: 1}, &sch); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create scheme: status %d", resp.StatusCode)
+	}
+	for _, size := range []int{8, 64} {
+		ys := noisyBatch(t, n, m, k, size, 1, noise.Model{})
+		refused := 0
+		for c := 0; c < campaigns; c++ {
+			var created campaignCreated
+			resp := postJSON(t, ts.URL+"/v1/campaigns", campaignRequest{Scheme: sch.ID, K: k, Batch: ys}, &created)
+			for tries := 0; resp.StatusCode == http.StatusTooManyRequests && tries < 100; tries++ {
+				refused++
+				time.Sleep(10 * time.Millisecond)
+				resp = postJSON(t, ts.URL+"/v1/campaigns", campaignRequest{Scheme: sch.ID, K: k, Batch: ys}, &created)
+			}
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("%d-job campaign %d: create status %d", size, c, resp.StatusCode)
+			}
+			deadline := time.Now().Add(60 * time.Second)
+			var p campaign.Progress
+			for {
+				getJSON(t, ts.URL+"/v1/campaigns/"+created.ID+"?wait=2s", &p)
+				if p.Terminal() && p.Settled() == p.Total {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d-job campaign %d never finished: %+v", size, c, p)
+				}
+			}
+			if p.Completed != size || p.Failed != 0 {
+				t.Fatalf("%d-job campaign %d: completed %d, failed %d", size, c, p.Completed, p.Failed)
+			}
+		}
+		if refused != 0 {
+			t.Errorf("%d-job campaigns: %d creates refused with 429 on an idle fleet, want 0", size, refused)
+		}
 	}
 }

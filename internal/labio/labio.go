@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 
 	"pooleddata/internal/graph"
@@ -94,8 +96,12 @@ func ReadDesign(r io.Reader) (*graph.Bipartite, error) {
 	if _, err := cr.Read(); err != nil { // column header
 		return nil, fmt.Errorf("labio: read column header: %w", err)
 	}
-	ents := make([][]int32, m)
-	muls := make([][]int32, m)
+	// Rows go into one flat array that grows with the body, never with
+	// the header's m, each packed as query<<32 | entry<<8 | multiplicity
+	// (n, m <= 2^24 and multiplicities fit a byte), so sorting the keys
+	// sorts the rows by (query, entry).
+	cr.ReuseRecord = true
+	var rows []uint64
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -122,36 +128,38 @@ func ReadDesign(r io.Reader) (*graph.Bipartite, error) {
 		if mu < 1 || mu > graph.MaxMultiplicity {
 			return nil, fmt.Errorf("labio: query %d entry %d has multiplicity %d outside [1,%d]", j, e, mu, graph.MaxMultiplicity)
 		}
-		ents[j] = append(ents[j], int32(e))
-		muls[j] = append(muls[j], int32(mu))
+		rows = append(rows, uint64(j)<<32|uint64(e)<<8|uint64(mu))
 	}
-	// Rows must be strictly increasing per query, so sort pairs (files
-	// written by WriteDesign already are).
-	for j := 0; j < m; j++ {
-		sortPairs(ents[j], muls[j])
-		for i := 1; i < len(ents[j]); i++ {
-			if ents[j][i] == ents[j][i-1] {
-				return nil, fmt.Errorf("labio: duplicate entry %d in query %d (use multiplicity)", ents[j][i], j)
-			}
+	// Rows must be strictly increasing per query: one O(N log N) sort
+	// (files written by WriteDesign are already in order), then a repeat
+	// of (query, entry) is a neighbour.
+	slices.Sort(rows)
+	ents := make([]int32, len(rows))
+	muls := make([]int32, len(rows))
+	for p, r := range rows {
+		if p > 0 && r>>8 == rows[p-1]>>8 {
+			return nil, fmt.Errorf("labio: duplicate entry %d in query %d (use multiplicity)", r>>8&0xFFFFFF, r>>32)
 		}
+		ents[p], muls[p] = int32(r>>8&0xFFFFFF), int32(r&0xFF)
 	}
 	return graph.FromQueryRows(n, m, runtime.GOMAXPROCS(0), func() graph.RowFunc {
-		return func(j int) ([]int32, []int32, error) { return ents[j], muls[j], nil }
-	})
-}
-
-// sortPairs sorts the parallel slices by entry (insertion sort: rows per
-// query arrive almost sorted from well-formed files).
-func sortPairs(ents, muls []int32) {
-	for i := 1; i < len(ents); i++ {
-		e, mu := ents[i], muls[i]
-		j := i - 1
-		for j >= 0 && ents[j] > e {
-			ents[j+1], muls[j+1] = ents[j], muls[j]
-			j--
+		// A worker asks for its queries in increasing order, so query j's
+		// rows start where query j-1's ended; any other query is found by
+		// binary search.
+		next, last := 0, -2
+		return func(j int) ([]int32, []int32, error) {
+			lo := next
+			if j != last+1 {
+				lo = sort.Search(len(rows), func(p int) bool { return rows[p]>>32 >= uint64(j) })
+			}
+			hi := lo
+			for hi < len(rows) && rows[hi]>>32 == uint64(j) {
+				hi++
+			}
+			next, last = hi, j
+			return ents[lo:hi], muls[lo:hi], nil
 		}
-		ents[j+1], muls[j+1] = e, mu
-	}
+	})
 }
 
 // WriteCounts emits measurement results, one row per query.

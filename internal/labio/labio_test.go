@@ -2,13 +2,16 @@ package labio
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"pooleddata/internal/bitvec"
+	"pooleddata/internal/engine"
 	"pooleddata/internal/graph"
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
@@ -183,6 +186,70 @@ func TestReadDesignLimits(t *testing.T) {
 	} {
 		if _, err := ReadDesign(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%q: error %v, want one containing %q", in, err, want)
+		}
+	}
+}
+
+// TestReadDesignAllocatesFromRows: the header's m sizes nothing of the
+// parser's own. A header-only body claiming 2^20 queries allocates at
+// most 1.1 × what graph.FromQueryRows allocates for the same empty
+// design, plus 64 KB.
+func TestReadDesignAllocatesFromRows(t *testing.T) {
+	const n, m = 4, 1 << 20
+	allocated := func(f func() (*graph.Bipartite, error)) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := f()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	graphOnly := allocated(func() (*graph.Bipartite, error) {
+		return graph.FromQueryRows(n, m, runtime.GOMAXPROCS(0), func() graph.RowFunc {
+			return func(int) ([]int32, []int32, error) { return nil, nil, nil }
+		})
+	})
+	body := fmt.Sprintf("pooled-design,v1,%d,%d\nquery,entry,multiplicity\n", n, m)
+	parsed := allocated(func() (*graph.Bipartite, error) { return ReadDesign(strings.NewReader(body)) })
+	limit := uint64(1.1*float64(graphOnly)) + 64<<10
+	t.Logf("header-only body claiming m=%d: parse allocated %d bytes, the empty graph %d", m, parsed, graphOnly)
+	if parsed > limit {
+		t.Fatalf("header-only body claiming m=%d allocated %d bytes, limit %d (the empty graph alone: %d)", m, parsed, limit, graphOnly)
+	}
+}
+
+// TestReadDesignDescendingRows: a file listing its rows in descending
+// order, entries within each query included, parses to the same graph
+// as the file WriteDesign wrote.
+func TestReadDesignDescendingRows(t *testing.T) {
+	for _, tc := range []struct {
+		design pooling.Design
+		n, m   int
+	}{
+		{pooling.RandomRegular{}, 400, 30},
+		{pooling.RandomRegular{Gamma: 2000}, 4000, 1}, // one query, 2000 rows
+	} {
+		g, err := tc.design.Build(tc.n, tc.m, pooling.BuildOptions{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteDesign(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(buf.String(), "\n")
+		head, rows := lines[:2], lines[2:len(lines)-1] // the split leaves a trailing ""
+		slices.Reverse(rows)
+		desc, err := ReadDesign(strings.NewReader(strings.Join(append(head, rows...), "")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engine.GraphKey(desc) != engine.GraphKey(g) {
+			t.Fatalf("%s n=%d m=%d: descending rows parsed to another graph", tc.design.Name(), tc.n, tc.m)
 		}
 	}
 }

@@ -15,11 +15,12 @@ import (
 )
 
 // BenchmarkRemoteShardDecode prices the federation hop: one decode
-// through a worker over httptest loopback (JSON + HTTP + the client
-// queue) against the same decode on a local shard, plus the coalesced
-// variant — a burst of 32 jobs shipped as binary batch frames — whose
-// per-job cost is the wire overhead after amortization. Allocations are
-// reported so the pooled serialize buffers stay visible in allocs/op.
+// through a worker over httptest loopback (a one-job frame + HTTP + the
+// client queue) against the same decode on a local shard, plus the
+// coalesced variants — bursts of 32 and 64 jobs, where the jobs queued
+// behind an in-flight frame share the next — whose per-job cost is the
+// wire overhead after amortization. Allocations are reported so the
+// pooled serialize buffers stay visible in allocs/op.
 func BenchmarkRemoteShardDecode(b *testing.B) {
 	const n, m, k = 2000, 800, 10
 	sigma := bitvec.Random(n, k, rng.NewRandSeeded(5))
@@ -105,7 +106,8 @@ func BenchmarkRemoteShardDecode(b *testing.B) {
 			o := fastOptions(ts.Listener.Addr().String())
 			o.QueueDepth = burst * 2
 			o.MaxBatch = burst
-			// One sender, so the whole burst coalesces into one frame.
+			// One sender, so the jobs queued behind its in-flight frame
+			// ride the next one together.
 			o.Senders = 1
 			sh := New(o)
 			defer sh.Close()

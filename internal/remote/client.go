@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,11 +34,6 @@ import (
 // keep working unchanged.
 var ErrWorkerUnavailable = fmt.Errorf("remote: worker unavailable: %w", engine.ErrShardUnavailable)
 
-// saturationWindow is how long a worker 429 keeps the client-side
-// Saturated signal raised, so admission checks fail fast instead of
-// re-probing a queue known to be full.
-const saturationWindow = 250 * time.Millisecond
-
 // statsTTL bounds how often Stats() refetches from the worker.
 const statsTTL = 500 * time.Millisecond
 
@@ -52,7 +46,8 @@ type Options struct {
 	// signal). 0 means 32.
 	QueueDepth int
 	// Senders is the number of concurrent request goroutines (sharing
-	// one connection-reusing http.Client). 0 means 4.
+	// one connection-reusing http.Client), so at most this many frames
+	// are in flight. 0 means 4.
 	Senders int
 	// RequestTimeout is the per-request deadline of decode and install
 	// calls. 0 means 60s.
@@ -62,14 +57,9 @@ type Options struct {
 	// Retries is how many times a failed request is retried before the
 	// job settles with an error. 0 means 2; negative means none.
 	Retries int
-	// CoalesceWindow is how long a sender waits after picking up a job
-	// to gather queue-mates into one binary batched request — the window
-	// that turns a campaign's fan-out into a handful of frames instead
-	// of hundreds of per-job round trips. 0 means 1ms; negative disables
-	// coalescing (every job rides its own JSON request).
-	CoalesceWindow time.Duration
-	// MaxBatch bounds the jobs coalesced into one batched request.
-	// 0 means 64; the frame format itself caps batches at 1024.
+	// MaxBatch bounds the jobs a sender ships in one frame: the job it
+	// picked up plus those already queued behind it. 0 means 64; the
+	// frame format itself caps frames at 1024 jobs.
 	MaxBatch int
 	// RetryBackoff is the base delay between retries (grows linearly
 	// with the attempt). 0 means 50ms.
@@ -91,7 +81,7 @@ type Options struct {
 	OnRejoin func()
 	// Metrics, when set, receives the client's transport metrics:
 	// per-stage request timers (serialize/network/worker-queue/
-	// worker-decode), retries, mirrored 429s, and probe-state
+	// worker-decode), jobs per frame, retries, and probe-state
 	// transitions, all labeled by worker addr. Nil records nothing.
 	Metrics *metrics.Registry
 	// Logger receives structured transport logs (health transitions,
@@ -145,16 +135,6 @@ func (o Options) retries() int {
 		return 0
 	}
 	return o.Retries
-}
-
-func (o Options) coalesceWindow() time.Duration {
-	if o.CoalesceWindow == 0 {
-		return time.Millisecond
-	}
-	if o.CoalesceWindow < 0 {
-		return 0
-	}
-	return o.CoalesceWindow
 }
 
 func (o Options) maxBatch() int {
@@ -237,9 +217,8 @@ type Shard struct {
 	mu     sync.RWMutex // guards closed vs. in-flight submit sends
 	closed bool
 
-	healthy        atomic.Bool
-	saturatedUntil atomic.Int64 // unix nanos
-	gauges         atomic.Pointer[healthResponse]
+	healthy atomic.Bool
+	gauges  atomic.Pointer[healthResponse]
 
 	statsMu   sync.Mutex
 	statsAt   time.Time
@@ -262,14 +241,8 @@ type Shard struct {
 	stop      chan struct{}
 	probeDone chan struct{}
 
-	// batchUnsupported latches true the first time the worker proves it
-	// does not speak the binary batch protocol (404/415 from the batch
-	// route, or a 200 whose body is not a batch frame); all later jobs
-	// skip straight to the per-job JSON path.
-	batchUnsupported atomic.Bool
-
-	// bufPool recycles request-body buffers — JSON bodies and binary
-	// frames alike — so steady-state decodes stop allocating per job.
+	// bufPool recycles request-frame buffers, so steady-state decodes
+	// stop allocating per frame.
 	bufPool sync.Pool
 
 	// Transport observability: per-stage request timers and transport
@@ -277,7 +250,6 @@ type Shard struct {
 	log          *slog.Logger
 	mStage       *metrics.HistogramVec
 	mRetries     *metrics.Counter
-	mSaturated   *metrics.Counter
 	mTransitions *metrics.CounterVec
 	mHealthy     *metrics.Gauge
 	mBatchJobs   *metrics.Histogram
@@ -316,14 +288,12 @@ func New(opts Options) *Shard {
 		nil, "addr", "stage")
 	s.mRetries = reg.Counter("pooled_remote_retries_total",
 		"Decode attempts retried after a transport or worker failure.", "addr").With(opts.Addr)
-	s.mSaturated = reg.Counter("pooled_remote_saturated_total",
-		"Worker 429 responses mirrored into client-side backpressure.", "addr").With(opts.Addr)
 	s.mTransitions = reg.Counter("pooled_remote_worker_health_transitions_total",
 		"Probe-state flips, labeled by the state transitioned to.", "addr", "to")
 	s.mHealthy = reg.Gauge("pooled_remote_worker_healthy",
 		"1 while the worker's probe state is healthy.", "addr").With(opts.Addr)
 	s.mBatchJobs = reg.Histogram("pooled_remote_batch_jobs",
-		"Jobs coalesced into each binary batched decode request.",
+		"Jobs carried by each binary decode frame.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}, "addr").With(opts.Addr)
 	s.healthy.Store(true)
 	s.mHealthy.Set(1)
@@ -538,9 +508,8 @@ func (s *Shard) Submit(ctx context.Context, job engine.Job) (*engine.Future, err
 	return s.submit(ctx, job, modeBlock)
 }
 
-// TrySubmit is Submit with admission control: a full client queue (or a
-// worker that just answered 429) returns ErrSaturated and counts the
-// rejection.
+// TrySubmit is Submit with admission control: a full client queue
+// returns ErrSaturated and counts the rejection.
 func (s *Shard) TrySubmit(ctx context.Context, job engine.Job) (*engine.Future, error) {
 	return s.submit(ctx, job, modeTry)
 }
@@ -562,12 +531,6 @@ func (s *Shard) submit(ctx context.Context, job engine.Job, mode submitMode) (*e
 	// timeout: the dispatcher settles them and campaigns terminate.
 	if !s.healthy.Load() {
 		return nil, s.unavailableErr(nil)
-	}
-	if mode != modeBlock && s.saturatedNow() {
-		if mode == modeTry {
-			s.jobsRejected.Add(1)
-		}
-		return nil, engine.ErrSaturated
 	}
 	fut, settle := engine.NewFuture(job)
 	t := &task{job: job, ctx: ctx, fut: fut, settle: settle, enqueued: time.Now()}
@@ -598,23 +561,14 @@ func (s *Shard) submit(ctx context.Context, job engine.Job, mode submitMode) (*e
 	}
 }
 
-// Saturated reports client-queue fullness, a recent worker 429, or an
-// unhealthy worker — the batch admission signal the frontend turns into
-// 429 + Retry-After.
+// Saturated reports client-queue fullness or an unhealthy worker — the
+// batch admission signal the frontend turns into 429 + Retry-After.
 func (s *Shard) Saturated() bool {
-	return len(s.jobs) == cap(s.jobs) || s.saturatedNow() || !s.healthy.Load()
+	return len(s.jobs) == cap(s.jobs) || !s.healthy.Load()
 }
 
 // NoteRejected records admission rejections decided by a caller.
 func (s *Shard) NoteRejected(n int) { s.jobsRejected.Add(uint64(n)) }
-
-func (s *Shard) saturatedNow() bool {
-	return s.saturatedUntil.Load() > time.Now().UnixNano()
-}
-
-func (s *Shard) markSaturated() {
-	s.saturatedUntil.Store(time.Now().Add(saturationWindow).UnixNano())
-}
 
 // QueueDepth combines jobs waiting client-side with the worker's last
 // reported queue depth.
@@ -687,82 +641,35 @@ func (s *Shard) unavailableErr(cause error) error {
 	return fmt.Errorf("%w: %s", ErrWorkerUnavailable, s.opts.Addr)
 }
 
-// sender drains the client queue until Close. With coalescing enabled,
-// a sender that picks up a job lingers briefly for queue-mates and
-// ships the group as one binary batched request; lone jobs keep riding
-// the per-job JSON path.
+// sender drains the client queue until Close, shipping each pickup and
+// the jobs already queued behind it as one frame.
 func (s *Shard) sender() {
 	defer s.wg.Done()
 	for t := range s.jobs {
-		if s.opts.coalesceWindow() <= 0 || s.batchUnsupported.Load() {
-			s.process(t)
-			continue
-		}
-		batch := s.gather(t)
-		if len(batch) == 1 {
-			s.process(batch[0])
-			continue
-		}
-		s.processBatch(batch)
+		s.process(s.gather(t))
 	}
 }
 
-// gather collects queue-mates behind first for up to the coalescing
-// window (or until the batch bound) — the knob that turns a campaign's
-// burst of submits into a handful of frames. A multi-job batch ships
-// the moment the queue runs dry: the window only buys time for a mate
-// when the pickup was a singleton, so batch-heavy workloads never pay
-// the window as idle latency.
+// gather takes the jobs already queued behind first, up to MaxBatch. It
+// never waits for more: a lone job ships at once, and jobs that queue
+// while the senders' frames are in flight ride the next frames together.
 func (s *Shard) gather(first *task) []*task {
 	batch := []*task{first}
-	limit := s.opts.maxBatch()
-	window := s.opts.coalesceWindow()
-	// Straggler grace: once the batch has mates, a dry queue only stays
-	// open this long per arrival — enough to bridge a dispatcher's
-	// back-to-back submits, short enough that a formed batch never
-	// idles a full window.
-	grace := window / 8
-	if grace < 50*time.Microsecond {
-		grace = 50 * time.Microsecond
-	}
-	deadline := time.NewTimer(window)
-	defer deadline.Stop()
-	for len(batch) < limit {
+	for len(batch) < s.opts.maxBatch() {
 		select {
 		case t, ok := <-s.jobs:
 			if !ok {
 				return batch
 			}
 			batch = append(batch, t)
-			continue
 		default:
-		}
-		wait := deadline.C
-		var straggler *time.Timer
-		if len(batch) > 1 {
-			straggler = time.NewTimer(grace)
-			wait = straggler.C
-		}
-		select {
-		case t, ok := <-s.jobs:
-			if straggler != nil {
-				straggler.Stop()
-			}
-			if !ok {
-				return batch
-			}
-			batch = append(batch, t)
-		case <-wait:
-			if straggler != nil {
-				straggler.Stop()
-			}
 			return batch
 		}
 	}
 	return batch
 }
 
-// getBuf leases a request-body buffer from the pool.
+// getBuf leases a request-frame buffer from the pool.
 func (s *Shard) getBuf() *bytes.Buffer {
 	b := s.bufPool.Get().(*bytes.Buffer)
 	b.Reset()
@@ -771,32 +678,48 @@ func (s *Shard) getBuf() *bytes.Buffer {
 
 func (s *Shard) putBuf(b *bytes.Buffer) { s.bufPool.Put(b) }
 
-// fallback reroutes batch members through the per-job JSON path, which
-// owns retry, health, and settlement semantics. Decodes are
-// deterministic and idempotent on the worker, so re-running a job whose
-// batched fate is unknown is safe.
-func (s *Shard) fallback(tasks []*task) {
+// process ships a batch to the worker, one frame per attempt, with
+// bounded retry-then-fail semantics: OK and terminal results settle at
+// once, and transient ones ride the next attempt's frame together after
+// a backoff. A job whose context ends settles as canceled without
+// failing its frame-mates. Jobs still pending when the retry budget runs
+// out settle with ErrWorkerUnavailable, and the worker is marked
+// unhealthy only if the last attempt got no answer.
+func (s *Shard) process(batch []*task) {
+	attempts := s.opts.retries() + 1
+	pending := batch
+	var lastErr error
+	answered := false
+	for attempt := 0; attempt < attempts; attempt++ {
+		if pending = s.settleCanceled(pending); len(pending) == 0 {
+			return
+		}
+		ctx, release := frameContext(pending)
+		if attempt > 0 {
+			s.mRetries.Add(float64(len(pending)))
+			if !sleepCtx(ctx, s.opts.retryBackoff()*time.Duration(attempt)) {
+				release() // every job is canceled; the next pass settles them
+				continue
+			}
+		}
+		pending, lastErr, answered = s.send(ctx, pending)
+		release()
+	}
+	if pending = s.settleCanceled(pending); len(pending) == 0 {
+		return
+	}
+	if !answered {
+		s.setHealthy(false, "retry budget exhausted: "+errString(lastErr))
+		s.log.Warn("decode retry budget exhausted", "jobs", len(pending), "attempts", attempts, "err", lastErr)
+	}
+	s.fail(pending, s.unavailableErr(lastErr))
+}
+
+// settleCanceled settles the tasks whose context has ended and returns
+// the rest.
+func (s *Shard) settleCanceled(tasks []*task) []*task {
+	live := tasks[:0]
 	for _, t := range tasks {
-		s.process(t)
-	}
-}
-
-// noteBatchUnsupported latches the per-job path for this client's
-// lifetime and logs the downgrade once.
-func (s *Shard) noteBatchUnsupported(status int) {
-	if s.batchUnsupported.CompareAndSwap(false, true) {
-		s.log.Info("worker lacks the binary batch endpoint; using per-job requests", "status", status)
-	}
-}
-
-// processBatch ships a coalesced batch over the binary protocol. Any
-// batch-level abnormality — a worker without the endpoint, a transport
-// failure, an unparseable reply — falls back to the per-job JSON path,
-// and per-job non-OK statuses degrade the same way; only statuses the
-// JSON path treats as terminal settle here.
-func (s *Shard) processBatch(batch []*task) {
-	live := batch[:0]
-	for _, t := range batch {
 		if err := t.ctx.Err(); err != nil {
 			s.jobsCanceled.Add(1)
 			t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, err)
@@ -804,43 +727,72 @@ func (s *Shard) processBatch(batch []*task) {
 		}
 		live = append(live, t)
 	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		s.process(live[0])
-		return
-	}
+	return live
+}
 
-	// Install every distinct scheme once; a failure routes the whole
-	// batch to the per-job path, which owns install retries. Batch-mates
-	// with live contexts still want the result, so the install (like the
-	// batched request below) is not tied to any one job's context.
-	states := make([]*schemeState, len(live))
-	ensured := make(map[*schemeState]bool, 1)
-	for i, t := range live {
+// fail settles tasks with an error.
+func (s *Shard) fail(tasks []*task, err error) {
+	for _, t := range tasks {
+		s.jobsFailed.Add(1)
+		t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, err)
+	}
+}
+
+// frameContext returns a context that ends once every task's context has
+// ended, so a frame is abandoned only when no job in it still wants the
+// answer. release frees the context.
+func frameContext(tasks []*task) (ctx context.Context, release func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var live atomic.Int64
+	live.Store(int64(len(tasks)))
+	stops := make([]func() bool, len(tasks))
+	for i, t := range tasks {
+		stops[i] = context.AfterFunc(t.ctx, func() {
+			if live.Add(-1) == 0 {
+				cancel()
+			}
+		})
+	}
+	return ctx, func() {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
+	}
+}
+
+// send ships one frame of tasks and settles every OK and terminal
+// result. It returns the tasks to retry, the error that holds them back,
+// and whether the worker answered.
+func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr error, answered bool) {
+	// Install every distinct scheme once. A job whose scheme does not
+	// install waits for the next attempt; its frame-mates ship.
+	ready := make([]*task, 0, len(tasks))
+	states := make([]*schemeState, 0, len(tasks))
+	installs := make(map[*schemeState]error, 1)
+	for _, t := range tasks {
 		st := s.stateFor(t.job.Scheme)
-		states[i] = st
-		if ensured[st] {
+		err, done := installs[st]
+		if !done {
+			err = s.ensure(ctx, st)
+			installs[st] = err
+		}
+		if err != nil {
+			retry, lastErr = append(retry, t), err
 			continue
 		}
-		if err := s.ensure(context.Background(), st); err != nil {
-			s.fallback(live)
-			return
-		}
-		ensured[st] = true
+		ready = append(ready, t)
+		states = append(states, st)
 	}
-
-	clientWait := make([]time.Duration, len(live))
-	for i, t := range live {
-		clientWait[i] = time.Since(t.enqueued)
+	if len(ready) == 0 {
+		return retry, lastErr, false
 	}
 
 	buf := s.getBuf()
 	defer s.putBuf(buf)
 	serializeStart := time.Now()
-	jobs := make([]batchJob, len(live))
-	for i, t := range live {
+	jobs := make([]batchJob, len(ready))
+	for i, t := range ready {
 		jobs[i] = batchJob{
 			Scheme: states[i].id,
 			Noise:  t.job.Noise.Canon().String(),
@@ -853,118 +805,96 @@ func (s *Shard) processBatch(batch []*task) {
 		}
 	}
 	buf.Write(appendBatchRequest(buf.AvailableBuffer(), jobs))
-	serialize := time.Since(serializeStart)
-	s.mBatchJobs.Observe(float64(len(live)))
+	// The marshal cost is shared evenly by the frame's jobs.
+	serialize := time.Since(serializeStart) / time.Duration(len(ready))
+	s.mBatchJobs.Observe(float64(len(ready)))
 
 	reqStart := time.Now()
-	rep, err := s.postBatch(buf.Bytes())
+	rep, err := s.postBatch(ctx, buf.Bytes(), len(ready))
 	if err != nil {
-		s.fallback(live)
-		return
+		return append(retry, ready...), err, false
 	}
-	switch rep.status {
-	case http.StatusOK:
-		// Handled below.
-	case http.StatusNotFound, http.StatusMethodNotAllowed,
-		http.StatusUnsupportedMediaType, http.StatusNotAcceptable:
-		s.noteBatchUnsupported(rep.status)
-		s.fallback(live)
-		return
-	case http.StatusTooManyRequests:
-		s.markSaturated()
-		s.mSaturated.Inc()
-		s.fallback(live)
-		return
-	default:
-		s.fallback(live)
-		return
+	s.setHealthy(true, "decode request answered")
+	if rep.results == nil {
+		err := fmt.Errorf("remote: worker %s: status %d: %s", s.opts.Addr, rep.status, rep.reason)
+		if rep.status >= 400 && rep.status < 500 && rep.status != http.StatusTooManyRequests {
+			// A refused frame (a worker without the route, or a version
+			// skew answering 400 or 415) fails loudly: no retry can change
+			// the answer.
+			s.fail(ready, err)
+			return retry, lastErr, true
+		}
+		return append(retry, ready...), err, true
 	}
-	if !rep.isBatch {
-		// A 200 whose body is not a batch frame is a foreign endpoint
-		// answering generically — same as not having the endpoint.
-		s.noteBatchUnsupported(rep.status)
-		s.fallback(live)
-		return
-	}
-	if len(rep.results) != len(live) {
-		s.fallback(live)
-		return
-	}
-
-	s.setHealthy(true, "batched decode succeeded")
-	// Stage accounting is per job even on the coalesced path, so every
-	// stage's observation count equals the job count no matter how jobs
-	// were packed into frames. The marshal cost is shared evenly; a
-	// job's network stage is the round trip minus its own worker time —
-	// the same "time not accounted for by the worker" the per-job JSON
-	// path computes from the handle-time header.
-	serShare := serialize / time.Duration(len(live))
-
 	for i := range rep.results {
-		r := &rep.results[i]
-		t := live[i]
+		r, t := &rep.results[i], ready[i]
 		switch r.Status {
 		case batchOK:
-			network := rep.roundTrip - time.Duration(r.QueueNS+r.DecodeNS)
-			if network < 0 {
-				network = 0
-			}
-			s.mStage.With(s.opts.Addr, "serialize").ObserveDuration(serShare)
-			s.mStage.With(s.opts.Addr, "network").ObserveDuration(network)
-			s.mStage.With(s.opts.Addr, "worker_queue").ObserveDuration(time.Duration(r.QueueNS))
-			s.mStage.With(s.opts.Addr, "worker_decode").ObserveDuration(time.Duration(r.DecodeNS))
-			s.mStage.With(s.opts.Addr, "total").ObserveDuration(serShare + rep.roundTrip)
-			t.job.Trace.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait[i])
-			addWireSpans(t.job.Trace, serializeStart, serShare, reqStart, rep.roundTrip, network, r.QueueNS, r.DecodeNS)
-			t.settle(engine.Result{
-				Support: r.Support,
-				Decoder: r.Decoder,
-				Stats: engine.JobStats{
-					QueueWait:  clientWait[i] + time.Duration(r.QueueNS),
-					DecodeTime: time.Duration(r.DecodeNS),
-					Residual:   r.Residual,
-					Consistent: r.Consistent,
-				},
-			}, nil)
-		case batchNotFound:
-			// The worker lost the scheme between ensure and decode; the
-			// per-job path re-installs and retries.
-			states[i].unensure()
-			s.process(t)
-		case batchSaturated:
-			s.markSaturated()
-			s.mSaturated.Inc()
-			s.process(t)
+			s.settleOK(t, r, serializeStart, serialize, reqStart, rep.roundTrip)
 		case batchDecodeErr, batchBadRequest:
-			// Deterministic failures are terminal, matching the JSON
-			// path's 422/400 handling.
-			s.jobsFailed.Add(1)
-			t.settle(engine.Result{Stats: engine.JobStats{QueueWait: clientWait[i]}},
-				fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err))
-		default: // batchUnavailable: transient, retry per job
-			s.process(t)
+			// A decode or validation failure is deterministic: terminal.
+			s.fail([]*task{t}, fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err))
+		case batchNotFound:
+			// The worker restarted or evicted the scheme: re-install and
+			// retry.
+			states[i].unensure()
+			fallthrough
+		default: // unavailable, or saturated from an older worker
+			retry, lastErr = append(retry, t), fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err)
 		}
 	}
+	return retry, lastErr, true
 }
 
-// batchReply is one batched round trip's outcome.
+// settleOK settles one job's OK result and records its stages, once per
+// job however jobs were packed into frames: serialize is the job's share
+// of the frame's marshal, network the round trip minus the job's own
+// worker queue and decode time (no clock sync needed), and the trace
+// gets the matching wire spans.
+func (s *Shard) settleOK(t *task, r *batchResult, serializeStart time.Time, serialize time.Duration, reqStart time.Time, roundTrip time.Duration) {
+	clientWait := serializeStart.Sub(t.enqueued)
+	queue, decode := time.Duration(r.QueueNS), time.Duration(r.DecodeNS)
+	network := max(roundTrip-queue-decode, 0)
+	s.mStage.With(s.opts.Addr, "serialize").ObserveDuration(serialize)
+	s.mStage.With(s.opts.Addr, "network").ObserveDuration(network)
+	s.mStage.With(s.opts.Addr, "worker_queue").ObserveDuration(queue)
+	s.mStage.With(s.opts.Addr, "worker_decode").ObserveDuration(decode)
+	s.mStage.With(s.opts.Addr, "total").ObserveDuration(serialize + roundTrip)
+	t.job.Trace.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait)
+	addWireSpans(t.job.Trace, serializeStart, serialize, reqStart, roundTrip, network, r.QueueNS, r.DecodeNS)
+	support := r.Support
+	if support == nil {
+		// A frame carries an empty support as none at all; results keep
+		// the engine's empty, non-nil slice.
+		support = []int{}
+	}
+	t.settle(engine.Result{
+		Support: support,
+		Decoder: r.Decoder,
+		Stats: engine.JobStats{
+			QueueWait:  clientWait + queue,
+			DecodeTime: decode,
+			Residual:   r.Residual,
+			Consistent: r.Consistent,
+		},
+	}, nil)
+}
+
+// batchReply is one frame's round trip: the HTTP status, the parsed
+// results (a 200 carrying a response frame with one result per job) or
+// the reason there are none, and the round trip the stage split divides.
 type batchReply struct {
 	status    int
-	isBatch   bool
 	results   []batchResult
+	reason    string
 	roundTrip time.Duration
-	handleNS  int64
 }
 
-// postBatch runs one batched decode request. err is transport-level (or
-// an unparseable 200 batch body); HTTP-level failures come back in
-// status, and a 200 with a non-batch body comes back with isBatch
-// false.
-func (s *Shard) postBatch(payload []byte) (batchReply, error) {
-	// Batch-mates' contexts are independent; the request deadline alone
-	// bounds the round trip so one job's cancellation can't fail the
-	// rest.
-	rctx, cancel := context.WithTimeout(context.Background(), s.opts.requestTimeout())
+// postBatch runs one decode-batch request for a frame of jobs. err is
+// transport-level only; an answer that is not a usable response frame
+// comes back with results nil and its reason.
+func (s *Shard) postBatch(ctx context.Context, payload []byte, jobs int) (batchReply, error) {
+	rctx, cancel := context.WithTimeout(ctx, s.opts.requestTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, s.base+decodeBatchPath, bytes.NewReader(payload))
 	if err != nil {
@@ -979,140 +909,34 @@ func (s *Shard) postBatch(payload []byte) (batchReply, error) {
 	}
 	defer drainClose(resp.Body)
 	rep := batchReply{status: resp.StatusCode}
-	rep.handleNS, _ = strconv.ParseInt(resp.Header.Get(handleTimeHeader), 10, 64)
 	if resp.StatusCode != http.StatusOK {
+		var eb errorBody
+		if derr := json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&eb); derr != nil || eb.Error == "" {
+			eb.Error = http.StatusText(resp.StatusCode)
+		}
+		rep.reason = eb.Error
 		return rep, nil
 	}
-	mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if mt != batchMediaType {
+	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != batchMediaType {
+		rep.reason = fmt.Sprintf("reply of type %q is not a response frame", mt)
 		return rep, nil
 	}
-	body, rerr := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	// The body read is part of the round trip the stage split divides.
 	rep.roundTrip = time.Since(start)
-	if rerr != nil {
-		return batchReply{}, rerr
-	}
-	if rep.results, err = parseBatchResponse(body); err != nil {
+	if err != nil {
 		return batchReply{}, err
 	}
-	rep.isBatch = true
+	results, err := parseBatchResponse(body)
+	switch {
+	case err != nil:
+		rep.reason = err.Error()
+	case len(results) != jobs:
+		rep.reason = fmt.Sprintf("response frame has %d results for %d jobs", len(results), jobs)
+	default:
+		rep.results = results
+	}
 	return rep, nil
-}
-
-// process ships one job to the worker with bounded
-// retry-then-fail-the-job semantics.
-func (s *Shard) process(t *task) {
-	clientWait := time.Since(t.enqueued)
-	stats := engine.JobStats{QueueWait: clientWait}
-	if err := t.ctx.Err(); err != nil {
-		s.jobsCanceled.Add(1)
-		t.settle(engine.Result{Stats: stats}, err)
-		return
-	}
-	st := s.stateFor(t.job.Scheme)
-	req := decodeRequest{
-		Scheme: st.id, K: t.job.K, Y: t.job.Y,
-		Noise: t.job.Noise.Canon().String(), Trace: t.job.TraceID,
-	}
-	if t.job.Dec != nil {
-		req.Decoder = t.job.Dec.Name()
-	}
-	buf := s.getBuf()
-	defer s.putBuf(buf)
-	serializeStart := time.Now()
-	err := json.NewEncoder(buf).Encode(req)
-	payload := buf.Bytes()
-	serialize := time.Since(serializeStart)
-	if err != nil {
-		s.jobsFailed.Add(1)
-		t.settle(engine.Result{Stats: stats}, fmt.Errorf("remote: marshal job: %w", err))
-		return
-	}
-	s.mStage.With(s.opts.Addr, "serialize").ObserveDuration(serialize)
-
-	attempts := s.opts.retries() + 1
-	var lastErr error
-	alive, saturated := false, false
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			s.mRetries.Inc()
-			if !s.sleepBackoff(t.ctx, attempt) {
-				s.jobsCanceled.Add(1)
-				t.settle(engine.Result{Stats: stats}, t.ctx.Err())
-				return
-			}
-		}
-		if err := s.ensure(t.ctx, st); err != nil {
-			if t.ctx.Err() != nil {
-				s.jobsCanceled.Add(1)
-				t.settle(engine.Result{Stats: stats}, t.ctx.Err())
-				return
-			}
-			lastErr, alive, saturated = err, false, false
-			continue
-		}
-		reqStart := time.Now()
-		rep, err := s.postDecode(t.ctx, payload)
-		if err != nil {
-			if t.ctx.Err() != nil {
-				s.jobsCanceled.Add(1)
-				t.settle(engine.Result{Stats: stats}, t.ctx.Err())
-				return
-			}
-			lastErr, alive, saturated = err, false, false
-			continue
-		}
-		alive = true
-		s.setHealthy(true, "decode request succeeded")
-		out := rep.out
-		switch rep.status {
-		case http.StatusOK:
-			network := s.observeStages(serialize, rep, out)
-			t.job.Trace.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait)
-			addWireSpans(t.job.Trace, serializeStart, serialize, reqStart, rep.roundTrip, network, out.QueueNS, out.DecodeNS)
-			t.settle(engine.Result{
-				Support: out.Support,
-				Decoder: out.Decoder,
-				Stats: engine.JobStats{
-					QueueWait:  clientWait + time.Duration(out.QueueNS),
-					DecodeTime: time.Duration(out.DecodeNS),
-					Residual:   out.Residual,
-					Consistent: out.Consistent,
-				},
-			}, nil)
-			return
-		case http.StatusNotFound:
-			// Worker restarted or evicted the scheme: re-install and retry.
-			st.unensure()
-			lastErr, saturated = fmt.Errorf("remote: worker %s: %s", s.opts.Addr, rep.errMsg), false
-		case http.StatusTooManyRequests:
-			s.markSaturated()
-			s.mSaturated.Inc()
-			lastErr = fmt.Errorf("remote: worker %s: %w", s.opts.Addr, engine.ErrSaturated)
-			saturated = true
-		case http.StatusUnprocessableEntity, http.StatusBadRequest:
-			// A decode (or validation) failure is terminal: retrying cannot
-			// change a deterministic answer.
-			s.jobsFailed.Add(1)
-			t.settle(engine.Result{Stats: stats}, fmt.Errorf("remote: worker %s: %s", s.opts.Addr, rep.errMsg))
-			return
-		default:
-			lastErr, saturated = fmt.Errorf("remote: worker %s: status %d: %s", s.opts.Addr, rep.status, rep.errMsg), false
-		}
-	}
-
-	s.jobsFailed.Add(1)
-	if saturated {
-		// The worker is alive but full past the retry budget; the error
-		// keeps ErrSaturated visible to errors.Is.
-		t.settle(engine.Result{Stats: stats}, fmt.Errorf("remote: worker %s: %w after %d attempts", s.opts.Addr, engine.ErrSaturated, attempts))
-		return
-	}
-	if !alive {
-		s.setHealthy(false, "retry budget exhausted: "+errString(lastErr))
-		s.log.Warn("decode retry budget exhausted", "trace_id", t.job.TraceID, "attempts", attempts, "err", lastErr)
-	}
-	t.settle(engine.Result{Stats: stats}, s.unavailableErr(lastErr))
 }
 
 func errString(err error) string {
@@ -1122,33 +946,13 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// observeStages splits one successful decode round trip into the
-// per-stage timers: serialize (local marshal), network (round trip
-// minus the worker's reported handling time), worker_queue and
-// worker_decode (from the response body), plus the whole-request total.
-// The split needs no clock sync — the handle time rides a response
-// header measured on the worker's clock alone. It returns the network
-// stage so the caller can reuse it for the trace spans.
-func (s *Shard) observeStages(serialize time.Duration, rep decodeReply, out decodeResponse) time.Duration {
-	network := rep.roundTrip - time.Duration(rep.handleNS)
-	if rep.handleNS <= 0 || network < 0 {
-		network = rep.roundTrip
-	}
-	s.mStage.With(s.opts.Addr, "network").ObserveDuration(network)
-	s.mStage.With(s.opts.Addr, "worker_queue").ObserveDuration(time.Duration(out.QueueNS))
-	s.mStage.With(s.opts.Addr, "worker_decode").ObserveDuration(time.Duration(out.DecodeNS))
-	s.mStage.With(s.opts.Addr, "total").ObserveDuration(serialize + rep.roundTrip)
-	return network
-}
-
 // addWireSpans appends one job's wire-stage span subtree to its trace:
 // a "wire" parent covering marshal + round trip, with serialize and
 // network children measured on this side of the hop, and worker_queue /
 // worker_decode children synthesized from the durations the worker
-// reported back (QueueNS/DecodeNS on the wire, the Pooled-Handle-Ns
-// accounting family). The worker spans are laid at the tail of the
-// request window, so the tree nests sensibly without any cross-machine
-// clock sync. Nil-safe via the builder.
+// reported back in the job's result. The worker spans are laid at the
+// tail of the request window, so the tree nests sensibly without any
+// cross-machine clock sync. Nil-safe via the builder.
 func addWireSpans(tb *trace.Builder, serializeStart time.Time, serialize time.Duration, reqStart time.Time, roundTrip, network time.Duration, queueNS, decodeNS int64) {
 	if tb == nil {
 		return
@@ -1166,8 +970,10 @@ func addWireSpans(tb *trace.Builder, serializeStart time.Time, serialize time.Du
 	tb.Span("worker_decode", trace.TierWorker, wire, workerStart.Add(time.Duration(queueNS)), time.Duration(decodeNS))
 }
 
-func (s *Shard) sleepBackoff(ctx context.Context, attempt int) bool {
-	timer := time.NewTimer(s.opts.retryBackoff() * time.Duration(attempt))
+// sleepCtx waits d, or less if ctx ends first; it reports whether the
+// full wait elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-timer.C:
@@ -1209,52 +1015,6 @@ func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 	}
 	st.ensured = true
 	return nil
-}
-
-// decodeReply is one decode round trip's outcome: HTTP status, parsed
-// body (200 only), error message (non-200), plus the client-measured
-// round-trip time and the worker-reported handle time for the
-// network/worker stage split.
-type decodeReply struct {
-	status    int
-	out       decodeResponse
-	errMsg    string
-	roundTrip time.Duration
-	handleNS  int64
-}
-
-// postDecode runs one decode request. err is transport-level only;
-// HTTP-level failures come back in the reply's (status, errMsg).
-func (s *Shard) postDecode(ctx context.Context, payload []byte) (decodeReply, error) {
-	rctx, cancel := context.WithTimeout(ctx, s.opts.requestTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, s.base+decodePath, bytes.NewReader(payload))
-	if err != nil {
-		return decodeReply{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	start := time.Now()
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return decodeReply{}, err
-	}
-	defer drainClose(resp.Body)
-	rep := decodeReply{status: resp.StatusCode, roundTrip: time.Since(start)}
-	rep.handleNS, _ = strconv.ParseInt(resp.Header.Get(handleTimeHeader), 10, 64)
-	if resp.StatusCode == http.StatusOK {
-		if derr := json.NewDecoder(resp.Body).Decode(&rep.out); derr != nil {
-			return decodeReply{}, fmt.Errorf("remote: parse response: %w", derr)
-		}
-		// The body read is part of the round trip the stage split divides.
-		rep.roundTrip = time.Since(start)
-		return rep, nil
-	}
-	var eb errorBody
-	if derr := json.NewDecoder(resp.Body).Decode(&eb); derr != nil || eb.Error == "" {
-		eb.Error = http.StatusText(resp.StatusCode)
-	}
-	rep.errMsg = eb.Error
-	return rep, nil
 }
 
 func (s *Shard) probeLoop() {

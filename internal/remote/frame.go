@@ -12,14 +12,14 @@ import (
 	"pooleddata/internal/graph"
 )
 
-// Binary shard framing. POST /shard/v1/decode-batch carries a coalesced
-// batch of decode jobs in one length-prefixed binary frame, and the
-// response carries one status-tagged result per job. PUT
-// /shard/v1/schemes/{id} carries one design as a delta-coded CSR frame.
-// Every frame is versioned by a leading magic+version triplet and uses
-// unsigned varints for every length and small integer, with y-vectors as
-// raw little-endian int64s — the frame layouts, negotiation, and
-// compatibility rules are specified in docs/shard-protocol.md.
+// Binary shard framing. POST /shard/v1/decode-batch carries one or more
+// decode jobs in one length-prefixed binary frame, and the response
+// carries one status-tagged result per job. PUT /shard/v1/schemes/{id}
+// carries one design as a delta-coded CSR frame. Every frame is versioned
+// by a leading magic+version triplet and uses unsigned varints for every
+// length and small integer, with y-vectors as raw little-endian int64s —
+// the frame layouts and compatibility rules are specified in
+// docs/shard-protocol.md.
 //
 // Every parse validates claimed lengths against the bytes actually
 // remaining before allocating, so truncated, oversized, or garbage
@@ -27,11 +27,6 @@ import (
 // or an attacker-sized make().
 
 const (
-	// decodeBatchPath is the batched sibling of decodePath. Workers that
-	// predate it answer 404 from their catch-all route, which the client
-	// treats as "speak JSON per job to this worker".
-	decodeBatchPath = "/shard/v1/decode-batch"
-
 	// batchMediaType names the framing in Content-Type/Accept; the frame
 	// itself carries the version byte.
 	batchMediaType = "application/x-pooled-batch"
@@ -60,8 +55,11 @@ const (
 	maxSupportLen  = 1 << 24
 )
 
-// batchJob is one decode job inside a request frame — the binary twin of
-// decodeRequest.
+// batchJob is one decode job inside a request frame. Noise travels in
+// the compact colon form ("gaussian:0.5:7") shared with the CSV decode
+// path; Decoder is an engine.DecoderByName name, empty for the noise
+// policy's server-side pick; Trace carries the frontend's per-job trace
+// id across the hop, so worker logs correlate with frontend logs.
 type batchJob struct {
 	Scheme  string
 	Noise   string
@@ -71,12 +69,13 @@ type batchJob struct {
 	Y       []int64
 }
 
-// Per-job response statuses. The mapping to the JSON endpoint's HTTP
-// statuses is one-to-one, so the client's per-status handling is shared.
+// Per-job response statuses. A worker that admits frames whole never
+// sends batchSaturated; it stays in the v1 grammar, and a client treats
+// it as transient like batchUnavailable.
 const (
 	batchOK          byte = 0 // result payload follows
 	batchNotFound    byte = 1 // unknown scheme: re-install and retry
-	batchSaturated   byte = 2 // queue full: ErrSaturated backpressure
+	batchSaturated   byte = 2 // queue full (older workers): retry
 	batchDecodeErr   byte = 3 // decode failed: terminal
 	batchBadRequest  byte = 4 // malformed job: terminal
 	batchUnavailable byte = 5 // transient worker-side failure: retry

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/engine"
@@ -97,7 +96,8 @@ func TestBatchFrameRejectsHostileLengths(t *testing.T) {
 // TestBatchedDecodeMatchesLocal is the wire-format contract of the
 // coalesced path: a burst of exact and noisy jobs shipped as binary
 // batch frames settles bit-identically to the same jobs on a local
-// engine, while the request count proves coalescing actually happened.
+// engine, while the request count proves that jobs queued behind an
+// in-flight frame shared the next one.
 func TestBatchedDecodeMatchesLocal(t *testing.T) {
 	const n, m, k, batch = 400, 160, 6, 24
 	nm := noise.Model{Kind: noise.Gaussian, Sigma: 1.2, Seed: 9}
@@ -113,14 +113,11 @@ func TestBatchedDecodeMatchesLocal(t *testing.T) {
 		Shards: 1, Shard: engine.Config{CacheCapacity: 8, Workers: 2, QueueDepth: 64},
 	})
 	t.Cleanup(wc.Close)
-	var batchPosts, jsonPosts atomic.Int64
+	var batchPosts atomic.Int64
 	inner := NewServer(wc, ServerOptions{}).Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case decodeBatchPath:
+		if r.URL.Path == decodeBatchPath {
 			batchPosts.Add(1)
-		case decodePath:
-			jsonPosts.Add(1)
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -130,8 +127,6 @@ func TestBatchedDecodeMatchesLocal(t *testing.T) {
 	sh := newShard(t, ts, func(o *Options) {
 		o.Senders = 1
 		o.QueueDepth = batch
-		// A long window so the whole burst below coalesces deterministically.
-		o.CoalesceWindow = 100 * time.Millisecond
 		o.Metrics = reg
 	})
 	cluster := engine.NewClusterOf(sh)
@@ -199,47 +194,6 @@ func TestBatchedDecodeMatchesLocal(t *testing.T) {
 	}
 	if observed != uint64(batchPosts.Load()) {
 		t.Fatalf("batch-size histogram observed %d requests, wire saw %d", observed, batchPosts.Load())
-	}
-}
-
-// TestBatchFallbackWhenWorkerLacksEndpoint: against a worker that 404s
-// the batch route, a coalesced batch downgrades once, settles every job
-// over the per-job JSON path, and latches the downgrade for later jobs.
-func TestBatchFallbackWhenWorkerLacksEndpoint(t *testing.T) {
-	var jsonPosts atomic.Int64
-	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		jsonPosts.Add(1)
-		writeJSON(w, http.StatusOK, decodeResponse{Support: []int{1, 2}, Decoder: "mn"})
-	})
-	sh := newShard(t, ts, func(o *Options) {
-		o.Senders = 1
-		o.QueueDepth = 8
-		o.CoalesceWindow = 100 * time.Millisecond
-	})
-	cluster := engine.NewClusterOf(sh)
-	s, err := cluster.Scheme(nil, 200, 80, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const jobs = 4
-	futs := make([]*engine.Future, jobs)
-	for i := range futs {
-		fut, err := cluster.Submit(context.Background(), engine.Job{Scheme: s, Y: make([]int64, 80), K: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs[i] = fut
-	}
-	for i, fut := range futs {
-		if _, err := fut.Wait(context.Background()); err != nil {
-			t.Fatalf("job %d after fallback: %v", i, err)
-		}
-	}
-	if got := jsonPosts.Load(); got != jobs {
-		t.Fatalf("JSON decode posts = %d, want %d (one per job after downgrade)", got, jobs)
-	}
-	if !sh.batchUnsupported.Load() {
-		t.Fatal("client did not latch the batch downgrade")
 	}
 }
 

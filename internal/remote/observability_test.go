@@ -191,36 +191,3 @@ func TestRemoteStageTimers(t *testing.T) {
 		t.Fatalf("stage components %.6fs unexpectedly tiny against total %.6fs", components, total)
 	}
 }
-
-// TestWorkerSaturationCounter: a worker that answers 429 feeds the
-// saturation mirror counter.
-func TestWorkerSaturationCounter(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == decodePath:
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "saturated")
-		case r.Method == http.MethodPut:
-			w.WriteHeader(http.StatusNoContent)
-		default:
-			writeJSON(w, http.StatusOK, healthResponse{OK: true, Shards: 1})
-		}
-	}))
-	t.Cleanup(ts.Close)
-
-	reg := metrics.NewRegistry()
-	sh := newShard(t, ts, func(o *Options) { o.Metrics = reg })
-	cluster := engine.NewClusterOf(sh)
-	s, err := cluster.Scheme(nil, 100, 40, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := make([]int64, 40)
-	if _, err := cluster.Decode(context.Background(), engine.Job{Scheme: s, Y: y, K: 2}); err == nil {
-		t.Fatal("decode against an always-429 worker succeeded")
-	}
-	addr := ts.Listener.Addr().String()
-	if v, ok := sampleValue(reg.Gather(), "pooled_remote_saturated_total", addr); !ok || v < 1 {
-		t.Fatalf("saturated counter = %v (present %v), want >= 1", v, ok)
-	}
-}

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,6 +140,21 @@ func TestRemoteDecodeMatchesLocal(t *testing.T) {
 	if !reflect.DeepEqual(gotN.Support, wantN.Support) {
 		t.Fatalf("noisy remote support %v != local %v", gotN.Support, wantN.Support)
 	}
+
+	// An empty support crosses the wire as no support at all; the result
+	// must still be the local engine's empty, non-nil slice.
+	zero := make([]int64, m)
+	want0, err := local.Decode(context.Background(), engine.Job{Scheme: ls, Y: zero, K: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got0, err := cluster.Decode(context.Background(), engine.Job{Scheme: rs, Y: zero, K: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got0.Support, want0.Support) {
+		t.Fatalf("k=0 remote support %#v != local %#v", got0.Support, want0.Support)
+	}
 }
 
 // TestRemoteMeasureBatchMatchesEngine checks the frontend-side
@@ -204,7 +222,7 @@ func TestRemoteReinstallAfterEviction(t *testing.T) {
 }
 
 // fakeWorker is a scripted worker for failure-path tests: health and
-// installs succeed, decode behavior is pluggable.
+// installs succeed, the decode-batch route is pluggable.
 func fakeWorker(t *testing.T, decode http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -214,40 +232,109 @@ func fakeWorker(t *testing.T, decode http.HandlerFunc) *httptest.Server {
 	mux.HandleFunc("PUT /shard/v1/schemes/{id}", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("POST /shard/v1/decode", decode)
+	mux.HandleFunc("POST "+decodeBatchPath, decode)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-// TestWorker429MirrorsSaturation: a worker answering 429 makes the job
-// fail with an error wrapping engine.ErrSaturated after bounded
-// retries, and raises the client's Saturated signal.
-func TestWorker429MirrorsSaturation(t *testing.T) {
+// answerOK answers a request frame with one OK result, an empty
+// support, per job.
+func answerOK(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		return
+	}
+	jobs, err := parseBatchRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "parse batch frame: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", batchMediaType)
+	w.Write(appendBatchResponse(nil, make([]batchResult, len(jobs))))
+}
+
+// TestWorkerErrorRetriesThenFails: a worker that answers every frame
+// with 503 gets the job's frame Retries+1 times, after which the job
+// fails wrapping ErrWorkerUnavailable. The worker answered, so the
+// shard stays healthy.
+func TestWorkerErrorRetriesThenFails(t *testing.T) {
+	var frames atomic.Int64
 	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "decode queue saturated")
+		frames.Add(1)
+		writeError(w, http.StatusServiceUnavailable, "worker draining")
 	})
-	sh := newShard(t, ts, func(o *Options) { o.Retries = 1 })
+	const retries = 2
+	sh := newShard(t, ts, func(o *Options) { o.Retries = retries })
 	cluster := engine.NewClusterOf(sh)
 	s, err := cluster.Scheme(nil, 200, 80, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := make([]int64, 80)
-	fut, err := cluster.Offer(context.Background(), engine.Job{Scheme: s, Y: y, K: 0})
+	fut, err := cluster.Offer(context.Background(), engine.Job{Scheme: s, Y: make([]int64, 80), K: 0})
 	if err != nil {
 		t.Fatalf("offer: %v", err)
 	}
 	_, err = fut.Wait(context.Background())
-	if !errors.Is(err, engine.ErrSaturated) {
-		t.Fatalf("err = %v, want wrapping engine.ErrSaturated", err)
+	if !errors.Is(err, ErrWorkerUnavailable) {
+		t.Fatalf("err = %v, want wrapping ErrWorkerUnavailable", err)
 	}
-	if !sh.Saturated() {
-		t.Fatal("shard not marked saturated after worker 429")
+	if !strings.Contains(err.Error(), "worker draining") {
+		t.Fatalf("err = %v, want the worker's reason", err)
 	}
-	if sh.Healthy() != true {
-		t.Fatal("a saturated worker is alive, not unhealthy")
+	if got := frames.Load(); got != retries+1 {
+		t.Fatalf("worker received %d frames, want %d", got, retries+1)
+	}
+	if !sh.Healthy() {
+		t.Fatal("a worker that answers is alive, not unhealthy")
+	}
+}
+
+// TestRefusedFrameFailsLoudly: a worker that answers the decode-batch
+// route with 404 (one without the route, or a version skew) fails every
+// job with its status and reason at once: no frame is retried, and the
+// shard stays healthy.
+func TestRefusedFrameFailsLoudly(t *testing.T) {
+	var frames, jobsSeen atomic.Int64
+	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		jobs, err := parseBatchRequest(body)
+		if err != nil {
+			t.Errorf("client sent a malformed frame: %v", err)
+		}
+		frames.Add(1)
+		jobsSeen.Add(int64(len(jobs)))
+		writeError(w, http.StatusNotFound, "no such route")
+	})
+	sh := newShard(t, ts, func(o *Options) { o.Retries = 3 })
+	cluster := engine.NewClusterOf(sh)
+	s, err := cluster.Scheme(nil, 200, 80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 4
+	futs := make([]*engine.Future, jobs)
+	for i := range futs {
+		if futs[i], err = cluster.Submit(context.Background(), engine.Job{Scheme: s, Y: make([]int64, 80), K: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, fut := range futs {
+		_, err := fut.Wait(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "status 404") || !strings.Contains(err.Error(), "no such route") {
+			t.Fatalf("job %d err = %v, want the worker's status and reason", i, err)
+		}
+		if errors.Is(err, ErrWorkerUnavailable) {
+			t.Fatalf("job %d err = %v: a refused frame is not an unavailable worker", i, err)
+		}
+	}
+	// The jobs may have shared frames or not, but each rode exactly one.
+	if got := jobsSeen.Load(); got != jobs {
+		t.Fatalf("worker saw %d jobs in %d frames, want each of %d jobs once", got, frames.Load(), jobs)
+	}
+	if !sh.Healthy() {
+		t.Fatal("a worker that refuses a frame is alive, not unhealthy")
 	}
 }
 
@@ -260,7 +347,7 @@ func TestClientQueueBackpressure(t *testing.T) {
 	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
 		entered <- struct{}{}
 		<-release
-		writeJSON(w, http.StatusOK, decodeResponse{Support: []int{}})
+		answerOK(w, r)
 	})
 	defer close(release)
 	sh := newShard(t, ts, func(o *Options) { o.Senders = 1; o.QueueDepth = 1 })
@@ -303,7 +390,7 @@ func TestRemoteCancellation(t *testing.T) {
 	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
 		entered <- struct{}{}
 		<-release
-		writeJSON(w, http.StatusOK, decodeResponse{Support: []int{}})
+		answerOK(w, r)
 	})
 	defer close(release)
 	sh := newShard(t, ts, func(o *Options) { o.Senders = 1; o.QueueDepth = 4 })
@@ -332,6 +419,39 @@ func TestRemoteCancellation(t *testing.T) {
 	// outcome (canceled or a late success) must settle the future.
 	if _, err := futBlocked.Wait(context.Background()); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("in-flight job err = %v", err)
+	}
+}
+
+// TestDefaultClientBurst: 64 jobs submitted at once through a client
+// with default options all settle without error, against a worker whose
+// decode queue holds 4. The worker admits each frame whole and paces it
+// through its decoder instead of refusing what does not fit.
+func TestDefaultClientBurst(t *testing.T) {
+	const n, m, k, burst = 300, 120, 5, 64
+	quiet := ServerOptions{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	_, ts := newWorker(t, 1, 1, 0, quiet)
+	sh := New(Options{Addr: ts.Listener.Addr().String()})
+	t.Cleanup(sh.Close)
+	cluster := engine.NewClusterOf(sh)
+	s, err := cluster.Scheme(nil, n, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signals := make([]*bitvec.Vector, burst)
+	for b := range signals {
+		signals[b] = bitvec.Random(n, k, rng.NewRandSeeded(uint64(100+b)))
+	}
+	ys := cluster.MeasureBatch(s, signals, noise.Model{})
+	futs := make([]*engine.Future, burst)
+	for b := range futs {
+		if futs[b], err = cluster.Submit(context.Background(), engine.Job{Scheme: s, Y: ys[b], K: k}); err != nil {
+			t.Fatalf("submit %d: %v", b, err)
+		}
+	}
+	for b, fut := range futs {
+		if _, err := fut.Wait(context.Background()); err != nil {
+			t.Fatalf("job %d of the burst: %v", b, err)
+		}
 	}
 }
 

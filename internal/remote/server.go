@@ -8,10 +8,8 @@ import (
 	"log/slog"
 	"mime"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"pooleddata/internal/engine"
 	"pooleddata/internal/noise"
@@ -97,7 +95,6 @@ func NewServer(cluster *engine.Cluster, opts ServerOptions) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /shard/v1/schemes/{id}", s.handleInstall)
-	mux.HandleFunc("POST /shard/v1/decode", s.handleDecode)
 	mux.HandleFunc("POST /shard/v1/decode-batch", s.handleDecodeBatch)
 	mux.HandleFunc("GET /shard/v1/health", s.handleHealth)
 	mux.HandleFunc("GET /shard/v1/stats", s.handleStats)
@@ -182,93 +179,17 @@ func (s *Server) SchemeCount() int {
 	return len(s.schemes)
 }
 
-// handleDecode runs one job through the worker's cluster. Admission is
-// TrySubmit: a saturated local queue answers 429 so the frontend's
-// dispatcher sees the same ErrSaturated backpressure a local shard
-// produces. An unknown scheme answers 404 so the client re-installs —
-// the recovery path after a worker restart or registry eviction.
-func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	status := http.StatusOK
-	// The handle-time header lets the client split its round trip into
-	// network vs. worker time from one clock: everything after this
-	// point (parse, queue, decode, serialize) is worker time.
-	fail := func(code int, format string, args ...any) {
-		status = code
-		writeError(w, code, format, args...)
-	}
-	defer func() { s.mDecodes.With(strconv.Itoa(status)).Inc() }()
-
-	var req decodeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "parse request: %v", err)
-		return
-	}
-	es, ok := s.lookup(req.Scheme)
-	if !ok {
-		fail(http.StatusNotFound, "unknown scheme %q", req.Scheme)
-		return
-	}
-	nm, err := noise.Parse(req.Noise)
-	if err != nil {
-		fail(http.StatusBadRequest, "bad noise: %v", err)
-		return
-	}
-	job := engine.Job{Scheme: es, Y: req.Y, K: req.K, Noise: nm, TraceID: req.Trace}
-	if req.Decoder != "" {
-		dec, err := engine.DecoderByName(req.Decoder)
-		if err != nil {
-			fail(http.StatusBadRequest, "%v", err)
-			return
-		}
-		job.Dec = dec
-	}
-	fut, err := s.cluster.TrySubmit(r.Context(), job)
-	switch {
-	case errors.Is(err, engine.ErrSaturated):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(es)))
-		fail(http.StatusTooManyRequests, "decode queue saturated")
-		return
-	case errors.Is(err, engine.ErrClosed):
-		fail(http.StatusServiceUnavailable, "engine closed")
-		return
-	case err != nil:
-		fail(http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := fut.Wait(r.Context())
-	if err != nil {
-		s.log.Warn("decode failed", "trace_id", req.Trace, "scheme", req.Scheme, "err", err)
-		fail(http.StatusUnprocessableEntity, "decode: %v", err)
-		return
-	}
-	s.log.Info("decode",
-		"trace_id", req.Trace, "scheme", req.Scheme, "decoder", res.Decoder,
-		"k", req.K, "consistent", res.Stats.Consistent,
-		"queue_ns", int64(res.Stats.QueueWait), "decode_ns", int64(res.Stats.DecodeTime))
-	w.Header().Set(handleTimeHeader, strconv.FormatInt(int64(time.Since(start)), 10))
-	writeJSON(w, http.StatusOK, decodeResponse{
-		Support:    res.Support,
-		Decoder:    res.Decoder,
-		Residual:   res.Stats.Residual,
-		Consistent: res.Stats.Consistent,
-		QueueNS:    int64(res.Stats.QueueWait),
-		DecodeNS:   int64(res.Stats.DecodeTime),
-		Trace:      req.Trace,
-	})
-}
-
-// handleDecodeBatch runs a coalesced batch of jobs through the worker's
-// cluster in one request: all jobs are admitted up front (TrySubmit, so
-// the worker's local shards decode them concurrently), then awaited in
-// order. Outcomes are per-job — one job's unknown scheme or saturated
-// queue does not fail its batch-mates — with the same status semantics
-// as the JSON endpoint, carried as status bytes in the binary response
-// frame. Content-Type must name the batch framing (else 415, which
-// clients treat as "fall back to per-job JSON"), and the response is
-// binary unless the client's Accept excludes it.
+// handleDecodeBatch runs a frame of decode jobs through the worker's
+// cluster. The frame is admitted whole: each job is submitted as it
+// parses, waiting for queue room under the request's context, so a
+// frame larger than the local queues is paced by the decoders rather
+// than refused, and backpressure stays with the client's bounded queue.
+// Jobs are awaited in order. Outcomes are per job — one job's unknown
+// scheme does not fail its frame-mates — carried as status bytes in the
+// binary response frame. Content-Type must name the batch framing (else
+// 415), and the response is binary unless the client's Accept excludes
+// it.
 func (s *Server) handleDecodeBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err != nil || mt != batchMediaType {
 		writeError(w, http.StatusUnsupportedMediaType, "decode-batch wants Content-Type %s", batchMediaType)
 		return
@@ -292,11 +213,10 @@ func (s *Server) handleDecodeBatch(w http.ResponseWriter, r *http.Request) {
 	// Parse and admit in one pass: job 1 is decoding while job N still
 	// parses. A malformed tail answers 400 for the whole frame; jobs
 	// already admitted decode into discarded futures, which is harmless —
-	// decodes are deterministic and the client re-runs per job.
+	// decodes are deterministic.
 	jobs := make([]batchJob, count)
 	results := make([]batchResult, count)
 	futs := make([]*engine.Future, count)
-	saturated := false
 	for i := range jobs {
 		if jobs[i], err = fr.job(i); err != nil {
 			writeError(w, http.StatusBadRequest, "parse batch frame: %v", err)
@@ -323,20 +243,18 @@ func (s *Server) handleDecodeBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			job.Dec = dec
 		}
-		fut, err := s.cluster.TrySubmit(r.Context(), job)
+		fut, err := s.cluster.Submit(r.Context(), job)
 		switch {
-		case errors.Is(err, engine.ErrSaturated):
-			res.Status, res.Err = batchSaturated, "decode queue saturated"
-			if !saturated {
-				saturated = true
-				w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(es)))
-			}
+		case err == nil:
+			futs[i] = fut
+		case r.Context().Err() != nil:
+			// The client gave up on the frame; jobs already queued under
+			// this context are skipped by the engine.
+			return
 		case errors.Is(err, engine.ErrClosed):
 			res.Status, res.Err = batchUnavailable, "engine closed"
-		case err != nil:
-			res.Status, res.Err = batchBadRequest, err.Error()
 		default:
-			futs[i] = fut
+			res.Status, res.Err = batchBadRequest, err.Error()
 		}
 	}
 	if fr.remaining() != 0 {
@@ -370,7 +288,6 @@ func (s *Server) handleDecodeBatch(w http.ResponseWriter, r *http.Request) {
 		s.mDecodes.With(batchStatusCode(results[i].Status)).Inc()
 	}
 	w.Header().Set("Content-Type", batchMediaType)
-	w.Header().Set(handleTimeHeader, strconv.FormatInt(int64(time.Since(start)), 10))
 	w.WriteHeader(http.StatusOK)
 	w.Write(appendBatchResponse(nil, results))
 }
@@ -387,9 +304,8 @@ func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	return io.ReadAll(r.Body)
 }
 
-// batchStatusCode maps a per-job frame status to the HTTP status the
-// JSON endpoint would have answered, so the decode-request counter keeps
-// one label set across both protocols.
+// batchStatusCode maps a per-job frame status to the HTTP status that
+// labels it in the decode-request counter.
 func batchStatusCode(st byte) string {
 	switch st {
 	case batchOK:
@@ -405,28 +321,6 @@ func batchStatusCode(st byte) string {
 	default:
 		return "503"
 	}
-}
-
-// retryAfterSeconds estimates how long the scheme's owning shard needs
-// to drain its backlog — the same backlog-derived Retry-After the
-// pooledd frontend serves, so shard-API clients are not told to retry
-// a tens-of-seconds queue after one second.
-func (s *Server) retryAfterSeconds(es *engine.Scheme) int {
-	sh := s.cluster.Owner(es)
-	st := sh.Stats()
-	if st.JobsCompleted == 0 {
-		return 1
-	}
-	avg := st.TotalDecodeTime / time.Duration(st.JobsCompleted)
-	workers := sh.Workers()
-	if workers < 1 {
-		workers = 1
-	}
-	secs := int(avg * time.Duration(sh.QueueDepth()) / time.Duration(workers) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

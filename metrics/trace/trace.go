@@ -10,10 +10,10 @@
 // a hash, a float compare, and a ring slot under one short mutex.
 //
 // Spans carry offsets from the trace start rather than wall timestamps,
-// so spans synthesized for the far side of a federation hop (worker
-// queue and decode time reported back by `Pooled-Handle-Ns` style
-// accounting) need no clock synchronization: the client lays them out
-// inside the request window it measured locally.
+// so spans synthesized for the far side of a federation hop (the worker
+// queue and decode time a job's result reports back) need no clock
+// synchronization: the client lays them out inside the request window
+// it measured locally.
 package trace
 
 import (
