@@ -14,7 +14,7 @@
 //     out across machines:
 //
 //     pooledd -addr :8080 -shards 4 -cache 16 -shard-workers 2 \
-//     -designs lab-a.csv,lab-b.csv -snapshot specs.json
+//     -designs lab-a.csv,lab-b.csv -wal-dir /var/lib/pooledd
 //
 //     pooledd -addr :8080 -workers node1:9090,node2:9090
 //
@@ -78,10 +78,12 @@
 // Logs are structured (log/slog); -log-format selects text or json.
 // -debug-addr serves net/http/pprof on a separate listener.
 //
-// -snapshot persists the registered scheme specs as JSON on graceful
-// shutdown (SIGINT/SIGTERM) and rebuilds them into the shard caches on
-// the next boot; ad-hoc uploaded designs are persisted alongside as
-// labio CSVs in <snapshot>.designs/. -gc-interval runs campaign GC on a
+// -wal-dir journals the scheme registry and every campaign: each
+// registered scheme is written durably before its id is answered (an
+// ad-hoc upload with its design), and a restart — graceful or not —
+// brings the schemes back under their ids and replays the campaigns
+// (docs/durability.md). -designs files are loaded at every boot and
+// are not journaled. -gc-interval runs campaign GC on a
 // ticker so an idle server releases finished campaigns (and their event
 // logs) without waiting for the next request. -tenant-max-active and
 // -tenant-max-queued set the per-tenant quotas; -tenant-weights sets
@@ -122,14 +124,13 @@ func main() {
 	maxSchemes := flag.Int("max-schemes", 64, "max registered scheme ids (oldest dropped beyond)")
 	maxBody := flag.Int64("max-body", 256<<20, "max request body bytes")
 	designs := flag.String("designs", "", "comma-separated labio design CSVs to preload at boot")
-	snapshot := flag.String("snapshot", "", "spec snapshot file: cached scheme specs written on shutdown, rebuilt on boot (ad-hoc designs persisted as CSVs in <snapshot>.designs/)")
 	gcInterval := flag.Duration("gc-interval", time.Minute, "campaign GC ticker period (0 disables the ticker; request-path GC still runs)")
 	tenantMaxActive := flag.Int("tenant-max-active", 0, "max active campaigns per tenant (0: unlimited)")
 	tenantMaxQueued := flag.Int("tenant-max-queued", 0, "max unsettled campaign jobs per tenant (0: unlimited)")
 	tenantWeights := flag.String("tenant-weights", "", "weighted fair queuing, e.g. t1=3,t2=1 (unlisted tenants weigh 1)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json (stderr)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty: disabled)")
-	walDir := flag.String("wal-dir", "", "campaign write-ahead-log directory: campaigns journal here and replay after a crash or restart (empty: campaigns are memory-only; frontend mode only)")
+	walDir := flag.String("wal-dir", "", "write-ahead-log directory: registered schemes and campaigns journal here and replay after a crash or restart (empty: memory-only; frontend mode only)")
 	walFsync := flag.String("wal-fsync", "always", "WAL fsync policy: always (per record), off, or a duration like 250ms (batched interval sync)")
 	traceSample := flag.Float64("trace-sample", 0, "baseline retention rate for job traces in [0,1]; errored and tail-slow jobs are always retained once tracing is on (frontend mode only)")
 	traceStore := flag.Int("trace-store", 0, "retained-trace ring capacity; setting either -trace-sample or -trace-store enables tracing (0 with tracing on: 1024)")
@@ -139,15 +140,9 @@ func main() {
 		*shards = 1
 	}
 	logger, err := newLogger(*logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	weights, err := parseWeights(*tenantWeights)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	startDebugServer(*debugAddr, logger)
 
 	if *workerMode {
@@ -170,8 +165,7 @@ func main() {
 	if *workerAddrs != "" {
 		addrs := splitList(*workerAddrs)
 		if len(addrs) == 0 {
-			fmt.Fprintf(os.Stderr, "pooledd: -workers %q names no worker addresses\n", *workerAddrs)
-			os.Exit(1)
+			exitOn(fmt.Errorf("-workers %q names no worker addresses", *workerAddrs))
 		}
 		workers, cluster = newFleet(addrs, fleetConfig{
 			timeout: *workerTimeout, evictAfter: *evictAfter,
@@ -191,23 +185,16 @@ func main() {
 	}
 	defer cluster.Close()
 
-	// The WAL opens before the campaign store exists so Create can
-	// journal from the first request; recovery replays later in boot,
-	// once -designs/-snapshot have rebuilt the scheme registry the
-	// journaled scheme refs resolve against.
+	// The WAL opens before the server exists so registrations and
+	// campaigns journal from the first request; recovery replays later
+	// in boot, after the -designs preloads.
 	var journal *wal.WAL
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walFsync)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		journal, err = wal.Open(*walDir, wal.Options{Sync: policy, Metrics: reg, Logger: logger})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-			os.Exit(1)
-		}
-		logger.Info("campaign wal enabled", "dir", *walDir, "fsync", policy.String())
+		exitOn(err)
+		logger.Info("wal enabled", "dir", *walDir, "fsync", policy.String())
 	}
 
 	srv := newServer(cluster, campaign.Config{
@@ -225,27 +212,12 @@ func main() {
 		srv.fleet = workers
 		workers.setOnChange(srv.migrateSchemes)
 	}
-	if *designs != "" {
-		if err := preloadDesigns(cluster, srv, splitList(*designs), os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *snapshot != "" {
-		if err := loadSnapshot(cluster, srv, *snapshot, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if journal != nil {
-		// Replay the journal: finished campaigns come back read-only,
-		// unfinished ones re-dispatch their unsettled jobs. An interior-
-		// corrupt log refuses boot — a torn tail record does not.
-		if err := restoreCampaigns(srv, journal, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	// Boot order: the -designs preloads, then the journal — the scheme
+	// registry under its ids, then the campaigns that decode against it.
+	// An interior-corrupt file refuses boot — a torn tail record does not.
+	exitOn(preloadDesigns(cluster, srv, splitList(*designs), os.Stderr))
+	exitOn(replaySchemes(srv, os.Stderr))
+	exitOn(restoreCampaigns(srv, journal, os.Stderr))
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.handler(),
@@ -268,9 +240,8 @@ func main() {
 	}
 	done := serveUntilSignal(httpSrv)
 	logger.Info("listening", "addr", *addr, "shards", cluster.Shards())
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-		os.Exit(1)
+	if err := httpSrv.ListenAndServe(); err != http.ErrServerClosed {
+		exitOn(err)
 	}
 	<-done
 	// Stop the campaign dispatcher: jobs still awaiting dispatch settle
@@ -281,19 +252,12 @@ func main() {
 	if err := journal.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "pooledd: wal close: %v\n", err)
 	}
-	if *snapshot != "" {
-		if err := writeSnapshot(srv, *snapshot); err != nil {
-			fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pooledd: snapshot written to %s\n", *snapshot)
-	}
 }
 
 // runWorker serves only the shard API over a local engine cluster — the
 // backend of a federated deployment. Schemes arrive from frontends
-// (installed lazily before their first decode), so -designs/-snapshot
-// do not apply here.
+// (installed lazily before their first decode), so -designs and
+// -wal-dir do not apply here.
 func runWorker(addr string, shards, cache, workers, queue int, maxSchemes int, maxBody int64, logger *slog.Logger) {
 	cluster := engine.NewCluster(engine.ClusterConfig{
 		Shards: shards,
@@ -324,9 +288,8 @@ func runWorker(addr string, shards, cache, workers, queue int, maxSchemes int, m
 	done := serveUntilSignal(httpSrv)
 	logger.Info("worker listening", "addr", addr,
 		"shards", cluster.Shards(), "workers_per_shard", cluster.Shard(0).Workers())
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
-		os.Exit(1)
+	if err := httpSrv.ListenAndServe(); err != http.ErrServerClosed {
+		exitOn(err)
 	}
 	<-done
 }
@@ -347,6 +310,14 @@ func serveUntilSignal(httpSrv *http.Server) <-chan struct{} {
 		}
 	}()
 	return done
+}
+
+// exitOn ends the process on a boot or serve error.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pooledd: %v\n", err)
+		os.Exit(1)
+	}
 }
 
 func splitList(s string) []string {

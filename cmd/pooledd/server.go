@@ -21,6 +21,7 @@ import (
 	"pooleddata/internal/noise"
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/remote"
+	"pooleddata/internal/wal"
 	"pooleddata/metrics"
 	"pooleddata/metrics/trace"
 )
@@ -71,11 +72,18 @@ type server struct {
 	mSSEStreams   *metrics.Counter
 	mSSEEvictions *metrics.Counter
 
+	// journal holds the registry's scheme records (nil without a WAL).
+	// regMu serializes registrations, each of which writes its record
+	// before its entry becomes visible under mu; lookups take only mu,
+	// so they never wait on disk. nextID is guarded by regMu.
+	journal *wal.WAL
+	regMu   sync.Mutex
+	nextID  int
+
 	mu      sync.Mutex
 	schemes map[string]*schemeEntry
 	order   []string // registration order, oldest first
 	bySpec  map[engine.Spec]string
-	nextID  int
 }
 
 type schemeEntry struct {
@@ -91,8 +99,8 @@ type schemeEntry struct {
 	Owner string `json:"owner,omitempty"`
 	AdHoc bool   `json:"ad_hoc,omitempty"`
 
-	// Design parameters of parametric schemes, kept so the -snapshot file
-	// can rebuild the scheme on the next boot.
+	// Design parameters of parametric schemes, kept so the journaled
+	// scheme ref can rebuild the scheme on the next boot.
 	Gamma int     `json:"gamma,omitempty"`
 	P     float64 `json:"p,omitempty"`
 	D     int     `json:"d,omitempty"`
@@ -104,6 +112,7 @@ func newServer(cluster *engine.Cluster, ccfg campaign.Config) *server {
 	s := &server{
 		cluster:         cluster,
 		campaigns:       campaign.NewStore(cluster, ccfg),
+		journal:         ccfg.WAL,
 		start:           time.Now(),
 		maxSchemes:      64,
 		maxBody:         256 << 20,
@@ -214,8 +223,7 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		es := s.cluster.SchemeFromGraph(g, engine.GraphKey(g))
-		ent := s.register(es, "uploaded", g.N(), g.M(), 0, engine.DesignParams{}, true)
-		writeJSON(w, http.StatusCreated, ent)
+		s.writeRegistered(w, es, walSchemeRef{Design: "uploaded", N: g.N(), M: g.M(), AdHoc: true})
 		return
 	}
 	var req schemeRequest
@@ -243,7 +251,21 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "build scheme: %v", err)
 		return
 	}
-	ent := s.register(es, des.Name(), req.N, req.M, req.Seed, params, false)
+	s.writeRegistered(w, es, walSchemeRef{
+		Design: des.Name(), N: req.N, M: req.M, Seed: req.Seed,
+		Gamma: req.Gamma, P: req.P, D: req.D,
+	})
+}
+
+// writeRegistered registers es and answers 201 with its entry, or 500
+// when its scheme record could not be journaled and nothing was
+// registered.
+func (s *server) writeRegistered(w http.ResponseWriter, es *engine.Scheme, ref walSchemeRef) {
+	ent, err := s.register(es, ref)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "journal scheme: %v", err)
+		return
+	}
 	writeJSON(w, http.StatusCreated, ent)
 }
 
@@ -279,32 +301,54 @@ func checkSpecSize(des pooling.Design, n, m int) error {
 
 // register assigns (or reuses) the entry for a scheme and returns a copy
 // of it. Cached schemes are deduplicated by spec so repeated POSTs return
-// the same id.
+// the same id. With a journal, the entry's scheme record is durable
+// before the entry is visible; a record that cannot be written
+// registers nothing.
 //
 // Registry entries are shared and migrateSchemes rewrites them under
 // s.mu, so register and lookup hand out copies taken under the lock:
 // handlers encode and dispatch from a consistent snapshot without
 // holding it.
-func (s *server) register(es *engine.Scheme, design string, n, m int, seed uint64, params engine.DesignParams, adhoc bool) schemeEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !adhoc {
-		if id, ok := s.bySpec[es.Spec]; ok {
-			return *s.schemes[id]
+func (s *server) register(es *engine.Scheme, ref walSchemeRef) (schemeEntry, error) {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	if !ref.AdHoc {
+		s.mu.Lock()
+		id := s.bySpec[es.Spec]
+		s.mu.Unlock()
+		if ent, ok := s.lookup(id); ok {
+			return ent, nil
 		}
 	}
 	s.nextID++
-	ent := &schemeEntry{
-		ID:     fmt.Sprintf("s%d", s.nextID),
-		Design: design, N: n, M: m, Seed: seed, Shard: es.Home(), AdHoc: adhoc,
-		Owner: s.cluster.OwnerID(es.RouteKey()),
-		Gamma: params.Gamma, P: params.P, D: params.D,
+	ent := s.newEntry(fmt.Sprintf("s%d", s.nextID), es, ref)
+	if err := s.journalScheme(ent); err != nil {
+		return schemeEntry{}, err
+	}
+	s.insert(ent)
+	return ent, nil
+}
+
+// newEntry builds the registry entry id for scheme es, described by ref.
+func (s *server) newEntry(id string, es *engine.Scheme, ref walSchemeRef) schemeEntry {
+	return schemeEntry{
+		ID: id, Design: ref.Design, N: ref.N, M: ref.M, Seed: ref.Seed,
+		Shard: es.Home(), AdHoc: ref.AdHoc, Owner: s.cluster.OwnerID(es.RouteKey()),
+		Gamma: ref.Gamma, P: ref.P, D: ref.D,
 		scheme: es,
 	}
-	s.schemes[ent.ID] = ent
+}
+
+// insert publishes the registry's own copy of ent and evicts the oldest
+// entries beyond maxSchemes (their ids start returning 404), deleting
+// their scheme records. Callers hold regMu.
+func (s *server) insert(ent schemeEntry) {
+	var evicted []string
+	s.mu.Lock()
+	s.schemes[ent.ID] = &ent
 	s.order = append(s.order, ent.ID)
-	if !adhoc {
-		s.bySpec[es.Spec] = ent.ID
+	if !ent.AdHoc {
+		s.bySpec[ent.scheme.Spec] = ent.ID
 	}
 	for len(s.schemes) > s.maxSchemes {
 		oldest := s.order[0]
@@ -314,9 +358,13 @@ func (s *server) register(es *engine.Scheme, design string, n, m int, seed uint6
 			if !old.AdHoc {
 				delete(s.bySpec, old.scheme.Spec)
 			}
+			evicted = append(evicted, oldest)
 		}
 	}
-	return *ent
+	s.mu.Unlock()
+	for _, id := range evicted {
+		s.journal.RemoveScheme(id)
+	}
 }
 
 // lookup returns a copy of the registry entry id, taken under s.mu.
@@ -595,7 +643,7 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	cp, err := s.campaigns.Create(campaign.Request{
 		Scheme: ent.scheme, Batch: req.Batch, K: req.K,
 		Tenant: req.Tenant, Noise: nm, Dec: dec, TraceID: tid,
-		SchemeRef: s.schemeRefFor(ent),
+		SchemeRef: ent.refJSON(),
 	})
 	switch {
 	case errors.Is(err, engine.ErrSaturated):

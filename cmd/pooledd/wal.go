@@ -4,23 +4,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"pooleddata/internal/engine"
+	"pooleddata/internal/labio"
+	"pooleddata/internal/remote"
 	"pooleddata/internal/wal"
 )
 
-// WAL glue: campaigns journal which scheme they decode against as an
-// opaque SchemeRef — the JSON below, carrying the same fields the
-// -snapshot file persists per entry. At recovery the ref resolves
-// against the scheme registry first (which -designs preloads and
-// -snapshot restores populate before recovery runs), then falls back to
-// rebuilding parametric designs from their parameters — so a seeded
-// random-regular campaign replays even on a server that never had a
-// snapshot. Only ad-hoc uploads and file-preloaded designs strictly
-// need their registry entry back; a ref that resolves to nothing fails
-// the campaign's remaining jobs, never the boot.
+// Persistence and boot. The WAL journals every registry entry but a
+// -designs preload as a scheme record: its id, its scheme ref (the JSON
+// below), and an ad-hoc upload's design frame. Campaigns journal the
+// same ref. At boot preloadDesigns runs first, then replaySchemes, then
+// restoreCampaigns, which resolves each campaign's ref through the
+// registry or rebuilds a parametric design from the ref. A ref that
+// resolves to nothing fails the campaign's remaining jobs, never boot.
 
-// walSchemeRef is the journaled scheme description.
+// walSchemeRef is the journaled scheme description. Ad-hoc uploads are
+// named by Key, their design's engine.GraphKey.
 type walSchemeRef struct {
 	Design string  `json:"design"`
 	N      int     `json:"n"`
@@ -30,38 +33,71 @@ type walSchemeRef struct {
 	P      float64 `json:"p,omitempty"`
 	D      int     `json:"d,omitempty"`
 	AdHoc  bool    `json:"ad_hoc,omitempty"`
+	Key    string  `json:"key,omitempty"`
 }
 
-// schemeRefFor serializes a registry entry into the journaled form.
-func (s *server) schemeRefFor(ent schemeEntry) string {
-	buf, err := json.Marshal(walSchemeRef{
-		Design: ent.Design, N: ent.N, M: ent.M, Seed: ent.Seed,
-		Gamma: ent.Gamma, P: ent.P, D: ent.D, AdHoc: ent.AdHoc,
-	})
-	if err != nil {
-		return ""
+// ref is the entry's journaled description; an upload's key is its
+// routing key, the GraphKey it was registered under.
+func (e *schemeEntry) ref() walSchemeRef {
+	r := walSchemeRef{Design: e.Design, N: e.N, M: e.M, Seed: e.Seed, Gamma: e.Gamma, P: e.P, D: e.D, AdHoc: e.AdHoc}
+	if e.AdHoc {
+		r.Key = e.scheme.RouteKey()
 	}
+	return r
+}
+
+// refJSON serializes the entry's ref into the journaled form.
+func (e *schemeEntry) refJSON() string {
+	buf, _ := json.Marshal(e.ref()) // plain fields: Marshal cannot fail
 	return string(buf)
+}
+
+// journalScheme writes ent's scheme record. Preloads are not journaled:
+// their -designs file brings them back.
+func (s *server) journalScheme(ent schemeEntry) error {
+	if s.journal == nil || strings.HasPrefix(ent.Design, "file:") {
+		return nil
+	}
+	rec := wal.SchemeRecord{ID: ent.ID, Ref: ent.refJSON()}
+	if ent.AdHoc {
+		rec.Design = remote.AppendDesign(nil, ent.scheme.G)
+	}
+	return s.journal.PutScheme(rec)
+}
+
+func parseSchemeRef(refJSON string) (walSchemeRef, error) {
+	var ref walSchemeRef
+	err := json.Unmarshal([]byte(refJSON), &ref)
+	if err != nil {
+		err = fmt.Errorf("bad scheme ref %q: %v", refJSON, err)
+	}
+	return ref, err
+}
+
+// buildRef rebuilds a parametric ref's scheme into its shard's cache:
+// seeded builds are deterministic, so the same (design, n, m, seed)
+// reproduces the pre-crash scheme bit for bit.
+func (s *server) buildRef(ref walSchemeRef) (*engine.Scheme, error) {
+	des, err := engine.DesignByName(ref.Design, engine.DesignParams{Gamma: ref.Gamma, P: ref.P, D: ref.D})
+	if err != nil {
+		return nil, err
+	}
+	return s.cluster.Scheme(des, ref.N, ref.M, ref.Seed)
 }
 
 // resolveSchemeRef maps a journaled ref back to a live scheme.
 func (s *server) resolveSchemeRef(refJSON string) (*engine.Scheme, error) {
-	var ref walSchemeRef
-	if refJSON == "" {
-		return nil, fmt.Errorf("campaign journaled no scheme ref")
+	ref, err := parseSchemeRef(refJSON)
+	if err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal([]byte(refJSON), &ref); err != nil {
-		return nil, fmt.Errorf("bad scheme ref %q: %v", refJSON, err)
-	}
-	// Registry scan first: it holds ad-hoc uploads (restored by
-	// -snapshot), file-preloaded designs (-designs), and anything
-	// already rebuilt this boot.
+	// Registry scan first: it holds replayed scheme records, -designs
+	// preloads, and anything already rebuilt this boot. An ad-hoc ref
+	// matches only the design its key names.
 	s.mu.Lock()
 	for _, id := range s.order {
 		ent := s.schemes[id]
-		if ent.Design == ref.Design && ent.N == ref.N && ent.M == ref.M &&
-			ent.Seed == ref.Seed && ent.AdHoc == ref.AdHoc &&
-			ent.Gamma == ref.Gamma && ent.P == ref.P && ent.D == ref.D {
+		if ent.ref() == ref {
 			es := ent.scheme
 			s.mu.Unlock()
 			return es, nil
@@ -69,27 +105,112 @@ func (s *server) resolveSchemeRef(refJSON string) (*engine.Scheme, error) {
 	}
 	s.mu.Unlock()
 	if ref.AdHoc {
-		return nil, fmt.Errorf("ad-hoc design (n=%d m=%d) is gone from the registry; boot with the -snapshot that persisted it", ref.N, ref.M)
+		return nil, fmt.Errorf("ad-hoc design %s (n=%d m=%d) is gone from the registry", ref.Key, ref.N, ref.M)
 	}
-	// Parametric rebuild: seeded builds are deterministic, so the same
-	// (design, n, m, seed) reproduces the pre-crash scheme bit for bit.
-	params := engine.DesignParams{Gamma: ref.Gamma, P: ref.P, D: ref.D}
-	des, err := engine.DesignByName(ref.Design, params)
-	if err != nil {
-		return nil, fmt.Errorf("scheme ref %q: %v", refJSON, err)
-	}
-	es, err := s.cluster.Scheme(des, ref.N, ref.M, ref.Seed)
+	es, err := s.buildRef(ref)
 	if err != nil {
 		return nil, fmt.Errorf("rebuild scheme from ref %q: %v", refJSON, err)
 	}
 	// Re-register so the scheme is addressable again (same dedup-by-spec
 	// path POST /v1/schemes uses) and later campaigns share the entry.
-	s.register(es, des.Name(), ref.N, ref.M, ref.Seed, params, false)
+	if _, err := s.register(es, ref); err != nil {
+		return nil, err
+	}
 	return es, nil
 }
 
+// preloadDesigns warm-starts the cluster's scheme caches from labio
+// design CSV files — a lab's standing designs, passed via the -designs
+// flag — so the first request after boot is a cache hit, not a build.
+// Each file is installed on its owning shard under the spec
+// {Design: "file:<cleaned path>", N, M} (the full path, so two labs'
+// identically-named design files never collide), registered under a
+// scheme id, and logged as one line to logw.
+func preloadDesigns(cluster *engine.Cluster, srv *server, paths []string, logw io.Writer) error {
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return fmt.Errorf("preload %s: %w", p, err)
+		}
+		g, err := labio.ReadDesign(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("preload %s: %w", p, err)
+		}
+		spec := engine.Spec{Design: "file:" + filepath.Clean(p), N: g.N(), M: g.M()}
+		es := cluster.InstallScheme(spec, g)
+		ent, err := srv.register(es, walSchemeRef{Design: spec.Design, N: g.N(), M: g.M()})
+		if err != nil {
+			return fmt.Errorf("preload %s: %w", p, err)
+		}
+		fmt.Fprintf(logw, "pooledd: preloaded scheme %s from %s (n=%d m=%d shard=%d)\n",
+			ent.ID, p, g.N(), g.M(), es.Home())
+	}
+	return nil
+}
+
+// replaySchemes brings the journaled registry back at boot, between the
+// -designs preloads and restoreCampaigns: in id order, under the
+// journaled ids, parametric schemes rebuilt into the shard caches and
+// ad-hoc designs parsed from their frames. The id counter resumes past
+// the largest journaled id. An id a preload holds (the -designs list
+// grew between boots) moves to a fresh id. A record whose design no
+// longer builds is logged and skipped; a corrupt record refuses boot.
+func replaySchemes(srv *server, logw io.Writer) error {
+	recs, err := srv.journal.RecoverSchemes()
+	if err != nil {
+		return err
+	}
+	srv.regMu.Lock()
+	defer srv.regMu.Unlock()
+	if len(recs) > 0 {
+		var last int // recs come in id order
+		fmt.Sscanf(recs[len(recs)-1].ID, "s%d", &last)
+		srv.nextID = max(srv.nextID, last)
+	}
+	for _, rec := range recs {
+		ent, err := srv.entryFromRecord(rec)
+		if err != nil {
+			fmt.Fprintf(logw, "pooledd: wal skipped scheme record %s: %v\n", rec.ID, err)
+			continue
+		}
+		if _, taken := srv.lookup(rec.ID); taken {
+			srv.nextID++
+			ent.ID = fmt.Sprintf("s%d", srv.nextID)
+			if err := srv.journalScheme(ent); err != nil {
+				return err
+			}
+			srv.journal.RemoveScheme(rec.ID)
+			fmt.Fprintf(logw, "pooledd: wal scheme id %s is held by a preload; restored as %s\n", rec.ID, ent.ID)
+		}
+		srv.insert(ent)
+		fmt.Fprintf(logw, "pooledd: wal restored scheme %s (%s n=%d m=%d shard=%d)\n",
+			ent.ID, ent.Design, ent.N, ent.M, ent.Shard)
+	}
+	return nil
+}
+
+// entryFromRecord rebuilds the registry entry a scheme record journals.
+func (s *server) entryFromRecord(rec wal.SchemeRecord) (schemeEntry, error) {
+	ref, err := parseSchemeRef(rec.Ref)
+	if err != nil {
+		return schemeEntry{}, err
+	}
+	var es *engine.Scheme
+	if ref.AdHoc {
+		g, err := remote.ParseDesign(rec.Design)
+		if err != nil {
+			return schemeEntry{}, err
+		}
+		es = s.cluster.SchemeFromGraph(g, engine.GraphKey(g))
+	} else if es, err = s.buildRef(ref); err != nil {
+		return schemeEntry{}, err
+	}
+	return s.newEntry(rec.ID, es, ref), nil
+}
+
 // restoreCampaigns replays the WAL into the campaign store during boot,
-// after -designs and -snapshot have populated the scheme registry. An
+// after replaySchemes has brought the scheme registry back. An
 // interior-corrupt log refuses boot (the error from Recover); per-
 // campaign resolution problems degrade to failed jobs instead.
 func restoreCampaigns(srv *server, w *wal.WAL, logw io.Writer) error {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -50,9 +52,12 @@ func (s *walServer) shutdown() {
 }
 
 // restore replays the WAL into a freshly booted server, as main() does
-// after -designs/-snapshot load.
+// after the -designs preloads: the scheme records, then the campaigns.
 func (s *walServer) restore(t testing.TB) {
 	t.Helper()
+	if err := replaySchemes(s.srv, testWriter{t}); err != nil {
+		t.Fatalf("replay schemes: %v", err)
+	}
 	if err := restoreCampaigns(s.srv, s.journal, testWriter{t}); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -119,8 +124,16 @@ func TestWALRestartSSEResume(t *testing.T) {
 
 	s1.shutdown()
 
-	// Restart against the same WAL dir. The scheme registry is empty —
-	// the parametric ref in the journal is what brings the scheme back.
+	// Restart against the same WAL dir without its scheme records, so the
+	// registry starts empty: the parametric ref in the campaign's own log
+	// is what brings the scheme back.
+	records, err := filepath.Glob(filepath.Join(dir, "*.scheme"))
+	if err != nil || len(records) != 1 {
+		t.Fatalf("scheme records = %v (%v), want one", records, err)
+	}
+	if err := os.Remove(records[0]); err != nil {
+		t.Fatal(err)
+	}
 	s2 := startWALServer(t, dir, cfg)
 	defer s2.shutdown()
 	s2.restore(t)

@@ -181,10 +181,13 @@ type Campaign struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Store hooks, invoked without mu held: onSettled after every job
-	// settles (tenant quota accounting plus, for completed jobs, the
-	// per-tenant decode-latency histogram), onCancel after Cancel
-	// (purging the campaign's undispatched jobs from the tenant queue).
+	// Store hooks. onSettled runs under mu for every settle whose quota
+	// is still charged, before the settle is published, so a reader that
+	// sees the terminal state also sees the last job's tenant accounting
+	// (quota plus, for completed jobs, the per-tenant decode-latency
+	// histogram); it must not take the store's lock, which ranks before
+	// mu. onCancel runs without mu after Cancel (purging the campaign's
+	// undispatched jobs from the tenant queue).
 	onSettled func(decodeNS int64, completed bool)
 	onCancel  func()
 
@@ -295,6 +298,11 @@ func (cp *Campaign) settle(idx int, res engine.Result, err error) {
 	}
 
 	cp.mu.Lock()
+	// An expired campaign's quota was returned in bulk when GC reaped it;
+	// a straggler job settling afterwards must not release it twice.
+	if !cp.quotaReleased && cp.onSettled != nil {
+		cp.onSettled(jr.DecodeNS, err == nil)
+	}
 	switch {
 	case err == nil:
 		cp.completed++
@@ -314,14 +322,7 @@ func (cp *Campaign) settle(idx int, res engine.Result, err error) {
 		cp.appendDoneLocked()
 	}
 	cp.notifyLocked()
-	// An expired campaign's quota was returned in bulk when GC reaped it;
-	// a straggler job settling afterwards must not release it twice.
-	releaseQuota := !cp.quotaReleased
 	cp.mu.Unlock()
-
-	if releaseQuota && cp.onSettled != nil {
-		cp.onSettled(jr.DecodeNS, err == nil)
-	}
 }
 
 // allowRedispatch charges one unit of job idx's re-dispatch budget.
@@ -681,7 +682,7 @@ func (st *Store) Create(req Request) (*Campaign, error) {
 		return nil, fmt.Errorf("%w: tenant %q at %d active campaigns", ErrTenantQuota, tenant, st.cfg.TenantMaxActive)
 	}
 	ts := st.tenantLocked(tenant)
-	if st.cfg.TenantMaxQueued > 0 && ts.unsettled+len(req.Batch) > st.cfg.TenantMaxQueued {
+	if st.cfg.TenantMaxQueued > 0 && int(ts.unsettled.Load())+len(req.Batch) > st.cfg.TenantMaxQueued {
 		st.mu.Unlock()
 		return nil, fmt.Errorf("%w: tenant %q would exceed %d queued jobs", ErrTenantQuota, tenant, st.cfg.TenantMaxQueued)
 	}
@@ -697,7 +698,7 @@ func (st *Store) Create(req Request) (*Campaign, error) {
 		cancel:  cancel,
 		changed: make(chan struct{}),
 	}
-	cp.onSettled = func(decodeNS int64, completed bool) { st.jobSettled(tenant, decodeNS, completed) }
+	cp.onSettled = func(decodeNS int64, completed bool) { st.jobSettled(ts, tenant, decodeNS, completed) }
 	cp.onCancel = func() { st.purgeCanceled(cp) }
 	// Journal the spec before the campaign becomes visible: once Create
 	// returns an id, a crash must not forget the campaign. A journal
@@ -740,7 +741,7 @@ func (st *Store) Create(req Request) (*Campaign, error) {
 		cp.settle(res.Tag, res, err)
 		st.finishJobTrace(jobs[res.Tag].Trace, err)
 	}
-	ts.unsettled += len(req.Batch)
+	ts.unsettled.Add(int64(len(req.Batch)))
 	traceBase := req.TraceID
 	if st.cfg.Traces != nil && traceBase == "" {
 		traceBase = trace.NewID()
@@ -889,9 +890,7 @@ func (st *Store) gcLocked(now time.Time) int {
 		if released := cp.expire(); released > 0 {
 			st.expiredReaped.Add(1)
 			if ts, ok := st.tenants[cp.tenant]; ok {
-				if ts.unsettled -= released; ts.unsettled < 0 {
-					ts.unsettled = 0
-				}
+				ts.unsettled.Add(-int64(released))
 			}
 		}
 		delete(st.byID, id)
@@ -934,7 +933,7 @@ func (st *Store) pruneTenantsLocked() {
 	}
 	dropped := false
 	for name, ts := range st.tenants {
-		if !inUse[name] && ts.unsettled == 0 && ts.pendingLen() == 0 {
+		if !inUse[name] && ts.unsettled.Load() == 0 && ts.pendingLen() == 0 {
 			delete(st.tenants, name)
 			dropped = true
 		}

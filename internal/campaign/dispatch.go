@@ -100,8 +100,9 @@ type tenantState struct {
 	rrPos   int
 	// unsettled counts admitted jobs that have not yet settled
 	// (pending + on shard queues + inside decoders) — the quota
-	// Config.TenantMaxQueued bounds.
-	unsettled int
+	// Config.TenantMaxQueued bounds. Charged under the store's lock;
+	// released by settles under their campaign's lock alone.
+	unsettled atomic.Int64
 }
 
 func (ts *tenantState) pendingLen() int {
@@ -167,18 +168,15 @@ func (st *Store) signalWake() {
 }
 
 // jobSettled is the Campaign → Store accounting hook, called once per
-// settled job without any campaign lock held: it returns the job's
-// quota and, for completed jobs, feeds the tenant's decode-latency
-// histogram (its own lock, not st.mu — it runs on engine workers).
-func (st *Store) jobSettled(tenant string, decodeNS int64, completed bool) {
+// charged job as it settles, under the campaign's lock: it returns the
+// job's quota to ts and, for completed jobs, feeds the tenant's
+// decode-latency histogram. Neither takes st.mu, which ranks before
+// campaign locks.
+func (st *Store) jobSettled(ts *tenantState, tenant string, decodeNS int64, completed bool) {
 	if completed {
 		st.latency.Observe(tenant, time.Duration(decodeNS))
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if ts, ok := st.tenants[tenant]; ok && ts.unsettled > 0 {
-		ts.unsettled--
-	}
+	ts.unsettled.Add(-1)
 }
 
 // weightOf is the tenant's dispatch weight: jobs offered per rotation
@@ -454,7 +452,7 @@ func (st *Store) Tenants() map[string]TenantStats {
 	defer st.mu.Unlock()
 	out := make(map[string]TenantStats, len(st.tenants))
 	for name, ts := range st.tenants {
-		out[name] = TenantStats{PendingJobs: ts.pendingLen(), UnsettledJobs: ts.unsettled}
+		out[name] = TenantStats{PendingJobs: ts.pendingLen(), UnsettledJobs: int(ts.unsettled.Load())}
 	}
 	for _, cp := range st.byID {
 		g := out[cp.tenant]

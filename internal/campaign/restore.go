@@ -45,8 +45,9 @@ type RestoredCampaign struct {
 
 // Restore replays recovered logs into the store, in the creation order
 // wal.Recover sorted them. It must run before the store serves traffic
-// (pooledd calls it during boot, after -designs and -snapshot load the
-// scheme registry the resolver consults).
+// (pooledd calls it during boot, after the -designs preloads and the
+// WAL's scheme records have rebuilt the scheme registry the resolver
+// consults).
 func (st *Store) Restore(logs []wal.Log, resolve SchemeResolver) []RestoredCampaign {
 	if st.cfg.WAL == nil || len(logs) == 0 {
 		return nil
@@ -83,7 +84,6 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 		ctx:    ctx, cancel: cancel,
 		changed: make(chan struct{}),
 	}
-	cp.onSettled = func(decodeNS int64, completed bool) { st.jobSettled(tenant, decodeNS, completed) }
 	cp.onCancel = func() { st.purgeCanceled(cp) }
 
 	// Replay the journaled settlements. The log was normalized by
@@ -237,9 +237,13 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 		}
 		cp.settle(res.Tag, res, err)
 	}
+	// Only re-dispatched jobs are charged to the tenant's quota, so only
+	// they release it: the settles above, of jobs the log had no record
+	// for, carry no hook.
 	redispatched := 0
 	st.mu.Lock()
 	ts := st.tenantLocked(tenant)
+	cp.onSettled = func(decodeNS int64, completed bool) { st.jobSettled(ts, tenant, decodeNS, completed) }
 	for i, y := range spec.Batch {
 		if seen[i] {
 			continue
@@ -251,7 +255,7 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 		ts.push(pendingJob{cp: cp, job: jobs[i]})
 		redispatched++
 	}
-	ts.unsettled += redispatched
+	ts.unsettled.Add(int64(redispatched))
 	st.pendingTotal += redispatched
 	st.mu.Unlock()
 

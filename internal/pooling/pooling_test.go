@@ -349,9 +349,9 @@ func TestQuickHalfEdgeIdentityAllDesigns(t *testing.T) {
 
 // TestBuildsArePinned pins each design family's output at one seed to a
 // fixed digest. A spec names its graph on every node and across restarts
-// (the frontend rebuilds specs from snapshots and WAL refs), so a build
-// change that moves any incidence or multiplicity must fail here, however
-// much faster it is.
+// (the frontend rebuilds specs from its WAL's scheme records and campaign
+// refs), so a build change that moves any incidence or multiplicity must
+// fail here, however much faster it is.
 func TestBuildsArePinned(t *testing.T) {
 	for _, tc := range []struct {
 		d    Design

@@ -131,7 +131,7 @@ func BenchmarkSchemeInstall(b *testing.B) {
 	sc := engine.NewSchemeAt(spec, spec.Key(), g, 0)
 	_, ts := newWorker(b, 1, 1, 0, ServerOptions{})
 	sh := newShard(b, ts, nil)
-	b.SetBytes(int64(len(appendDesign(nil, g))))
+	b.SetBytes(int64(len(AppendDesign(nil, g))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -995,7 +995,7 @@ func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 	}
 	rctx, cancel := context.WithTimeout(ctx, s.opts.requestTimeout())
 	defer cancel()
-	body := bytes.NewReader(appendDesign(nil, st.scheme.G))
+	body := bytes.NewReader(AppendDesign(nil, st.scheme.G))
 	req, err := http.NewRequestWithContext(rctx, http.MethodPut, s.base+schemePathPrefix+url.PathEscape(st.id), body)
 	if err != nil {
 		return err

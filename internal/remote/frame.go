@@ -375,14 +375,16 @@ func parseBatchResponse(data []byte) ([]batchResult, error) {
 	return results, nil
 }
 
-// appendDesign encodes g as a design frame: n, m, then per query its
-// distinct-entry count and (entry delta, multiplicity) pairs. Entries
-// are strictly increasing within a query, so every delta is >= 1 and —
-// for the paper's dense designs — one byte, as is every multiplicity.
-// Query records are independent, so a large design is encoded as one
-// range of queries per CPU, each streamed by the graph's visitor into
-// its own buffer, and the buffers are joined in query order.
-func appendDesign(buf []byte, g *graph.Bipartite) []byte {
+// AppendDesign encodes g as a design frame — the body of a worker
+// install, and the form a frontend journals an ad-hoc upload in: n, m,
+// then per query its distinct-entry count and (entry delta,
+// multiplicity) pairs. Entries are strictly increasing within a query,
+// so every delta is >= 1 and — for the paper's dense designs — one
+// byte, as is every multiplicity. Query records are independent, so a
+// large design is encoded as one range of queries per CPU, each
+// streamed by the graph's visitor into its own buffer, and the buffers
+// are joined in query order.
+func AppendDesign(buf []byte, g *graph.Bipartite) []byte {
 	m := g.M()
 	buf = slices.Grow(buf, 3+2*binary.MaxVarintLen64+m*binary.MaxVarintLen32+2*int(g.DistinctPairs()))
 	buf = append(buf, designMagic[0], designMagic[1], frameVersion)
@@ -462,7 +464,7 @@ func skipVarints(data []byte, pos int, k uint64) int {
 	return pos
 }
 
-// parseDesign decodes a design frame into a graph. A first walk finds
+// ParseDesign decodes a design frame into a graph. A first walk finds
 // where each query's record starts: it checks every claimed count
 // against the bytes remaining before using it (a query costs at least its
 // one-byte count and a pair at least two bytes) and skips the record's
@@ -474,7 +476,7 @@ func skipVarints(data []byte, pos int, k uint64) int {
 // m+1 offsets, all bounded by the frame's own size, and the entry side is
 // allocated only after the whole frame has been checked, at exactly its
 // final size. FromQueryRows validates every row again.
-func parseDesign(data []byte) (*graph.Bipartite, error) {
+func ParseDesign(data []byte) (*graph.Bipartite, error) {
 	fr := &frameReader{data: data}
 	if err := fr.prelude(designMagic); err != nil {
 		return nil, err

@@ -267,7 +267,7 @@ func frameTestDesigns(t testing.TB, seed uint64) map[string]*graph.Bipartite {
 func TestDesignFrameRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for name, g := range frameTestDesigns(t, seed) {
-			got, err := parseDesign(appendDesign(nil, g))
+			got, err := ParseDesign(AppendDesign(nil, g))
 			if err != nil {
 				t.Fatalf("%s seed %d: parse: %v", name, seed, err)
 			}
@@ -287,7 +287,7 @@ func TestDesignFrameGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	frame := appendDesign(nil, home)
+	frame := AppendDesign(nil, home)
 	h.Write(frame)
 	if got, want := h.Sum64(), uint64(0x1a91490559cd5e4b); got != want || len(frame) != 4721059 {
 		t.Fatalf("home-scale frame: %d bytes, digest %#x; want 4721059 bytes, %#x", len(frame), got, want)
@@ -297,7 +297,7 @@ func TestDesignFrameGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "70640107050301010101020103020103010201040101010103010202020301020103010105020102"
-	if got := hex.EncodeToString(appendDesign(nil, fig1)); got != want {
+	if got := hex.EncodeToString(AppendDesign(nil, fig1)); got != want {
 		t.Fatalf("Fig. 1 frame %s, want %s", got, want)
 	}
 }
@@ -313,10 +313,10 @@ func TestDesignFrameParseFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := appendDesign(nil, g)
+	frame := AppendDesign(nil, g)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := parseDesign(frame)
+	got, err := ParseDesign(frame)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -395,12 +395,12 @@ var hostileDesignFrames = map[string][]byte{
 
 func TestDesignFrameRejectsHostile(t *testing.T) {
 	for _, mu := range []uint64{3, graph.MaxMultiplicity} {
-		if _, err := parseDesign(designFrame(4, 1, 2, 1, 1, 2, mu)); err != nil {
+		if _, err := ParseDesign(designFrame(4, 1, 2, 1, 1, 2, mu)); err != nil {
 			t.Fatalf("control frame with multiplicity %d rejected: %v", mu, err)
 		}
 	}
 	for name, data := range hostileDesignFrames {
-		if g, err := parseDesign(data); err == nil {
+		if g, err := ParseDesign(data); err == nil {
 			t.Errorf("%s: parsed into n=%d m=%d", name, g.N(), g.M())
 		}
 	}
@@ -412,15 +412,15 @@ func TestDesignFrameRejectsHostile(t *testing.T) {
 func FuzzDesignFrame(f *testing.F) {
 	for _, g := range frameTestDesigns(f, 1) {
 		if g.DistinctPairs() < 512 {
-			f.Add(appendDesign(nil, g))
+			f.Add(AppendDesign(nil, g))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := parseDesign(data)
+		g, err := ParseDesign(data)
 		if err != nil {
 			return
 		}
-		again, err := parseDesign(appendDesign(nil, g))
+		again, err := ParseDesign(AppendDesign(nil, g))
 		if err != nil {
 			t.Fatalf("re-encoded design failed to parse: %v", err)
 		}

@@ -606,7 +606,7 @@ func TestInstallWantsDesignFrame(t *testing.T) {
 	if err := labio.WriteDesign(&csv, g); err != nil {
 		t.Fatal(err)
 	}
-	frame := appendDesign(nil, g)
+	frame := AppendDesign(nil, g)
 	const id = "random-regular{Gamma:0}|60|20|4"
 	put := func(contentType string, body []byte) int {
 		t.Helper()

@@ -140,7 +140,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
-	g, err := parseDesign(body)
+	g, err := ParseDesign(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parse design frame: %v", err)
 		return

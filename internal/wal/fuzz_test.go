@@ -15,9 +15,9 @@ import (
 //     not forced canonical on input, so bytes may differ — the
 //     semantic value must not.
 //
-// Seeds in testdata/fuzz/FuzzWALRecord cover a truncated record, a
-// bit-flipped valid record, and a hostile claimed length; CI replays
-// them via `make fuzz-seeds`.
+// Seeds in testdata/fuzz/FuzzWALRecord cover truncated spec and scheme
+// records, a bit-flipped valid record, and hostile claimed lengths (a
+// support, a scheme's design); CI replays them via `make fuzz-seeds`.
 func FuzzWALRecord(f *testing.F) {
 	f.Add(appendSpecPayload(nil, CampaignSpec{
 		ID: "c1", Tenant: "acme", TraceID: "t", SchemeRef: "{}",
@@ -33,6 +33,11 @@ func FuzzWALRecord(f *testing.F) {
 	}))
 	f.Add(appendCancelPayload(nil))
 	f.Add(appendSealPayload(nil, Seal{State: "done", Completed: 4, Failed: 1}))
+	f.Add(appendSchemePayload(nil, SchemeRecord{ID: "s1", Ref: `{"design":"random-regular","n":10,"m":5}`}))
+	f.Add(appendSchemePayload(nil, SchemeRecord{
+		ID: "s2", Ref: `{"design":"uploaded","n":4,"m":1,"ad_hoc":true}`,
+		Design: []byte("pd\x01\x04\x01\x02\x01\x01\x02\x01"),
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := parsePayload(data)
@@ -49,6 +54,8 @@ func FuzzWALRecord(f *testing.F) {
 			reenc = appendCancelPayload(nil)
 		case recSeal:
 			reenc = appendSealPayload(nil, rec.seal)
+		case recScheme:
+			reenc = appendSchemePayload(nil, rec.scheme)
 		default:
 			t.Fatalf("accepted unknown kind %d", rec.kind)
 		}

@@ -7,9 +7,9 @@ import (
 	"math"
 )
 
-// On-disk record encoding. A campaign log is a 5-byte file header
-// ("pwal" + version byte) followed by a sequence of records, each
-// framed as
+// On-disk record encoding. A journal file — a campaign log or a scheme
+// record — is a 5-byte file header ("pwal" + version byte) followed by
+// a sequence of records, each framed as
 //
 //	uvarint(len(payload)) | payload | crc32c(payload) little-endian
 //
@@ -28,6 +28,7 @@ const (
 	recEvent  byte = 2 // one settled job
 	recCancel byte = 3 // cancellation requested (log stays open)
 	recSeal   byte = 4 // terminal: campaign reached a final state
+	recScheme byte = 5 // scheme registry entry: the one record of a scheme file
 )
 
 // fileHeader opens every log file.
@@ -61,8 +62,8 @@ const (
 // rebuild the campaign and re-dispatch its jobs after a crash. The
 // scheme is referenced, not embedded — SchemeRef is an opaque string
 // the frontend resolves back to an *engine.Scheme at recovery time
-// (seeded schemes rebuild deterministically; ad-hoc uploads resolve via
-// the -snapshot registry).
+// (seeded schemes rebuild deterministically; ad-hoc uploads resolve
+// through the scheme registry, replayed from scheme records first).
 type CampaignSpec struct {
 	ID        string
 	Tenant    string
@@ -98,6 +99,16 @@ type Seal struct {
 	Canceled  int
 }
 
+// SchemeRecord journals one scheme registry entry: its id, the
+// frontend's opaque scheme ref, and, for ad-hoc uploads only, the design
+// itself as a design frame. Parametric schemes carry no design; they
+// rebuild from the ref.
+type SchemeRecord struct {
+	ID     string
+	Ref    string
+	Design []byte
+}
+
 // truncString bounds a string field before encoding. Only error
 // messages can realistically exceed the cap; cutting them keeps every
 // written record parseable.
@@ -121,12 +132,9 @@ func appendString(buf []byte, s string) []byte {
 // appendSpecPayload encodes a spec record payload.
 func appendSpecPayload(buf []byte, spec CampaignSpec) []byte {
 	buf = append(buf, recSpec)
-	buf = appendString(buf, spec.ID)
-	buf = appendString(buf, spec.Tenant)
-	buf = appendString(buf, spec.TraceID)
-	buf = appendString(buf, spec.SchemeRef)
-	buf = appendString(buf, spec.Noise)
-	buf = appendString(buf, spec.Decoder)
+	for _, s := range []string{spec.ID, spec.Tenant, spec.TraceID, spec.SchemeRef, spec.Noise, spec.Decoder} {
+		buf = appendString(buf, s)
+	}
 	buf = appendUvarint(buf, uint64(spec.K))
 	buf = appendUvarint(buf, uint64(len(spec.Batch)))
 	m := 0
@@ -180,6 +188,14 @@ func appendSealPayload(buf []byte, s Seal) []byte {
 	return buf
 }
 
+func appendSchemePayload(buf []byte, s SchemeRecord) []byte {
+	buf = append(buf, recScheme)
+	buf = appendString(buf, s.ID)
+	buf = appendString(buf, s.Ref)
+	buf = appendUvarint(buf, uint64(len(s.Design)))
+	return append(buf, s.Design...)
+}
+
 // appendRecord frames a payload: length prefix, payload, CRC32C.
 func appendRecord(buf, payload []byte) []byte {
 	buf = appendUvarint(buf, uint64(len(payload)))
@@ -190,10 +206,11 @@ func appendRecord(buf, payload []byte) []byte {
 // record is one parsed payload; exactly one of the kind-specific fields
 // is meaningful.
 type record struct {
-	kind  byte
-	spec  CampaignSpec
-	event EventRecord
-	seal  Seal
+	kind   byte
+	spec   CampaignSpec
+	event  EventRecord
+	seal   Seal
+	scheme SchemeRecord
 }
 
 // payloadReader walks a record payload with bounds-checked reads.
@@ -211,6 +228,16 @@ func (pr *payloadReader) uvarint() (uint64, error) {
 	}
 	pr.pos += n
 	return v, nil
+}
+
+// bounded reads a uvarint and refuses it above limit; what names the
+// field in the error.
+func (pr *payloadReader) bounded(what string, limit uint64) (uint64, error) {
+	v, err := pr.uvarint()
+	if err == nil && v > limit {
+		err = fmt.Errorf("wal: record claims %s %d, limit %d", what, v, limit)
+	}
+	return v, err
 }
 
 func (pr *payloadReader) varint() (int64, error) {
@@ -247,6 +274,18 @@ func (pr *payloadReader) str() (string, error) {
 	return s, nil
 }
 
+// strs reads consecutive string fields into dst.
+func (pr *payloadReader) strs(dst ...*string) error {
+	for _, d := range dst {
+		s, err := pr.str()
+		if err != nil {
+			return err
+		}
+		*d = s
+	}
+	return nil
+}
+
 // parsePayload decodes one record payload (kind byte onward; the length
 // prefix and CRC are the framer's business).
 func parsePayload(data []byte) (record, error) {
@@ -265,6 +304,8 @@ func parsePayload(data []byte) (record, error) {
 		// no fields
 	case recSeal:
 		rec.seal, err = pr.parseSeal()
+	case recScheme:
+		rec.scheme, err = pr.parseScheme()
 	default:
 		return record{}, fmt.Errorf("wal: unknown record kind %d", kind)
 	}
@@ -279,46 +320,21 @@ func parsePayload(data []byte) (record, error) {
 
 func (pr *payloadReader) parseSpec() (CampaignSpec, error) {
 	var spec CampaignSpec
-	var err error
-	if spec.ID, err = pr.str(); err != nil {
+	if err := pr.strs(&spec.ID, &spec.Tenant, &spec.TraceID, &spec.SchemeRef, &spec.Noise, &spec.Decoder); err != nil {
 		return spec, err
 	}
-	if spec.Tenant, err = pr.str(); err != nil {
-		return spec, err
-	}
-	if spec.TraceID, err = pr.str(); err != nil {
-		return spec, err
-	}
-	if spec.SchemeRef, err = pr.str(); err != nil {
-		return spec, err
-	}
-	if spec.Noise, err = pr.str(); err != nil {
-		return spec, err
-	}
-	if spec.Decoder, err = pr.str(); err != nil {
-		return spec, err
-	}
-	k, err := pr.uvarint()
+	k, err := pr.bounded("k", math.MaxInt32)
 	if err != nil {
 		return spec, err
-	}
-	if k > math.MaxInt32 {
-		return spec, fmt.Errorf("wal: spec claims k=%d", k)
 	}
 	spec.K = int(k)
-	jobs, err := pr.uvarint()
+	jobs, err := pr.bounded("jobs", maxWALJobs)
 	if err != nil {
 		return spec, err
 	}
-	if jobs > maxWALJobs {
-		return spec, fmt.Errorf("wal: spec claims %d jobs, limit %d", jobs, maxWALJobs)
-	}
-	m, err := pr.uvarint()
+	m, err := pr.bounded("counts per job", maxWALCounts)
 	if err != nil {
 		return spec, err
-	}
-	if m > maxWALCounts {
-		return spec, fmt.Errorf("wal: spec claims %d counts per job, limit %d", m, maxWALCounts)
 	}
 	// Bound the total before allocating: jobs*m*8 must fit in what is
 	// actually here (both factors are already capped well below overflow).
@@ -339,20 +355,14 @@ func (pr *payloadReader) parseSpec() (CampaignSpec, error) {
 
 func (pr *payloadReader) parseEvent() (EventRecord, error) {
 	var ev EventRecord
-	seq, err := pr.uvarint()
+	seq, err := pr.bounded("seq", math.MaxInt64)
 	if err != nil {
 		return ev, err
-	}
-	if seq > math.MaxInt64 {
-		return ev, fmt.Errorf("wal: event claims seq %d", seq)
 	}
 	ev.Seq = int64(seq)
-	idx, err := pr.uvarint()
+	idx, err := pr.bounded("job index", maxWALJobs-1)
 	if err != nil {
 		return ev, err
-	}
-	if idx >= maxWALJobs {
-		return ev, fmt.Errorf("wal: event claims job index %d, limit %d", idx, maxWALJobs)
 	}
 	ev.Index = int(idx)
 	st, err := pr.byte()
@@ -363,10 +373,7 @@ func (pr *payloadReader) parseEvent() (EventRecord, error) {
 		return ev, fmt.Errorf("wal: event has unknown status %d", st)
 	}
 	ev.Status = Status(st)
-	if ev.Decoder, err = pr.str(); err != nil {
-		return ev, err
-	}
-	if ev.Error, err = pr.str(); err != nil {
+	if err = pr.strs(&ev.Decoder, &ev.Error); err != nil {
 		return ev, err
 	}
 	if ev.Residual, err = pr.varint(); err != nil {
@@ -380,12 +387,9 @@ func (pr *payloadReader) parseEvent() (EventRecord, error) {
 		return ev, fmt.Errorf("wal: event has bool byte %d", c)
 	}
 	ev.Consistent = c == 1
-	ns, err := pr.uvarint()
+	ns, err := pr.bounded("decode ns", math.MaxInt64)
 	if err != nil {
 		return ev, err
-	}
-	if ns > math.MaxInt64 {
-		return ev, fmt.Errorf("wal: event has out-of-range timing")
 	}
 	ev.DecodeNS = int64(ns)
 	slen, err := pr.uvarint()
@@ -399,12 +403,9 @@ func (pr *payloadReader) parseEvent() (EventRecord, error) {
 	if slen > 0 {
 		ev.Support = make([]int, slen)
 		for p := range ev.Support {
-			v, err := pr.uvarint()
+			v, err := pr.bounded("support index", math.MaxInt32)
 			if err != nil {
 				return ev, err
-			}
-			if v > math.MaxInt32 {
-				return ev, fmt.Errorf("wal: event support index %d overflows", v)
 			}
 			ev.Support[p] = int(v)
 		}
@@ -420,14 +421,30 @@ func (pr *payloadReader) parseSeal() (Seal, error) {
 	}
 	counts := [3]*int{&s.Completed, &s.Failed, &s.Canceled}
 	for _, dst := range counts {
-		v, err := pr.uvarint()
+		v, err := pr.bounded("seal count", maxWALJobs)
 		if err != nil {
 			return s, err
 		}
-		if v > maxWALJobs {
-			return s, fmt.Errorf("wal: seal count %d exceeds job limit", v)
-		}
 		*dst = int(v)
 	}
+	return s, nil
+}
+
+// parseScheme reads a scheme record. The design aliases the payload:
+// it is as large as the record, so it is not copied.
+func (pr *payloadReader) parseScheme() (SchemeRecord, error) {
+	var s SchemeRecord
+	if err := pr.strs(&s.ID, &s.Ref); err != nil {
+		return s, err
+	}
+	n, err := pr.uvarint()
+	if err == nil && n > uint64(pr.remaining()) {
+		err = fmt.Errorf("wal: scheme record claims a %d-byte design, %d bytes remain", n, pr.remaining())
+	}
+	if err != nil || n == 0 {
+		return s, err
+	}
+	end := pr.pos + int(n)
+	s.Design, pr.pos = pr.data[pr.pos:end:end], end
 	return s, nil
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -36,16 +35,12 @@ func (w *WAL) Recover() ([]Log, error) {
 	if w == nil {
 		return nil, nil
 	}
-	entries, err := os.ReadDir(w.dir)
+	paths, err := w.list(logSuffix)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, err
 	}
 	var logs []Log
-	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), logSuffix) {
-			continue
-		}
-		path := filepath.Join(w.dir, ent.Name())
+	for _, path := range paths {
 		lg, ok, err := w.recoverFile(path)
 		if err != nil {
 			return nil, err
@@ -54,79 +49,81 @@ func (w *WAL) Recover() ([]Log, error) {
 			logs = append(logs, lg)
 		}
 	}
-	sort.SliceStable(logs, func(i, j int) bool {
-		return campaignSeq(logs[i].Spec.ID) < campaignSeq(logs[j].Spec.ID)
-	})
 	return logs, nil
 }
 
-// campaignSeq extracts the numeric part of a "c<n>" campaign id for
-// ordering (0 when the id has another shape).
-func campaignSeq(id string) int64 {
-	if len(id) < 2 || id[0] != 'c' {
-		return 0
+// RecoverSchemes reads every scheme record in the WAL directory, in id
+// order, under Recover's rules: a torn record was never acknowledged and
+// its file is deleted; a file holding anything but one scheme record
+// named like the file refuses boot, naming the file and offset.
+func (w *WAL) RecoverSchemes() ([]SchemeRecord, error) {
+	if w == nil {
+		return nil, nil
 	}
-	n, err := strconv.ParseInt(id[1:], 10, 64)
+	paths, err := w.list(schemeSuffix)
 	if err != nil {
-		return 0
+		return nil, err
 	}
+	var out []SchemeRecord
+	for _, path := range paths {
+		var sr SchemeRecord
+		ok, _, err := w.readFile(path, func(rec record, off, rest int) error {
+			if rec.kind != recScheme {
+				return fmt.Errorf("record at offset %d has kind %d, want scheme", off, rec.kind)
+			}
+			if rest > 0 {
+				return fmt.Errorf("%d bytes after the scheme record at offset %d", rest, off)
+			}
+			if sr = rec.scheme; sr.ID+schemeSuffix != filepath.Base(path) {
+				return fmt.Errorf("record names scheme %q (file renamed?)", sr.ID)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, sr)
+		}
+	}
+	return out, nil
+}
+
+// list returns the paths of the directory's files with suffix, in the
+// order of the ids they are named for ("c2" before "c10").
+func (w *WAL) list(suffix string) ([]string, error) {
+	entries, err := os.ReadDir(w.dir)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	var paths []string
+	for _, ent := range entries {
+		if !ent.IsDir() && strings.HasSuffix(ent.Name(), suffix) {
+			paths = append(paths, filepath.Join(w.dir, ent.Name()))
+		}
+	}
+	sort.SliceStable(paths, func(i, j int) bool { return idSeq(filepath.Base(paths[i])) < idSeq(filepath.Base(paths[j])) })
+	return paths, nil
+}
+
+// idSeq extracts the numeric part of a "c<n>" campaign or "s<n>" scheme
+// id, or of a file named for one, for ordering (0 for another shape).
+func idSeq(id string) (n int64) {
+	fmt.Sscanf(id[min(1, len(id)):], "%d", &n)
 	return n
 }
 
-// recoverFile replays one log. ok=false skips the file (never
+// recoverFile replays one campaign log. ok=false skips the file (never
 // acknowledged to a client); a non-nil error refuses boot.
 func (w *WAL) recoverFile(path string) (Log, bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Log{}, false, fmt.Errorf("wal: %w", err)
-	}
-	if len(data) == 0 {
-		// Created but never written: Begin fsyncs header+spec in one
-		// write, so this campaign was never acknowledged. Drop it.
-		w.log.Warn("wal: dropping empty log", "path", path)
-		os.Remove(path)
-		return Log{}, false, nil
-	}
-	if len(data) < len(fileHeader) || string(data[:4]) != string(fileHeader[:4]) {
-		return Log{}, false, fmt.Errorf("wal: %s: bad file header (not a campaign log)", path)
-	}
-	if data[4] != walVersion {
-		return Log{}, false, fmt.Errorf("wal: %s: unsupported log version %d (have %d)", path, data[4], walVersion)
-	}
-
 	lg := Log{Path: path}
-	pos := len(fileHeader)
-	first := true
-	for pos < len(data) {
-		recStart := pos
-		payload, next, torn, ferr := readFramedRecord(data, pos)
-		if ferr != nil {
-			if !torn {
-				return Log{}, false, fmt.Errorf("wal: %s: corrupt record at offset %d: %v", path, recStart, ferr)
-			}
-			if err := w.truncateTail(path, &lg, recStart, ferr); err != nil {
-				return Log{}, false, err
-			}
-			break
-		}
-		rec, perr := parsePayload(payload)
-		if perr != nil {
-			// The frame checksummed clean but the payload is invalid —
-			// tolerable only as the final record (a torn write can
-			// produce any bytes); earlier it means real corruption.
-			if next < len(data) {
-				return Log{}, false, fmt.Errorf("wal: %s: corrupt record at offset %d: %v", path, recStart, perr)
-			}
-			if err := w.truncateTail(path, &lg, recStart, perr); err != nil {
-				return Log{}, false, err
-			}
-			break
-		}
-		if first && rec.kind != recSpec {
-			return Log{}, false, fmt.Errorf("wal: %s: first record has kind %d, want spec", path, rec.kind)
-		}
-		if !first && rec.kind == recSpec {
-			return Log{}, false, fmt.Errorf("wal: %s: duplicate spec record at offset %d", path, recStart)
+	ok, truncated, err := w.readFile(path, func(rec record, off, rest int) error {
+		first := off == len(fileHeader)
+		switch {
+		case first && rec.kind != recSpec:
+			return fmt.Errorf("first record has kind %d, want spec", rec.kind)
+		case !first && rec.kind == recSpec:
+			return fmt.Errorf("duplicate spec record at offset %d", off)
 		}
 		switch rec.kind {
 		case recSpec:
@@ -138,25 +135,79 @@ func (w *WAL) recoverFile(path string) (Log, bool, error) {
 		case recSeal:
 			s := rec.seal
 			lg.Seal = &s
+			if rest > 0 {
+				return fmt.Errorf("%d bytes after seal record", rest)
+			}
+		default:
+			return fmt.Errorf("record at offset %d has kind %d, not a campaign record", off, rec.kind)
 		}
-		first = false
-		pos = next
-		if lg.Seal != nil && pos < len(data) {
-			return Log{}, false, fmt.Errorf("wal: %s: %d bytes after seal record", path, len(data)-pos)
-		}
+		return nil
+	})
+	if err != nil || !ok {
+		return Log{}, false, err
 	}
-	if first {
-		// Header only — the spec write itself was torn. Same as empty:
-		// the campaign was never acknowledged.
-		w.log.Warn("wal: dropping log with no spec record", "path", path)
-		os.Remove(path)
-		return Log{}, false, nil
-	}
+	lg.Truncated = truncated
 	if want := filepath.Base(path); lg.Spec.ID+logSuffix != want {
 		return Log{}, false, fmt.Errorf("wal: %s: spec names campaign %q (file renamed?)", path, lg.Spec.ID)
 	}
 	lg.Events = normalizeEvents(lg.Events)
 	return lg, true, nil
+}
+
+// readFile reads one journal file record by record, handing fn each
+// parsed record, its offset, and the number of bytes after it; an
+// error from fn is interior corruption and refuses boot. fn sees a seal
+// before the bytes after it, so a torn record after a seal is refused
+// too. A torn tail record is truncated away (truncated reports it). A
+// file left with no record — created but never written, or its first
+// record torn — was never acknowledged, because create writes the
+// header and the first record in one write: it is deleted, ok false.
+func (w *WAL) readFile(path string, fn func(rec record, off, rest int) error) (ok, truncated bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false, false, fmt.Errorf("wal: %w", err)
+	}
+	if len(data) > 0 {
+		if len(data) < len(fileHeader) || string(data[:4]) != string(fileHeader[:4]) {
+			return false, false, fmt.Errorf("wal: %s: bad file header (not a journal file)", path)
+		}
+		if data[4] != walVersion {
+			return false, false, fmt.Errorf("wal: %s: unsupported log version %d (have %d)", path, data[4], walVersion)
+		}
+	}
+	for pos := len(fileHeader); pos < len(data); {
+		payload, next, torn, ferr := readFramedRecord(data, pos)
+		var rec record
+		if ferr == nil {
+			// The frame checksummed clean but the payload may still be
+			// invalid — tolerable only as the final record (a torn write
+			// can produce any bytes); earlier it means real corruption.
+			rec, ferr = parsePayload(payload)
+			torn = next == len(data)
+		}
+		if ferr != nil {
+			if !torn {
+				return false, false, fmt.Errorf("wal: %s: corrupt record at offset %d: %v", path, pos, ferr)
+			}
+			// Cut the torn record off so the file is clean for Resume.
+			w.log.Warn("wal: truncating torn tail record", "path", path, "offset", pos, "cause", ferr)
+			if err := os.Truncate(path, int64(pos)); err != nil {
+				return false, false, fmt.Errorf("wal: %s: truncating torn tail at %d: %w", path, pos, err)
+			}
+			truncated = true
+			break
+		}
+		if err := fn(rec, pos, len(data)-next); err != nil {
+			return false, false, fmt.Errorf("wal: %s: %v", path, err)
+		}
+		ok = true
+		pos = next
+	}
+	if !ok {
+		w.log.Warn("wal: dropping file with no record", "path", path)
+		os.Remove(path)
+	}
+	return ok, truncated, nil
 }
 
 // readFramedRecord decodes one record frame at pos: length prefix,
@@ -186,20 +237,6 @@ func readFramedRecord(data []byte, pos int) (payload []byte, next int, torn bool
 			fmt.Errorf("checksum mismatch at offset %d (got %08x want %08x)", start, got, want)
 	}
 	return payload, end + 4, false, nil
-}
-
-// truncateTail physically cuts a torn tail record off the log so the
-// file is clean for Resume appends, and records the fact.
-func (w *WAL) truncateTail(path string, lg *Log, offset int, cause error) error {
-	w.log.Warn("wal: truncating torn tail record", "path", path, "offset", offset, "cause", cause)
-	if err := os.Truncate(path, int64(offset)); err != nil {
-		return fmt.Errorf("wal: %s: truncating torn tail at %d: %w", path, offset, err)
-	}
-	lg.Truncated = true
-	// A seal or cancel read before a torn tail cannot exist: the seal is
-	// the last record by construction, so a torn record after one is the
-	// interior-garbage case caught above.
-	return nil
 }
 
 // normalizeEvents sorts by seq, drops duplicates (last write wins), and

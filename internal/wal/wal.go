@@ -1,11 +1,13 @@
-// Package wal is the durability layer for campaigns: an append-only,
-// length-prefixed, CRC32C-checksummed record log per campaign. A log
-// starts with the campaign spec, accumulates one record per settled
-// job, and ends with a terminal seal record. On boot, Recover replays
-// every log in the directory — truncating a torn tail record, refusing
-// boot on interior corruption — so the server can reconstruct finished
-// campaigns read-only and re-dispatch unfinished work. The on-disk
-// format and recovery semantics are specified in docs/durability.md.
+// Package wal is the durability layer for campaigns and the schemes
+// they decode against: an append-only, length-prefixed,
+// CRC32C-checksummed record log per campaign, and a one-record file per
+// registered scheme. A log starts with the campaign spec, accumulates
+// one record per settled job, and ends with a terminal seal record. On
+// boot, RecoverSchemes and Recover replay the directory — truncating a
+// torn tail record, refusing boot on interior corruption — so the
+// server can restore its schemes, reconstruct finished campaigns and
+// re-dispatch unfinished work. The on-disk format and recovery
+// semantics are specified in docs/durability.md.
 package wal
 
 import (
@@ -34,9 +36,9 @@ const (
 	// whose jobs simply re-dispatch on recovery.
 	SyncInterval
 	// SyncOff never fsyncs data records explicitly (the kernel page
-	// cache decides). Spec, cancel, and seal records are still synced
-	// under every mode — losing those would change campaign identity,
-	// not just redo idempotent work.
+	// cache decides). Spec, cancel, seal, and scheme records are still
+	// synced under every mode — losing those would change campaign or
+	// scheme identity, not just redo idempotent work.
 	SyncOff
 )
 
@@ -83,9 +85,10 @@ type Options struct {
 	Logger  *slog.Logger
 }
 
-// WAL manages the per-campaign logs under one directory. All methods
-// are safe on a nil receiver (no-ops), so callers can thread an
-// optional journal without guarding every touch point.
+// WAL manages the campaign logs and scheme records under one
+// directory. All methods are safe on a nil receiver (no-ops), so
+// callers can thread an optional journal without guarding every touch
+// point.
 type WAL struct {
 	dir    string
 	policy SyncPolicy
@@ -129,9 +132,9 @@ func Open(dir string, opts Options) (*WAL, error) {
 		policy: opts.Sync,
 		log:    log,
 		appends: reg.Counter("pooled_wal_appends_total",
-			"Records appended to campaign write-ahead logs.").With(),
+			"Records appended to the write-ahead log (campaign and scheme records).").With(),
 		bytes: reg.Counter("pooled_wal_bytes_total",
-			"Bytes appended to campaign write-ahead logs.").With(),
+			"Bytes appended to the write-ahead log.").With(),
 		fsyncSec: reg.Histogram("pooled_wal_fsync_seconds",
 			"Latency of WAL fsync calls.", nil).With(),
 		recoveredV: reg.Counter("pooled_wal_recovered_campaigns_total",
@@ -148,23 +151,20 @@ func Open(dir string, opts Options) (*WAL, error) {
 	return w, nil
 }
 
-// Dir reports the directory the WAL writes under.
-func (w *WAL) Dir() string {
-	if w == nil {
-		return ""
-	}
-	return w.dir
-}
+// File suffixes: a campaign's log, a scheme's record.
+const (
+	logSuffix    = ".wal"
+	schemeSuffix = ".scheme"
+)
 
-const logSuffix = ".wal"
-
-// pathFor maps a campaign id to its log path. IDs are server-generated
-// ("c17"), but validate anyway: an id must be a plain filename.
-func (w *WAL) pathFor(id string) (string, error) {
+// pathFor maps a campaign or scheme id to its file path. IDs are
+// server-generated ("c17", "s3"), but validate anyway: an id must be a
+// plain filename.
+func (w *WAL) pathFor(id, suffix string) (string, error) {
 	if id == "" || id != filepath.Base(id) || strings.HasPrefix(id, ".") {
-		return "", fmt.Errorf("wal: campaign id %q is not a valid log name", id)
+		return "", fmt.Errorf("wal: id %q is not a valid file name", id)
 	}
-	return filepath.Join(w.dir, id+logSuffix), nil
+	return filepath.Join(w.dir, id+suffix), nil
 }
 
 // fsync syncs one file and feeds the latency histogram.
@@ -214,6 +214,34 @@ func (w *WAL) register(id string, lf *logFile) error {
 	return nil
 }
 
+// create writes the new journal file id+suffix in one piece — an
+// O_EXCL create, one write of the header and the record, an fsync of
+// the file and of the directory — under every policy: the caller
+// acknowledges what it wrote. A failed write leaves no file behind.
+func (w *WAL) create(id, suffix string, payload []byte) (*os.File, error) {
+	path, err := w.pathFor(id, suffix)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	buf := appendRecord(append([]byte(nil), fileHeader[:]...), payload)
+	if _, err = f.Write(buf); err == nil {
+		err = w.fsync(f)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	w.syncDir()
+	w.appends.Inc()
+	w.bytes.Add(float64(len(buf)))
+	return f, nil
+}
+
 // Begin creates the log for a new campaign and writes its spec record.
 // The spec is always fsynced regardless of policy: once Create returns
 // an id to the client, the campaign must survive a crash.
@@ -221,32 +249,40 @@ func (w *WAL) Begin(spec CampaignSpec) error {
 	if w == nil {
 		return nil
 	}
-	path, err := w.pathFor(spec.ID)
+	f, err := w.create(spec.ID, logSuffix, appendSpecPayload(nil, spec))
 	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	buf := append([]byte(nil), fileHeader[:]...)
-	buf = appendRecord(buf, appendSpecPayload(nil, spec))
-	if _, err := f.Write(buf); err == nil {
-		err = w.fsync(f)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(path)
 		return fmt.Errorf("wal: spec for %s: %w", spec.ID, err)
 	}
-	w.syncDir()
-	w.appends.Inc()
-	w.bytes.Add(float64(len(buf)))
 	if err := w.register(spec.ID, &logFile{f: f}); err != nil {
 		f.Close()
 		return err
 	}
 	return nil
+}
+
+// PutScheme journals one scheme registry entry as its own file,
+// <id>.scheme, written like a spec record: the entry may be served once
+// PutScheme returns, because it would survive a crash.
+func (w *WAL) PutScheme(rec SchemeRecord) error {
+	if w == nil {
+		return nil
+	}
+	f, err := w.create(rec.ID, schemeSuffix, appendSchemePayload(nil, rec))
+	if err != nil {
+		return fmt.Errorf("wal: scheme %s: %w", rec.ID, err)
+	}
+	return f.Close()
+}
+
+// RemoveScheme deletes a scheme's record once its registry entry is
+// evicted. Like Remove, it logs rather than returns errors.
+func (w *WAL) RemoveScheme(id string) {
+	if w == nil {
+		return
+	}
+	if path, err := w.pathFor(id, schemeSuffix); err == nil {
+		w.removeFile(path)
+	}
 }
 
 // Resume reopens an existing log for appending — used after Recover for
@@ -255,7 +291,7 @@ func (w *WAL) Resume(id string) error {
 	if w == nil {
 		return nil
 	}
-	path, err := w.pathFor(id)
+	path, err := w.pathFor(id, logSuffix)
 	if err != nil {
 		return err
 	}
@@ -348,7 +384,7 @@ func (w *WAL) Remove(id string) {
 	if w == nil {
 		return
 	}
-	path, err := w.pathFor(id)
+	path, err := w.pathFor(id, logSuffix)
 	if err != nil {
 		return
 	}
@@ -364,8 +400,15 @@ func (w *WAL) Remove(id string) {
 		lf.sealed = true
 		lf.mu.Unlock()
 	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		w.log.Warn("wal: remove failed", "campaign", id, "err", err)
+	w.removeFile(path)
+}
+
+// removeFile deletes one journal file and makes the removal durable.
+func (w *WAL) removeFile(path string) {
+	if err := os.Remove(path); err != nil {
+		if !errors.Is(err, os.ErrNotExist) {
+			w.log.Warn("wal: remove failed", "path", path, "err", err)
+		}
 		return
 	}
 	w.syncDir()

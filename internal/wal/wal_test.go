@@ -487,3 +487,66 @@ func TestBadCampaignID(t *testing.T) {
 		}
 	}
 }
+
+// TestSchemeRecords: scheme records round-trip in id order, with and
+// without a design, are written under SyncOff too, and are deleted by
+// RemoveScheme; an id is written once. A scheme file that is renamed,
+// holds another record kind, or has bytes after its record refuses
+// boot, and campaign recovery ignores scheme files.
+func TestSchemeRecords(t *testing.T) {
+	dir := t.TempDir()
+	w := openTest(t, dir, SyncPolicy{Mode: SyncOff})
+	want := []SchemeRecord{
+		{ID: "s2", Ref: `{"design":"random-regular","n":64,"m":32}`},
+		{ID: "s10", Ref: `{"design":"uploaded","n":4,"m":1,"ad_hoc":true}`, Design: []byte("pd\x01\x04\x01\x01\x01\x01")},
+		{ID: "s3", Ref: `{"design":"bernoulli","n":8,"m":4}`},
+	}
+	for _, rec := range want {
+		if err := w.PutScheme(rec); err != nil {
+			t.Fatalf("PutScheme(%s): %v", rec.ID, err)
+		}
+	}
+	if err := w.PutScheme(want[0]); err == nil {
+		t.Fatal("a second record for s2 was accepted")
+	}
+	if err := w.Begin(testSpec("c1")); err != nil {
+		t.Fatal(err)
+	}
+	w.RemoveScheme("s3")
+	got, err := w.RecoverSchemes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []SchemeRecord{want[0], want[1]}) {
+		t.Fatalf("recovered %+v, want s2 then s10", got)
+	}
+	if logs, err := w.Recover(); err != nil || len(logs) != 1 {
+		t.Fatalf("campaign recovery beside scheme files: %d logs, %v", len(logs), err)
+	}
+
+	good, err := os.ReadFile(filepath.Join(dir, "s2.scheme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := os.ReadFile(filepath.Join(dir, "c1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		file string
+		data []byte
+		want string
+	}{
+		"renamed":        {"s7.scheme", good, "file renamed"},
+		"campaign spec":  {"s7.scheme", spec, "want scheme"},
+		"trailing bytes": {"s2.scheme", append(append([]byte(nil), good...), 0), "bytes after the scheme record"},
+	} {
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, c.file), c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openTest(t, d, SyncPolicy{}).RecoverSchemes(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", name, err, c.want)
+		}
+	}
+}

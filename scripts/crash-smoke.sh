@@ -1,11 +1,14 @@
 #!/bin/sh
 # Crash-recovery smoke test: boot a real pooledd with a WAL, SIGKILL it
-# mid-campaign, restart it against the same directory, and assert the
+# mid-campaign, restart it against the same directory, and assert every
 # campaign finishes with a contiguous, duplicate-free event stream.
 #
-# The campaign is sized so a single worker chews through it slowly
-# enough to guarantee the kill lands mid-flight: one shard, one worker,
-# 160 jobs against a 6000x3000 scheme.
+# Two campaigns run at the kill. The first is sized so a single worker
+# chews through it slowly enough to guarantee the kill lands mid-flight:
+# one shard, one worker, 160 jobs against a 6000x3000 scheme. The second
+# runs on an ad-hoc upload (a small design posted back as CSV) under
+# another tenant, so only the upload's scheme record in the WAL can
+# bring its design back.
 set -eu
 
 tmp=$(mktemp -d)
@@ -45,25 +48,51 @@ field() { # field NAME JSON -> first numeric value of "NAME"
 	printf '%s' "$2" | sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p" | head -1
 }
 
+sfield() { # sfield NAME JSON -> first string value of "NAME"
+	printf '%s' "$2" | sed -n "s/.*\"$1\":\"\([^\"]*\)\".*/\1/p" | head -1
+}
+
+batch() { # batch JOBS M -> a JSON batch of JOBS all-zero count rows
+	row="[$(printf '0,%.0s' $(seq 2 "$2"))0]"
+	out=$row
+	j=1
+	while [ "$j" -lt "$1" ]; do
+		out="$out,$row"
+		j=$((j + 1))
+	done
+	printf '%s' "$out"
+}
+
+submit() { # submit BODY_FILE -> campaign id
+	created=$(curl -sf -X POST "$base/v1/campaigns" --data-binary @"$1") ||
+		fail "campaign submission failed"
+	id=$(sfield id "$created")
+	[ -n "$id" ] || fail "no campaign id in: $created"
+	printf '%s' "$id"
+}
+
 start
 
-# Register the scheme and launch a 160-job campaign of all-zero counts
-# (k=8 keeps the decoder scoring every candidate column per job).
+# Register the heavy scheme and launch a 160-job campaign of all-zero
+# counts (k=8 keeps the decoder scoring every candidate column per job).
 curl -sf -X POST "$base/v1/schemes" \
 	-d '{"design":"random-regular","n":6000,"m":3000,"seed":1}' >/dev/null ||
 	fail "scheme registration failed"
-row="[$(printf '0,%.0s' $(seq 1 2999))0]"
-batch=$row
-i=1
-while [ "$i" -lt 160 ]; do
-	batch="$batch,$row"
-	i=$((i + 1))
-done
-printf '{"scheme":"s1","k":8,"batch":[%s]}' "$batch" >"$tmp/campaign.json"
-created=$(curl -sf -X POST "$base/v1/campaigns" --data-binary @"$tmp/campaign.json") ||
-	fail "campaign submission failed"
-cid=$(printf '%s' "$created" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
-[ -n "$cid" ] || fail "no campaign id in: $created"
+printf '{"scheme":"s1","k":8,"batch":[%s]}' "$(batch 160 3000)" >"$tmp/campaign.json"
+cid=$(submit "$tmp/campaign.json")
+
+# Upload an ad-hoc design: a small parametric design's CSV, posted back
+# as text/csv, becomes a scheme no spec can rebuild.
+curl -sf -X POST "$base/v1/schemes" \
+	-d '{"design":"random-regular","n":200,"m":100,"seed":3}' >/dev/null ||
+	fail "small scheme registration failed"
+curl -sf "$base/v1/schemes/s2/design" >"$tmp/design.csv" || fail "design download failed"
+up=$(curl -sf -X POST "$base/v1/schemes" -H 'Content-Type: text/csv' \
+	--data-binary @"$tmp/design.csv") || fail "ad-hoc upload failed"
+sid=$(sfield id "$up")
+case "$up" in *'"ad_hoc":true'*) ;; *) fail "upload not registered as ad-hoc: $up" ;; esac
+printf '{"scheme":"%s","k":2,"tenant":"lab-b","batch":[%s]}' "$sid" "$(batch 40 100)" >"$tmp/adhoc.json"
+aid=$(submit "$tmp/adhoc.json")
 
 # Let a handful of jobs settle, then kill the server dead — no signal
 # handler, no graceful drain. The journal is all that survives.
@@ -76,34 +105,42 @@ while :; do
 	[ "$i" -le 200 ] || fail "no jobs settled before kill"
 	sleep 0.1
 done
+asettled=$(field completed "$(curl -sf "$base/v1/campaigns/$aid")")
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 pid=
-echo "crash-smoke: killed pooledd with $settled/160 jobs settled"
+echo "crash-smoke: killed pooledd with $settled/160 and ${asettled:-0}/40 (ad-hoc) jobs settled"
 
-# Restart against the same WAL dir: recovery must replay the settled
-# prefix and re-dispatch the rest to completion.
+# Restart against the same WAL dir: recovery must bring the ad-hoc
+# scheme back, replay each settled prefix and re-dispatch the rest.
 start
-i=0
-while :; do
-	p=$(curl -sf "$base/v1/campaigns/$cid") || fail "campaign $cid lost across restart"
-	done_=$(field completed "$p")
-	case "$p" in *'"state":"done"'*) [ "${done_:-0}" -eq 160 ] && break ;; esac
-	case "$p" in *'"state":"failed"'* | *'"failed":[1-9]'*) fail "campaign failed after restart: $p" ;; esac
-	i=$((i + 1))
-	[ "$i" -le 600 ] || fail "campaign did not finish after restart: $p"
-	sleep 0.1
-done
-echo "crash-smoke: campaign completed 160/160 after restart"
+await() { # await ID TOTAL
+	i=0
+	while :; do
+		p=$(curl -sf "$base/v1/campaigns/$1") || fail "campaign $1 lost across restart"
+		case "$p" in *'"failed":'[1-9]*) fail "campaign $1 failed jobs after restart: $p" ;; esac
+		case "$p" in *'"state":"done"'*) [ "$(field completed "$p")" -eq "$2" ] && break ;; esac
+		i=$((i + 1))
+		[ "$i" -le 600 ] || fail "campaign $1 did not finish after restart: $p"
+		sleep 0.1
+	done
+	echo "crash-smoke: campaign $1 completed $2/$2 after restart"
+}
+await "$cid" 160
+await "$aid" 40
 
-# The full event stream must be contiguous and duplicate-free: ids
-# 1..161 (160 results + the terminal done event), exactly once each.
-curl -sfN "$base/v1/campaigns/$cid/events?after=0" >"$tmp/stream" ||
-	fail "event stream replay failed"
-ids=$(sed -n 's/^id: //p' "$tmp/stream")
-[ "$ids" = "$(seq 1 161)" ] || fail "event ids not contiguous 1..161 after recovery"
-dups=$(sed -n 's/.*"index":\([0-9]*\).*/\1/p' "$tmp/stream" | sort -n | uniq -d)
-[ -z "$dups" ] || fail "duplicate job indices in recovered stream: $dups"
+# Each full event stream must be contiguous and duplicate-free: ids
+# 1..N+1 (N results + the terminal done event), exactly once each.
+stream() { # stream ID TOTAL
+	curl -sfN "$base/v1/campaigns/$1/events?after=0" >"$tmp/stream" ||
+		fail "event stream replay of $1 failed"
+	ids=$(sed -n 's/^id: //p' "$tmp/stream")
+	[ "$ids" = "$(seq 1 $(($2 + 1)))" ] || fail "event ids of $1 not contiguous 1..$(($2 + 1)) after recovery"
+	dups=$(sed -n 's/.*"index":\([0-9]*\).*/\1/p' "$tmp/stream" | sort -n | uniq -d)
+	[ -z "$dups" ] || fail "duplicate job indices in $1's recovered stream: $dups"
+}
+stream "$cid" 160
+stream "$aid" 40
 
 # A client resuming from a pre-crash cursor sees only what it missed.
 curl -sfN "$base/v1/campaigns/$cid/events?after=100" >"$tmp/resume" ||
@@ -114,4 +151,4 @@ curl -sfN "$base/v1/campaigns/$cid/events?after=100" >"$tmp/resume" ||
 curl -sf "$base/metrics" | grep -q '^pooled_wal_recovered_campaigns_total' ||
 	fail "recovered-campaigns metric missing from /metrics"
 
-echo "crash-smoke: OK (contiguous events, exactly-once delivery, recovery metric present)"
+echo "crash-smoke: OK (ad-hoc scheme restored, contiguous events, exactly-once delivery, recovery metric present)"
