@@ -141,10 +141,11 @@ func TestSchemeRegistryRoundTrip(t *testing.T) {
 }
 
 // TestSchemeRecordsMissingTornCorrupt: replay of absent and damaged
-// scheme records. No records is a first boot. A torn record was never
-// acknowledged: its file is deleted and boot goes on. A record whose
-// design no longer builds is logged and skipped, and its id is not
-// reused. Interior corruption refuses boot, naming file and offset.
+// scheme records. No records is a first boot. A torn record (its bytes
+// run out) was never acknowledged: its file is deleted and boot goes
+// on. A record whose design no longer builds is logged and skipped, and
+// its id is not reused. A complete record that fails its checksum, and
+// interior corruption, refuse boot, naming file and offset.
 func TestSchemeRecordsMissingTornCorrupt(t *testing.T) {
 	replay := func(dir string) (*walServer, string, error) {
 		s := startWALServer(t, dir, registryCluster)
@@ -186,6 +187,26 @@ func TestSchemeRecordsMissingTornCorrupt(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("torn record not deleted: %v", err)
+	}
+
+	// A flipped payload byte in the only record: the record is complete,
+	// and a scheme file was written whole and fsynced before its 201, so
+	// this is no torn write. Boot is refused and the file kept.
+	dir = t.TempDir()
+	path = writeRecord(dir)
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data[8] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = replay(dir)
+	if err == nil || !strings.Contains(err.Error(), "s1.scheme") || !strings.Contains(err.Error(), "offset 5") {
+		t.Fatalf("corrupt complete record: err = %v, want a refusal naming s1.scheme and offset 5", err)
+	}
+	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, data) {
+		t.Fatalf("corrupt complete record not left in place: %v", err)
 	}
 
 	// A flipped payload byte with a second record after it: the checksum

@@ -6,10 +6,11 @@
 // jobs settle, and clients long-poll, stream, or cancel the campaign by
 // id.
 //
-// Every campaign keeps a bounded, monotone event log of its per-job
-// settlements (at most Total+1 entries: one per job plus one terminal
-// event), so results can be streamed incrementally and resumed from any
-// cursor — the SSE form pooledd serves on /v1/campaigns/{id}/events.
+// Every campaign keeps one settlement log: its results in settle order,
+// plus one terminal event stored when the log seals. Result event i is
+// result i-1, so the log holds at most Total+1 events, and results can
+// be streamed incrementally and resumed from any cursor — the SSE form
+// pooledd serves on /v1/campaigns/{id}/events.
 // Campaigns belong to tenants: jobs are dispatched to the cluster in
 // fair round-robin order across tenants rather than FIFO across
 // campaigns, and per-tenant quotas bound active campaigns and queued
@@ -28,6 +29,8 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,12 +210,18 @@ type Campaign struct {
 	completed    int
 	failed       int
 	canceledJobs int
-	results      []JobResult
-	events       []Event       // monotone settlement log; ≤ total+1 entries
-	sealed       bool          // terminal event appended, log closed
-	changed      chan struct{} // closed and replaced on every update
-	finished     time.Time     // set when the last job settles
-	canceledAt   time.Time     // set on the first Cancel
+	// results is the settlement log: allocated once at total capacity and
+	// appended in settle order, so result event i is results[i-1], and an
+	// element never moves or changes once appended.
+	results []JobResult
+	// done is the terminal event, stored when the log seals. Its Seq
+	// freezes the stream's length: a job that settles after expiry counts
+	// in results and Progress but is not streamed.
+	done       Event
+	sealed     bool
+	changed    chan struct{} // closed and replaced on every update
+	finished   time.Time     // set when the last job settles
+	canceledAt time.Time     // set on the first Cancel
 }
 
 // ID returns the campaign id.
@@ -239,16 +248,22 @@ func (cp *Campaign) stateLocked() State {
 	}
 }
 
-func (cp *Campaign) progressLocked() Progress {
+// countsLocked is the campaign's progress without its results.
+func (cp *Campaign) countsLocked() Progress {
 	p := Progress{
 		ID: cp.id, Tenant: cp.tenant, State: cp.stateLocked(), Total: cp.total,
 		Completed: cp.completed, Failed: cp.failed, Canceled: cp.canceledJobs,
-		Results: append([]JobResult(nil), cp.results...),
 	}
 	if !cp.noise.IsExact() {
 		nm := cp.noise
 		p.Noise = &nm
 	}
+	return p
+}
+
+func (cp *Campaign) progressLocked() Progress {
+	p := cp.countsLocked()
+	p.Results = append([]JobResult(nil), cp.results...)
 	sort.Slice(p.Results, func(i, j int) bool { return p.Results[i].Index < p.Results[j].Index })
 	return p
 }
@@ -312,14 +327,12 @@ func (cp *Campaign) settle(idx int, res engine.Result, err error) {
 		cp.failed++
 	}
 	cp.results = append(cp.results, jr)
-	before := len(cp.events)
-	cp.appendEventLocked(Event{Type: EventResult, Job: &jr})
-	if len(cp.events) > before {
-		cp.journalEventLocked(int64(len(cp.events)), status, &jr)
+	if !cp.sealed {
+		cp.journalEventLocked(int64(len(cp.results)), status, &jr)
 	}
 	if cp.settledLocked() == cp.total {
 		cp.finished = time.Now()
-		cp.appendDoneLocked()
+		cp.sealLocked()
 	}
 	cp.notifyLocked()
 	cp.mu.Unlock()
@@ -347,7 +360,7 @@ func (cp *Campaign) allowRedispatch(idx, limit int) bool {
 }
 
 // journalEventLocked appends one settled job to the WAL, mirroring the
-// event just appended to the in-memory log (same sequence number, so
+// result just appended to the in-memory log (same sequence number, so
 // SSE Last-Event-ID cursors survive a restart). Append failures are
 // logged, not propagated: mid-flight durability errors must not take
 // down a live decode — the job simply re-dispatches on the next boot.
@@ -424,7 +437,7 @@ func (cp *Campaign) expire() (releasedQuota int) {
 		cp.expiredFlag = true
 		cp.quotaReleased = true
 		releasedQuota = cp.total - cp.settledLocked()
-		cp.appendDoneLocked()
+		cp.sealLocked()
 		cp.notifyLocked()
 	}
 	cp.mu.Unlock()
@@ -696,6 +709,7 @@ func (st *Store) Create(req Request) (*Campaign, error) {
 		trace:   req.TraceID,
 		ctx:     ctx,
 		cancel:  cancel,
+		results: make([]JobResult, 0, len(req.Batch)),
 		changed: make(chan struct{}),
 	}
 	cp.onSettled = func(decodeNS int64, completed bool) { st.jobSettled(ts, tenant, decodeNS, completed) }
@@ -724,34 +738,17 @@ func (st *Store) Create(req Request) (*Campaign, error) {
 	}
 	st.byID[cp.id] = cp
 
-	// Queue the jobs for the dispatcher. One OnDone callback is shared by
-	// the whole batch; the engine routes each settlement back by its tag.
-	// A settlement caused by the owning shard dying (not by the job) is
-	// intercepted and the original job re-enters the fair-dispatch queue,
-	// where Offer re-resolves its owner against the current ring — the
-	// dead worker's in-flight work migrates to survivors instead of
-	// failing the campaign.
-	jobs := make([]engine.Job, len(req.Batch))
-	var onDone func(engine.Result, error)
-	onDone = func(res engine.Result, err error) {
-		if err != nil && errors.Is(err, engine.ErrShardUnavailable) &&
-			st.maybeRedispatch(pendingJob{cp: cp, job: jobs[res.Tag]}, &st.redispatchedDead) {
-			return
-		}
-		cp.settle(res.Tag, res, err)
-		st.finishJobTrace(jobs[res.Tag].Trace, err)
-	}
+	// Queue the jobs for the dispatcher.
+	jobs := st.campaignJobs(cp, engine.Job{
+		Scheme: req.Scheme, K: req.K, Noise: req.Noise, Dec: req.Dec, TraceID: req.TraceID,
+	}, req.Batch, nil)
 	ts.unsettled.Add(int64(len(req.Batch)))
 	traceBase := req.TraceID
 	if st.cfg.Traces != nil && traceBase == "" {
 		traceBase = trace.NewID()
 	}
 	queuedAt := time.Now()
-	for i, y := range req.Batch {
-		jobs[i] = engine.Job{
-			Scheme: req.Scheme, Y: y, K: req.K, Noise: req.Noise, Dec: req.Dec,
-			Tag: i, OnDone: onDone, TraceID: req.TraceID,
-		}
+	for i := range jobs {
 		if st.cfg.Traces != nil {
 			// One trace per job — ingress id + job index — so a single slow
 			// job in a thousand-job batch is retrievable on its own. The
@@ -771,6 +768,36 @@ func (st *Store) Create(req Request) (*Campaign, error) {
 
 	st.signalWake()
 	return cp, nil
+}
+
+// campaignJobs builds the engine jobs of a campaign's batch from proto,
+// leaving the entries of the jobs in skip (a restored log's settled
+// prefix) empty. One OnDone callback is shared by the whole batch; the
+// engine routes each settlement back by its tag. A settlement caused by
+// the owning shard dying (not by the job) is intercepted and the
+// original job re-enters the fair-dispatch queue, where Offer
+// re-resolves its owner against the current ring — the dead worker's
+// in-flight work migrates to survivors instead of failing the campaign.
+// A job that has settled for good drops its entry, so a running
+// campaign keeps count vectors only for the jobs still unsettled.
+func (st *Store) campaignJobs(cp *Campaign, proto engine.Job, batch [][]int64, skip map[int]bool) []engine.Job {
+	jobs := make([]engine.Job, len(batch))
+	onDone := func(res engine.Result, err error) {
+		if err != nil && errors.Is(err, engine.ErrShardUnavailable) &&
+			st.maybeRedispatch(pendingJob{cp: cp, job: jobs[res.Tag]}, &st.redispatchedDead) {
+			return
+		}
+		cp.settle(res.Tag, res, err)
+		st.finishJobTrace(jobs[res.Tag].Trace, err)
+		jobs[res.Tag] = engine.Job{}
+	}
+	for i, y := range batch {
+		if !skip[i] {
+			jobs[i] = proto
+			jobs[i].Y, jobs[i].Tag, jobs[i].OnDone = y, i, onDone
+		}
+	}
+	return jobs
 }
 
 // finishJobTrace seals a campaign job's trace and offers it to the
@@ -806,9 +833,9 @@ func (st *Store) Cancel(id string) (*Campaign, bool) {
 }
 
 // List snapshots every retained campaign, ascending by numeric id. The
-// snapshots carry counters only (Results nil): a listing of hundreds of
-// finished campaigns must not copy every settled job; fetch one
-// campaign by id for its results.
+// snapshots carry counters only (Results nil), read without touching
+// the results: a listing of hundreds of finished campaigns must not
+// copy every settled job; fetch one campaign by id for its results.
 func (st *Store) List() []Progress {
 	st.mu.Lock()
 	cps := make([]*Campaign, 0, len(st.byID))
@@ -818,8 +845,9 @@ func (st *Store) List() []Progress {
 	st.mu.Unlock()
 	out := make([]Progress, len(cps))
 	for i, cp := range cps {
-		out[i] = cp.Progress()
-		out[i].Results = nil
+		cp.mu.Lock()
+		out[i] = cp.countsLocked()
+		cp.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return campaignSeq(out[i].ID) < campaignSeq(out[j].ID)
@@ -827,9 +855,10 @@ func (st *Store) List() []Progress {
 	return out
 }
 
+// campaignSeq is the number of a "c<n>" campaign id (0 for another
+// shape), for ordering; it allocates nothing, as List sorts by it.
 func campaignSeq(id string) int {
-	var n int
-	fmt.Sscanf(id, "c%d", &n)
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, "c"))
 	return n
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,102 @@ func (stallDecoder) Name() string { return "stall" }
 func (d stallDecoder) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
 	<-d.release
 	return bitvec.New(g.N()), nil
+}
+
+// wedgeDecoder stalls on the job whose counts start at wedge, until a
+// value arrives on release, and answers every other job at once with
+// the all-zero estimate.
+type wedgeDecoder struct {
+	wedge   *int64
+	release <-chan struct{}
+}
+
+func (wedgeDecoder) Name() string { return "wedge" }
+
+func (d wedgeDecoder) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
+	if &y[0] == d.wedge {
+		<-d.release
+	}
+	return bitvec.New(g.N()), nil
+}
+
+// TestSettledJobReleasesItsCounts: a running campaign keeps the count
+// vectors of its unsettled jobs only. A finalizer on one job's counts
+// runs once that job has settled, while another job of the same
+// campaign is still wedged in a decoder.
+func TestSettledJobReleasesItsCounts(t *testing.T) {
+	c := testCluster(t, 1, 2, 0)
+	st := newTestStore(t, c, Config{})
+	const n, k, m = 80, 2, 60
+	s, _, _ := testBatch(t, c, n, k, m, 0, 61)
+
+	release := make(chan struct{})
+	defer close(release)
+	freed := make(chan struct{})
+	wedged := make([]int64, m)
+	// The finalized row is referenced only by the batch handed to Create.
+	create := func() *Campaign {
+		row := make([]int64, m)
+		runtime.SetFinalizer(&row[0], func(*int64) { close(freed) })
+		cp, err := st.Create(Request{Scheme: s, Batch: [][]int64{row, wedged}, K: k, Dec: wedgeDecoder{&wedged[0], release}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	cp := create()
+	deadline := time.Now().Add(10 * time.Second)
+	for cp.Progress().Settled() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-freed:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the settled job's counts are still reachable while its campaign runs")
+			}
+		}
+	}
+	if p := cp.Progress(); p.Settled() != 1 || p.State != Running {
+		t.Fatalf("progress = %+v, want one job settled and one wedged", p)
+	}
+	release <- struct{}{}
+	waitDone(t, cp)
+}
+
+// TestListCopiesNoResults: a listing reads counters only, so neither
+// its allocations nor its bytes grow with the jobs its campaigns hold.
+func TestListCopiesNoResults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	list := func(batch int) (allocs float64, bytes uint64) {
+		c := testCluster(t, 1, 2, 0)
+		st := newTestStore(t, c, Config{})
+		s, _, ys := testBatch(t, c, 80, 2, 60, batch, 67)
+		for i := 0; i < 4; i++ {
+			cp, err := st.Create(Request{Scheme: s, Batch: ys, K: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, cp)
+		}
+		const runs = 50
+		allocs = testing.AllocsPerRun(runs, func() { st.List() })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			st.List()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	a8, b8 := list(8)
+	a64, b64 := list(64)
+	if a8 != a64 || b64 > b8+256 {
+		t.Fatalf("List of four 8-job campaigns: %v allocs, %d bytes; of four 64-job campaigns: %v allocs, %d bytes", a8, b8, a64, b64)
+	}
 }
 
 func TestCampaignCancel(t *testing.T) {

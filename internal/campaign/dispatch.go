@@ -48,6 +48,15 @@ type pendingJob struct {
 	queuedAt time.Time
 }
 
+// settle settles a job that never reached a shard, or that its shard
+// refused, through the job's OnDone: the path an engine settle takes.
+// A shard-unavailable error the dispatcher could not requeue is not
+// requeued by OnDone either: every reason maybeRedispatch refuses for
+// (a dead campaign, a spent budget, a closed store) is permanent.
+func (pj pendingJob) settle(err error) {
+	pj.job.OnDone(engine.Result{Tag: pj.job.Tag, TraceID: pj.job.TraceID}, err)
+}
+
 // fifo is a head-indexed job queue: pop and push-front are O(1) — a
 // saturated head job is requeued every retry cycle, so the queue must
 // not be copied each time.
@@ -220,8 +229,7 @@ func (st *Store) purgeCanceled(cp *Campaign) {
 	}
 	st.mu.Unlock()
 	for _, pj := range mine {
-		pj.cp.settle(pj.job.Tag, engine.Result{TraceID: pj.job.TraceID}, context.Canceled)
-		st.finishJobTrace(pj.job.Trace, context.Canceled)
+		pj.settle(context.Canceled)
 	}
 }
 
@@ -344,8 +352,7 @@ func (st *Store) dispatchLoop() {
 		}
 		if err := pj.cp.ctx.Err(); err != nil {
 			// The campaign died before its job reached a shard.
-			pj.cp.settle(pj.job.Tag, engine.Result{TraceID: pj.job.TraceID}, err)
-			st.finishJobTrace(pj.job.Trace, err)
+			pj.settle(err)
 			saturatedStreak = 0
 			continue
 		}
@@ -401,8 +408,7 @@ func (st *Store) dispatchLoop() {
 				return
 			}
 		default:
-			pj.cp.settle(pj.job.Tag, engine.Result{TraceID: pj.job.TraceID}, err)
-			st.finishJobTrace(pj.job.Trace, err)
+			pj.settle(err)
 			saturatedStreak = 0
 		}
 	}
@@ -422,8 +428,7 @@ func (st *Store) drainPending() {
 	st.pendingTotal = 0
 	st.mu.Unlock()
 	for _, pj := range all {
-		pj.cp.settle(pj.job.Tag, engine.Result{TraceID: pj.job.TraceID}, errStoreClosed)
-		st.finishJobTrace(pj.job.Trace, errStoreClosed)
+		pj.settle(errStoreClosed)
 	}
 }
 

@@ -4,12 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pooleddata/internal/bitvec"
+	"pooleddata/internal/decoder"
 	"pooleddata/internal/engine"
+	"pooleddata/internal/graph"
 )
 
 // newTestStore builds a running store and closes it before the cluster.
@@ -469,6 +474,181 @@ func TestCampaignGCWakesParkedWaiter(t *testing.T) {
 	}
 	if _, err := st.Create(Request{Scheme: s, Batch: ys, K: k}); err != nil {
 		t.Fatalf("create after reap freed the quota: %v", err)
+	}
+}
+
+// firstK answers every job at once with entries 0..k-1: a weight-k
+// support without a decode.
+type firstK struct{}
+
+func (firstK) Name() string { return "first-k" }
+
+func (firstK) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
+	v := bitvec.New(g.N())
+	for i := 0; i < k; i++ {
+		v.Set(i)
+	}
+	return v, nil
+}
+
+// gateDecoder runs MN once per value received from gate (every job at
+// once after gate closes).
+type gateDecoder struct{ gate <-chan struct{} }
+
+func (gateDecoder) Name() string { return "gate" }
+
+func (d gateDecoder) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
+	<-d.gate
+	return decoder.MN{}.Decode(g, y, k)
+}
+
+// TestFinishedCampaignFootprint guards what a finished campaign keeps:
+// one JobResult per job, with its support, and no second copy of it for
+// the event log. Over 50 finished 64-job campaigns at the home scale
+// (n = 10⁴, m = 600, k = 16), the heap that reaping them frees is at
+// most 1.1 × (a JobResult and a k-entry support) per job, plus a fixed
+// allowance per campaign for its struct, channel, context and map entry.
+func TestFinishedCampaignFootprint(t *testing.T) {
+	const n, m, k, batch, campaigns = 10000, 600, 16, 64, 50
+	c := testCluster(t, 1, 2, 0)
+	st := newTestStore(t, c, Config{})
+	s, err := c.Scheme(nil, n, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ys := make([][]int64, batch)
+	for i := range ys {
+		ys[i] = make([]int64, m)
+	}
+	for i := 0; i < campaigns; i++ {
+		cp, err := st.Create(Request{Scheme: s, Batch: ys, K: k, Dec: firstK{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := waitDone(t, cp); p.Completed != batch {
+			t.Fatalf("campaign %s: %+v", cp.ID(), p)
+		}
+	}
+	// Two collections also empty the sync.Pool victim caches.
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	withCampaigns := heap()
+	if got := st.GC(time.Now().Add(time.Hour)); got != campaigns {
+		t.Fatalf("GC reaped %d campaigns, want %d", got, campaigns)
+	}
+	retained := withCampaigns - heap()
+	perJob := 1.1 * float64(unsafe.Sizeof(JobResult{})+8*k)
+	const perCampaign = 2048
+	limit := int64(campaigns * (batch*perJob + perCampaign))
+	t.Logf("%d finished %d-job campaigns retained %d bytes, %d per job; limit %d", campaigns, batch, retained, retained/(campaigns*batch), limit)
+	if retained > limit {
+		t.Fatalf("%d finished %d-job campaigns retained %d bytes (%d per job), limit %d", campaigns, batch, retained, retained/(campaigns*batch), limit)
+	}
+}
+
+// TestStragglerAfterExpiry: a job that settles after GC expired its
+// campaign counts in Progress, but not in the stream, which stays
+// sealed at the expired terminal event.
+func TestStragglerAfterExpiry(t *testing.T) {
+	c := testCluster(t, 1, 2, 0)
+	st := newTestStore(t, c, Config{Retention: time.Minute})
+	const n, k, m, batch = 80, 2, 60, 3
+	s, _, ys := testBatch(t, c, n, k, m, batch, 53)
+
+	release := make(chan struct{})
+	defer close(release)
+	cp, err := st.Create(Request{Scheme: s, Batch: ys, K: k, Dec: wedgeDecoder{&ys[1][0], release}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSettled(t, cp, batch-1)
+	cp.Cancel()
+	if got := st.GC(time.Now().Add(2 * time.Minute)); got != 1 {
+		t.Fatalf("GC collected %d campaigns, want 1", got)
+	}
+	sealedAt := cp.Events()
+	if sealedAt != batch {
+		t.Fatalf("expired log has %d events, want %d results + done", sealedAt, batch-1)
+	}
+
+	release <- struct{}{} // the wedged job settles after the seal
+	p := waitSettled(t, cp, batch)
+	if p.State != Expired || p.Completed != batch {
+		t.Fatalf("progress after the straggler: %+v", p)
+	}
+	if got := cp.Events(); got != sealedAt {
+		t.Fatalf("the straggler moved the log from %d to %d events", sealedAt, got)
+	}
+	evs, _, sealed := cp.EventsSince(0)
+	if !sealed || int64(len(evs)) != sealedAt {
+		t.Fatalf("EventsSince(0): sealed=%v, %d events, want %d", sealed, len(evs), sealedAt)
+	}
+	for i, ev := range evs[:batch-1] {
+		if ev.Seq != int64(i+1) || ev.Type != EventResult || ev.Job.Index == 1 {
+			t.Fatalf("event %d = %+v, want a result of a job settled before the seal", i, ev)
+		}
+	}
+	if last := evs[batch-1]; !last.Terminal() || last.State != Expired || last.Seq != sealedAt || last.Completed != batch-1 {
+		t.Fatalf("stream ends with %+v, want the expired done event", last)
+	}
+}
+
+// TestEventJobIsStable: the Job of an event returned by EventsSince
+// keeps its contents while later jobs settle into the same log.
+func TestEventJobIsStable(t *testing.T) {
+	c := testCluster(t, 1, 1, 0)
+	st := newTestStore(t, c, Config{})
+	const n, k, m, batch = 300, 5, 240, 8
+	s, signals, ys := testBatch(t, c, n, k, m, batch, 59)
+
+	gate := make(chan struct{})
+	cp, err := st.Create(Request{Scheme: s, Batch: ys, K: k, Dec: gateDecoder{gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate <- struct{}{} // exactly one decode
+	p := waitSettled(t, cp, 1)
+	evs, _, _ := cp.EventsSince(0)
+	if len(evs) != 1 || evs[0].Job == nil {
+		t.Fatalf("after one settle: %+v (progress %+v)", evs, p)
+	}
+	first := evs[0].Job
+	want := *first
+	want.Support = append([]int(nil), first.Support...)
+	if !bitvec.FromIndices(n, want.Support).Equal(signals[want.Index]) {
+		t.Fatalf("job %d did not recover its signal", want.Index)
+	}
+
+	close(gate)
+	waitDone(t, cp)
+	if !reflect.DeepEqual(*first, want) {
+		t.Fatalf("event job changed after later settles: %+v, was %+v", *first, want)
+	}
+	evs, _, _ = cp.EventsSince(0)
+	if len(evs) != batch+1 || !reflect.DeepEqual(*evs[0].Job, want) {
+		t.Fatalf("replayed first event = %+v, want job %+v", evs[0], want)
+	}
+}
+
+// waitSettled polls until at least settled of the campaign's jobs have
+// settled.
+func waitSettled(t testing.TB, cp *Campaign, settled int) Progress {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p := cp.Progress()
+		if p.Settled() >= settled {
+			return p
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs settled, want %d", p.Settled(), p.Total, settled)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -82,6 +82,7 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 		noise:  nm.Canon(),
 		trace:  spec.TraceID,
 		ctx:    ctx, cancel: cancel,
+		results: make([]JobResult, 0, total),
 		changed: make(chan struct{}),
 	}
 	cp.onCancel = func() { st.purgeCanceled(cp) }
@@ -98,7 +99,7 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 			break
 		}
 		seen[er.Index] = true
-		jr := &JobResult{
+		jr := JobResult{
 			Index: er.Index, Residual: er.Residual, Consistent: er.Consistent,
 			DecodeNS: er.DecodeNS, Decoder: er.Decoder, Error: er.Error,
 			TraceID: spec.TraceID,
@@ -114,14 +115,13 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 		default:
 			cp.failed++
 		}
-		cp.results = append(cp.results, *jr)
-		cp.events = append(cp.events, Event{Seq: int64(len(cp.events)) + 1, Type: EventResult, Job: jr})
+		cp.results = append(cp.results, jr)
 	}
 	if replayErr != nil {
 		// Drop the replayed state wholesale: a log that lies about one
 		// index cannot be trusted about any, and the jobs re-run anyway.
 		cp.completed, cp.failed, cp.canceledJobs = 0, 0, 0
-		cp.results, cp.events = nil, nil
+		cp.results = make([]JobResult, 0, total)
 		seen = map[int]bool{}
 	}
 
@@ -171,12 +171,8 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 			cp.expiredFlag = true
 			cp.quotaReleased = true
 		}
-		cp.events = append(cp.events, Event{
-			Seq: int64(len(cp.events)) + 1, Type: EventDone, State: cp.stateLocked(),
-			Total: total, Completed: cp.completed, Failed: cp.failed, Canceled: cp.canceledJobs,
-		})
-		cp.sealed = true
-		return RestoredCampaign{Campaign: cp, State: string(cp.stateLocked())}
+		cp.sealLocked() // no journal is attached: nothing is re-journaled
+		return RestoredCampaign{Campaign: cp, State: string(cp.done.State)}
 	}
 
 	// The campaign still has live work (or a terminal record the crash
@@ -225,18 +221,12 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 	}
 
 	// Re-dispatch the unsettled jobs through the normal fair-dispatch
-	// path. The shared OnDone routes settlements by tag, same as Create —
-	// including the shard-unavailable interception, so a recovered
-	// campaign survives a dead worker the same way a fresh one does.
-	jobs := make([]engine.Job, total)
-	var onDone func(engine.Result, error)
-	onDone = func(res engine.Result, err error) {
-		if err != nil && errors.Is(err, engine.ErrShardUnavailable) &&
-			st.maybeRedispatch(pendingJob{cp: cp, job: jobs[res.Tag]}, &st.redispatchedDead) {
-			return
-		}
-		cp.settle(res.Tag, res, err)
-	}
+	// path, built as Create builds them — including the shard-unavailable
+	// interception, so a recovered campaign survives a dead worker the
+	// same way a fresh one does.
+	jobs := st.campaignJobs(cp, engine.Job{
+		Scheme: es, K: spec.K, Noise: nm, Dec: dec, TraceID: spec.TraceID,
+	}, spec.Batch, seen)
 	// Only re-dispatched jobs are charged to the tenant's quota, so only
 	// they release it: the settles above, of jobs the log had no record
 	// for, carry no hook.
@@ -244,16 +234,11 @@ func (st *Store) restoreOne(lg wal.Log, resolve SchemeResolver) RestoredCampaign
 	st.mu.Lock()
 	ts := st.tenantLocked(tenant)
 	cp.onSettled = func(decodeNS int64, completed bool) { st.jobSettled(ts, tenant, decodeNS, completed) }
-	for i, y := range spec.Batch {
-		if seen[i] {
-			continue
+	for i := range jobs {
+		if !seen[i] {
+			ts.push(pendingJob{cp: cp, job: jobs[i]})
+			redispatched++
 		}
-		jobs[i] = engine.Job{
-			Scheme: es, Y: y, K: spec.K, Noise: nm, Dec: dec,
-			Tag: i, OnDone: onDone, TraceID: spec.TraceID,
-		}
-		ts.push(pendingJob{cp: cp, job: jobs[i]})
-		redispatched++
 	}
 	ts.unsettled.Add(int64(redispatched))
 	st.pendingTotal += redispatched
@@ -308,7 +293,7 @@ func (st *Store) finalizeRestored(cp *Campaign) {
 		if cp.finished.IsZero() {
 			cp.finished = time.Now()
 		}
-		cp.appendDoneLocked()
+		cp.sealLocked()
 		cp.notifyLocked()
 	}
 	cp.mu.Unlock()

@@ -53,9 +53,12 @@ func (w *WAL) Recover() ([]Log, error) {
 }
 
 // RecoverSchemes reads every scheme record in the WAL directory, in id
-// order, under Recover's rules: a torn record was never acknowledged and
-// its file is deleted; a file holding anything but one scheme record
-// named like the file refuses boot, naming the file and offset.
+// order. A record whose bytes run out was never acknowledged, and its
+// file is deleted. A scheme file is written whole, in one write, and
+// fsynced before its registration is acknowledged, so a complete record
+// that fails its checksum or parse is not a torn write: it refuses boot,
+// naming the file and offset, and the file stays in place. So does a
+// file holding anything but one scheme record named like the file.
 func (w *WAL) RecoverSchemes() ([]SchemeRecord, error) {
 	if w == nil {
 		return nil, nil
@@ -67,7 +70,7 @@ func (w *WAL) RecoverSchemes() ([]SchemeRecord, error) {
 	var out []SchemeRecord
 	for _, path := range paths {
 		var sr SchemeRecord
-		ok, _, err := w.readFile(path, func(rec record, off, rest int) error {
+		ok, _, err := w.readFile(path, false, func(rec record, off, rest int) error {
 			if rec.kind != recScheme {
 				return fmt.Errorf("record at offset %d has kind %d, want scheme", off, rec.kind)
 			}
@@ -117,7 +120,7 @@ func idSeq(id string) (n int64) {
 // acknowledged to a client); a non-nil error refuses boot.
 func (w *WAL) recoverFile(path string) (Log, bool, error) {
 	lg := Log{Path: path}
-	ok, truncated, err := w.readFile(path, func(rec record, off, rest int) error {
+	ok, truncated, err := w.readFile(path, true, func(rec record, off, rest int) error {
 		first := off == len(fileHeader)
 		switch {
 		case first && rec.kind != recSpec:
@@ -158,11 +161,14 @@ func (w *WAL) recoverFile(path string) (Log, bool, error) {
 // parsed record, its offset, and the number of bytes after it; an
 // error from fn is interior corruption and refuses boot. fn sees a seal
 // before the bytes after it, so a torn record after a seal is refused
-// too. A torn tail record is truncated away (truncated reports it). A
-// file left with no record — created but never written, or its first
-// record torn — was never acknowledged, because create writes the
-// header and the first record in one write: it is deleted, ok false.
-func (w *WAL) readFile(path string, fn func(rec record, off, rest int) error) (ok, truncated bool, err error) {
+// too. A torn tail record is truncated away (truncated reports it): one
+// whose bytes run out, or, when appended is set (a campaign log, whose
+// records after the first are appended one write each), a complete
+// final record that fails its checksum or parse. A file left with no
+// record — created but never written, or its first record torn — was
+// never acknowledged, because create writes the header and the first
+// record in one write: it is deleted, ok false.
+func (w *WAL) readFile(path string, appended bool, fn func(rec record, off, rest int) error) (ok, truncated bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false, false, fmt.Errorf("wal: %w", err)
@@ -179,14 +185,13 @@ func (w *WAL) readFile(path string, fn func(rec record, off, rest int) error) (o
 		payload, next, torn, ferr := readFramedRecord(data, pos)
 		var rec record
 		if ferr == nil {
-			// The frame checksummed clean but the payload may still be
-			// invalid — tolerable only as the final record (a torn write
-			// can produce any bytes); earlier it means real corruption.
 			rec, ferr = parsePayload(payload)
-			torn = next == len(data)
 		}
 		if ferr != nil {
-			if !torn {
+			// A complete record that fails its checksum or parse is torn
+			// only as the final record of an appended log (a torn append
+			// can leave any bytes); anywhere else it means real corruption.
+			if !torn && !(appended && next == len(data)) {
 				return false, false, fmt.Errorf("wal: %s: corrupt record at offset %d: %v", path, pos, ferr)
 			}
 			// Cut the torn record off so the file is clean for Resume.
@@ -211,11 +216,10 @@ func (w *WAL) readFile(path string, fn func(rec record, off, rest int) error) (o
 }
 
 // readFramedRecord decodes one record frame at pos: length prefix,
-// payload, CRC32C. torn reports whether a failure is consistent with a
-// torn tail write — the bytes simply run out at EOF, or the final
-// checksum covers exactly the last bytes of the file. A checksum
-// mismatch with data after it cannot be a torn write and is flagged as
-// interior corruption instead.
+// payload, CRC32C. next is the offset after the frame, also when its
+// checksum fails. torn reports a frame whose bytes run out at EOF — a
+// torn write whatever the file; whether a complete frame with a bad
+// checksum can be one is the caller's call.
 func readFramedRecord(data []byte, pos int) (payload []byte, next int, torn bool, err error) {
 	n, used := binary.Uvarint(data[pos:])
 	if used <= 0 {
@@ -233,7 +237,7 @@ func readFramedRecord(data []byte, pos int) (payload []byte, next int, torn bool
 	payload = data[pos:end]
 	want := binary.LittleEndian.Uint32(data[end : end+4])
 	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, 0, end+4 == len(data),
+		return nil, end + 4, false,
 			fmt.Errorf("checksum mismatch at offset %d (got %08x want %08x)", start, got, want)
 	}
 	return payload, end + 4, false, nil

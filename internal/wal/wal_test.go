@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -532,6 +533,12 @@ func TestSchemeRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A scheme file is written whole and fsynced before it is
+	// acknowledged, so a complete record that fails its checksum or its
+	// parse is corruption, not a torn write, even as the last record.
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-8] ^= 0x01
+	unparseable := appendRecord(append([]byte(nil), fileHeader[:]...), []byte{byte(recScheme)})
 	for name, c := range map[string]struct {
 		file string
 		data []byte
@@ -540,13 +547,19 @@ func TestSchemeRecords(t *testing.T) {
 		"renamed":        {"s7.scheme", good, "file renamed"},
 		"campaign spec":  {"s7.scheme", spec, "want scheme"},
 		"trailing bytes": {"s2.scheme", append(append([]byte(nil), good...), 0), "bytes after the scheme record"},
+		"flipped bit":    {"s2.scheme", flipped, "corrupt record at offset 5: checksum mismatch"},
+		"unparseable":    {"s2.scheme", unparseable, "corrupt record at offset 5"},
 	} {
 		d := t.TempDir()
-		if err := os.WriteFile(filepath.Join(d, c.file), c.data, 0o644); err != nil {
+		path := filepath.Join(d, c.file)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openTest(t, d, SyncPolicy{}).RecoverSchemes(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want it to mention %q", name, err, c.want)
+		if _, err := openTest(t, d, SyncPolicy{}).RecoverSchemes(); err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), c.file) {
+			t.Errorf("%s: err = %v, want it to name %s and mention %q", name, err, c.file, c.want)
+		}
+		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, c.data) {
+			t.Errorf("%s: the refused file was not left in place: %v", name, err)
 		}
 	}
 }
