@@ -118,7 +118,7 @@ func main() {
 	workerTimeout := flag.Duration("worker-timeout", 0, "per-request deadline against remote workers (0: 60s)")
 	evictAfter := flag.Int("evict-after", 0, "consecutive health-probe failures before a worker is evicted from the ring; it rejoins on the next successful probe (0: 3, negative: never evict)")
 	shards := flag.Int("shards", 4, "engine shard count (each shard owns its cache and worker pool); with -workers, the shard count is the worker count")
-	cache := flag.Int("cache", 16, "scheme cache capacity per shard (LRU)")
+	cache := flag.Int("cache", 16, "scheme cache capacity per shard (LRU; frontend mode only)")
 	shardWorkers := flag.Int("shard-workers", 0, "decode workers per shard (0: GOMAXPROCS/shards)")
 	queue := flag.Int("queue", 0, "decode queue depth per shard (0: 4x workers)")
 	maxSchemes := flag.Int("max-schemes", 64, "max registered scheme ids (oldest dropped beyond)")
@@ -146,7 +146,7 @@ func main() {
 	startDebugServer(*debugAddr, logger)
 
 	if *workerMode {
-		runWorker(*addr, *shards, *cache, *shardWorkers, *queue, *maxSchemes, *maxBody, logger)
+		runWorker(*addr, *shards, *shardWorkers, *queue, *maxSchemes, *maxBody, logger)
 		return
 	}
 
@@ -256,15 +256,15 @@ func main() {
 
 // runWorker serves only the shard API over a local engine cluster — the
 // backend of a federated deployment. Schemes arrive from frontends
-// (installed lazily before their first decode), so -designs and
-// -wal-dir do not apply here.
-func runWorker(addr string, shards, cache, workers, queue int, maxSchemes int, maxBody int64, logger *slog.Logger) {
+// (installed lazily before their first decode) and live in the install
+// table -max-schemes bounds, never in the shard caches, so -cache,
+// -designs and -wal-dir do not apply here.
+func runWorker(addr string, shards, workers, queue int, maxSchemes int, maxBody int64, logger *slog.Logger) {
 	cluster := engine.NewCluster(engine.ClusterConfig{
 		Shards: shards,
 		Shard: engine.Config{
-			CacheCapacity: cache,
-			Workers:       workers,
-			QueueDepth:    queue,
+			Workers:    workers,
+			QueueDepth: queue,
 		},
 	})
 	defer cluster.Close()

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -246,6 +247,54 @@ func TestSchemeRecordsMissingTornCorrupt(t *testing.T) {
 	postJSON(t, s.ts.URL+"/v1/schemes", schemeRequest{N: 60, M: 30, Seed: 2}, &next)
 	if next.ID != "s2" {
 		t.Fatalf("registration after a skipped record got %q, want s2", next.ID)
+	}
+}
+
+// TestAdHocRecordThatDoesNotParseRefusesBoot: an ad-hoc scheme record
+// passed its checksum, so a design in it that does not parse is no torn
+// write, and skipping it would lose the upload for good. Boot is refused,
+// naming the file and the parse error, and the file stays in place. A
+// record written before the binary form's version 2 names version 1.
+func TestAdHocRecordThatDoesNotParseRefusesBoot(t *testing.T) {
+	v1, err := hex.DecodeString("70640107050301010101020103020103010201040101010103010202020301020103010105020102")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		design     []byte
+	}{
+		{"version 1", "version 1", v1},
+		{"garbage", "bad magic", []byte("not a design")},
+	} {
+		dir := t.TempDir()
+		j, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := wal.SchemeRecord{ID: "s1", Ref: `{"design":"upload","n":7,"m":5,"ad_hoc":true,"key":"adhoc|1"}`, Design: tc.design}
+		if err := j.PutScheme(rec); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		path := filepath.Join(dir, "s1.scheme")
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := startWALServer(t, dir, registryCluster)
+		err = replaySchemes(s.srv, io.Discard)
+		_, registered := s.srv.lookup("s1")
+		s.shutdown()
+		if err == nil || !strings.Contains(err.Error(), "s1.scheme") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want a refusal naming s1.scheme and %q", tc.name, err, tc.want)
+		}
+		if registered {
+			t.Fatalf("%s: the record registered a scheme", tc.name)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("%s: record not left in place: %v", tc.name, err)
+		}
 	}
 }
 

@@ -9,18 +9,19 @@ import (
 	"strings"
 
 	"pooleddata/internal/engine"
+	"pooleddata/internal/graph"
 	"pooleddata/internal/labio"
-	"pooleddata/internal/remote"
 	"pooleddata/internal/wal"
 )
 
 // Persistence and boot. The WAL journals every registry entry but a
 // -designs preload as a scheme record: its id, its scheme ref (the JSON
-// below), and an ad-hoc upload's design frame. Campaigns journal the
-// same ref. At boot preloadDesigns runs first, then replaySchemes, then
-// restoreCampaigns, which resolves each campaign's ref through the
-// registry or rebuilds a parametric design from the ref. A ref that
-// resolves to nothing fails the campaign's remaining jobs, never boot.
+// below), and an ad-hoc upload's design in its binary form. Campaigns
+// journal the same ref. At boot preloadDesigns runs first, then
+// replaySchemes, then restoreCampaigns, which resolves each campaign's
+// ref through the registry or rebuilds a parametric design from the
+// ref. A ref that resolves to nothing fails the campaign's remaining
+// jobs, never boot.
 
 // walSchemeRef is the journaled scheme description. Ad-hoc uploads are
 // named by Key, their design's engine.GraphKey.
@@ -60,7 +61,7 @@ func (s *server) journalScheme(ent schemeEntry) error {
 	}
 	rec := wal.SchemeRecord{ID: ent.ID, Ref: ent.refJSON()}
 	if ent.AdHoc {
-		rec.Design = remote.AppendDesign(nil, ent.scheme.G)
+		rec.Design = ent.scheme.G.AppendBinary(nil)
 	}
 	return s.journal.PutScheme(rec)
 }
@@ -152,10 +153,13 @@ func preloadDesigns(cluster *engine.Cluster, srv *server, paths []string, logw i
 // replaySchemes brings the journaled registry back at boot, between the
 // -designs preloads and restoreCampaigns: in id order, under the
 // journaled ids, parametric schemes rebuilt into the shard caches and
-// ad-hoc designs parsed from their frames. The id counter resumes past
-// the largest journaled id. An id a preload holds (the -designs list
-// grew between boots) moves to a fresh id. A record whose design no
-// longer builds is logged and skipped; a corrupt record refuses boot.
+// ad-hoc designs parsed from their binary form. The id counter resumes
+// past the largest journaled id. An id a preload holds (the -designs
+// list grew between boots) moves to a fresh id. A parametric record
+// whose design no longer builds is logged and skipped. A corrupt record
+// refuses boot, and so does an ad-hoc design graph.ParseBinary refuses
+// (one journaled in version 1, say): the record passed its checksum, so
+// skipping it would drop the upload for good.
 func replaySchemes(srv *server, logw io.Writer) error {
 	recs, err := srv.journal.RecoverSchemes()
 	if err != nil {
@@ -169,11 +173,24 @@ func replaySchemes(srv *server, logw io.Writer) error {
 		srv.nextID = max(srv.nextID, last)
 	}
 	for _, rec := range recs {
-		ent, err := srv.entryFromRecord(rec)
+		ref, err := parseSchemeRef(rec.Ref)
+		var es *engine.Scheme
+		switch {
+		case err != nil: // logged and skipped below
+		case ref.AdHoc:
+			g, err := graph.ParseBinary(rec.Design)
+			if err != nil {
+				return fmt.Errorf("wal: %s.scheme: ad-hoc design: %v", rec.ID, err)
+			}
+			es = srv.cluster.SchemeFromGraph(g, engine.GraphKey(g))
+		default:
+			es, err = srv.buildRef(ref)
+		}
 		if err != nil {
 			fmt.Fprintf(logw, "pooledd: wal skipped scheme record %s: %v\n", rec.ID, err)
 			continue
 		}
+		ent := srv.newEntry(rec.ID, es, ref)
 		if _, taken := srv.lookup(rec.ID); taken {
 			srv.nextID++
 			ent.ID = fmt.Sprintf("s%d", srv.nextID)
@@ -188,25 +205,6 @@ func replaySchemes(srv *server, logw io.Writer) error {
 			ent.ID, ent.Design, ent.N, ent.M, ent.Shard)
 	}
 	return nil
-}
-
-// entryFromRecord rebuilds the registry entry a scheme record journals.
-func (s *server) entryFromRecord(rec wal.SchemeRecord) (schemeEntry, error) {
-	ref, err := parseSchemeRef(rec.Ref)
-	if err != nil {
-		return schemeEntry{}, err
-	}
-	var es *engine.Scheme
-	if ref.AdHoc {
-		g, err := remote.ParseDesign(rec.Design)
-		if err != nil {
-			return schemeEntry{}, err
-		}
-		es = s.cluster.SchemeFromGraph(g, engine.GraphKey(g))
-	} else if es, err = s.buildRef(ref); err != nil {
-		return schemeEntry{}, err
-	}
-	return s.newEntry(rec.ID, es, ref), nil
 }
 
 // restoreCampaigns replays the WAL into the campaign store during boot,

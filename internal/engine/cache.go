@@ -53,7 +53,7 @@ func GraphKey(g *graph.Bipartite) string {
 	}
 	put(uint64(g.N()))
 	put(uint64(g.M()))
-	g.ForEachQuery(0, g.M(), func(_ int, ent, mul []int32) error {
+	g.ForEachQuery(func(_ int, ent, mul []int32) error {
 		put(uint64(len(ent)))
 		for p := range ent {
 			put(uint64(ent[p]))

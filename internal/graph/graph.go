@@ -16,9 +16,10 @@
 // queries into caller scratch, and Rows reads every row at once for
 // decoders that sweep the whole graph many times (BP, LP).
 // Each query keeps only its distinct count and its size. Code that needs
-// the pools in query order (serializers, content hashes) streams them
+// the pools in query order (the labio CSV, content hashes) streams them
 // with ForEachQuery, which rebuilds each query's row from the entry side
-// with O(n + m) scratch, one range of queries at a time.
+// with O(n + m) scratch. A design's binary form (AppendBinary,
+// ParseBinary) is the entry side itself, so it needs no such walk.
 //
 // Every graph keeps one multiplicity byte per (entry, query) pair, in
 // entry order, so no multiplicity may exceed MaxMultiplicity. The pairs'
@@ -61,11 +62,10 @@ import (
 const MaxMultiplicity = math.MaxUint8
 
 // MaxParsedDim caps the entry count n and the query count m of a design
-// parsed from outside the program (a labio CSV upload, a worker's install
-// frame) before anything is allocated from them: FromQueryRows allocates
-// a counter and an offset per entry (16 bytes) drawn by a query or not,
-// and a parser allocates per-query state, so a few header bytes could
-// otherwise claim terabytes.
+// parsed from outside the program (a labio CSV upload, a design's binary
+// form) before anything is allocated from them: a graph keeps an offset
+// per entry (8 bytes) and two counts per query (12 bytes) whatever its
+// pairs, so a few header bytes could otherwise claim terabytes.
 const MaxParsedDim = 1 << 24
 
 // MaxSpecPairs caps the (entry, query) pairs a design described by
@@ -390,41 +390,28 @@ func fromEntrySide(m int, eptr []int64, eqry []int32, emul []uint8, useBits func
 // against 22–26 ms at 2^16 and about 30 ms at 2^19.
 const visitBlock = 1 << 18
 
-// ForEachQuery calls fn(j, entries, mults) for every query j in [lo, hi),
-// in increasing order, with the query's distinct entries strictly
+// ForEachQuery calls fn(j, entries, mults) for every query j in
+// increasing order, with the query's distinct entries strictly
 // increasing and their multiplicities — the row the graph was built
 // from. The slices alias scratch that the next call overwrites. It stops
-// at and returns the first error fn returns. Disjoint ranges may be
-// walked concurrently.
+// at and returns the first error fn returns.
 //
 // Rows are gathered in blocks of consecutive queries holding at most
 // max(2n, 2^18) pairs: one sweep over the entries, in increasing order,
 // appends each entry to every block query it belongs to, so rows come
 // out sorted. No row exceeds n pairs, so every block but the last holds
-// more than n, and a walk costs O(pairs + n + m), plus, per entry, a
-// binary search or a popcount per word below lo to find where a range
-// with lo > 0 starts, with O(n + m) scratch.
-func (g *Bipartite) ForEachQuery(lo, hi int, fn func(j int, entries, mults []int32) error) error {
-	if lo < 0 || lo > hi || hi > g.m {
-		panic(fmt.Sprintf("graph: query range [%d,%d) outside [0,%d]", lo, hi, g.m))
-	}
-	var pairs int64
-	for _, d := range g.qdist[lo:hi] {
-		pairs += int64(d)
-	}
-	budget := min(max(visitBlock, 2*int64(g.n)), pairs)
+// more than n, and a walk costs O(pairs + n + m) with O(n + m) scratch.
+func (g *Bipartite) ForEachQuery(fn func(j int, entries, mults []int32) error) error {
+	budget := min(max(visitBlock, 2*int64(g.n)), g.DistinctPairs())
 	ents := make([]int32, budget)
 	muls := make([]int32, budget)
-	pos := make([]int64, g.n) // entry i's first unvisited pair
-	for i := range pos {
-		pos[i] = g.eptr[i] + int64(g.rank(i, lo))
-	}
-	cur := make([]int64, hi)
-	for blo := lo; blo < hi; {
+	pos := slices.Clone(g.eptr[:g.n]) // entry i's first unvisited pair
+	cur := make([]int64, g.m)
+	for blo := 0; blo < g.m; {
 		// Take queries while the block fits; cur[j] becomes query j's
 		// write cursor in the block buffer.
 		bhi, size := blo, int64(0)
-		for bhi < hi && size+int64(g.qdist[bhi]) <= budget {
+		for bhi < g.m && size+int64(g.qdist[bhi]) <= budget {
 			cur[bhi] = size
 			size += int64(g.qdist[bhi])
 			bhi++
@@ -472,22 +459,6 @@ func spanMask(b, lo, hi int) uint64 {
 		mask &= ^uint64(0) >> d
 	}
 	return mask
-}
-
-// rank returns how many of entry i's distinct queries are below j.
-func (g *Bipartite) rank(i, j int) int {
-	if j == 0 {
-		return 0
-	}
-	if g.cells == nil {
-		k, _ := slices.BinarySearch(g.eqry[g.eptr[i]:g.eptr[i+1]], int32(j))
-		return k
-	}
-	r := 0
-	for b := 0; b<<6 < j; b++ {
-		r += bits.OnesCount64(g.cells[b*g.n+i] & spanMask(b, 0, j))
-	}
-	return r
 }
 
 // N returns the number of entry-nodes (signal length).

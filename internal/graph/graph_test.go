@@ -39,7 +39,7 @@ func TestNewSizes(t *testing.T) {
 
 // queryRows collects every query's row through ForEachQuery.
 func queryRows(g *Bipartite) (ents, muls [][]int32) {
-	g.ForEachQuery(0, g.M(), func(_ int, e, mu []int32) error {
+	g.ForEachQuery(func(_ int, e, mu []int32) error {
 		ents = append(ents, slices.Clone(e))
 		muls = append(muls, slices.Clone(mu))
 		return nil
@@ -179,7 +179,7 @@ func TestForEachQueryReproducesRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		next := 0
-		err = g.ForEachQuery(0, g.M(), func(j int, ents, muls []int32) error {
+		err = g.ForEachQuery(func(j int, ents, muls []int32) error {
 			if j != next {
 				t.Fatalf("n=%d: visited query %d, want %d", tc.n, j, next)
 			}
@@ -196,46 +196,11 @@ func TestForEachQueryReproducesRows(t *testing.T) {
 	}
 }
 
-// TestForEachQueryRanges: any sub-range of queries streams the same rows
-// as the full walk, so disjoint ranges can be encoded concurrently. The
-// range [37, 263) holds more pairs than one visitor block.
-func TestForEachQueryRanges(t *testing.T) {
-	qptr, qent, qmul := buildRandomCSR(3000, 300, 1200, 17)
-	g, err := New(3000, qptr, qent, qmul)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ents, muls := queryRows(g)
-	for _, r := range [][2]int{{0, 0}, {0, 1}, {299, 300}, {37, 263}, {150, 300}, {300, 300}} {
-		next := r[0]
-		g.ForEachQuery(r[0], r[1], func(j int, e, mu []int32) error {
-			if j != next || !slices.Equal(e, ents[j]) || !slices.Equal(mu, muls[j]) {
-				t.Fatalf("range %v: query %d (want %d) differs from the full walk", r, j, next)
-			}
-			next++
-			return nil
-		})
-		if next != r[1] {
-			t.Fatalf("range %v: stopped at %d", r, next)
-		}
-	}
-	for _, r := range [][2]int{{-1, 3}, {5, 4}, {0, 301}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("range %v accepted", r)
-				}
-			}()
-			g.ForEachQuery(r[0], r[1], func(int, []int32, []int32) error { return nil })
-		}()
-	}
-}
-
 func TestForEachQueryStopsAtError(t *testing.T) {
 	g := tiny(t)
 	stop := errors.New("stop")
 	calls := 0
-	err := g.ForEachQuery(0, g.M(), func(j int, _, _ []int32) error {
+	err := g.ForEachQuery(func(j int, _, _ []int32) error {
 		calls++
 		if j == 1 {
 			return stop

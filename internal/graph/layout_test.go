@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
@@ -196,44 +197,84 @@ func checkAgainstDense(t *testing.T, g *Bipartite, in incidence, seed uint64) {
 	if g.DistinctPairs() != pairs {
 		t.Fatalf("DistinctPairs %d, want %d", g.DistinctPairs(), pairs)
 	}
-	ranges := [][2]int{{0, m}, {0, 0}, {m / 3, m}, {m / 2, m/2 + 1}}
-	if m > 70 {
-		ranges = append(ranges, [2]int{63, 65}, [2]int{64, 128}, [2]int{1, m - 1})
+	next := 0
+	err := g.ForEachQuery(func(j int, ents, muls []int32) error {
+		if j != next {
+			return fmt.Errorf("query %d visited, want %d", j, next)
+		}
+		next++
+		var wantE, wantM []int32
+		var size int64
+		for i := range in.a {
+			if mu := in.a[i][j]; mu > 0 {
+				wantE = append(wantE, int32(i))
+				wantM = append(wantM, mu)
+				size += int64(mu)
+			}
+		}
+		if !slices.Equal(ents, wantE) || !slices.Equal(muls, wantM) {
+			return fmt.Errorf("query %d row %v %v, want %v %v", j, ents, muls, wantE, wantM)
+		}
+		if g.QueryDistinct(j) != len(wantE) || int64(g.QuerySize(j)) != size {
+			return fmt.Errorf("query %d counts %d/%d, want %d/%d", j, g.QueryDistinct(j), g.QuerySize(j), len(wantE), size)
+		}
+		return nil
+	})
+	if err == nil && next != m {
+		err = fmt.Errorf("walk stopped at %d, want %d", next, m)
 	}
-	for _, rg := range ranges {
-		lo, hi := rg[0], min(rg[1], m)
-		if lo > hi {
-			continue
-		}
-		next := lo
-		err := g.ForEachQuery(lo, hi, func(j int, ents, muls []int32) error {
-			if j != next {
-				return fmt.Errorf("query %d visited, want %d", j, next)
-			}
-			next++
-			var wantE, wantM []int32
-			var size int64
-			for i := range in.a {
-				if mu := in.a[i][j]; mu > 0 {
-					wantE = append(wantE, int32(i))
-					wantM = append(wantM, mu)
-					size += int64(mu)
-				}
-			}
-			if !slices.Equal(ents, wantE) || !slices.Equal(muls, wantM) {
-				return fmt.Errorf("query %d row %v %v, want %v %v", j, ents, muls, wantE, wantM)
-			}
-			if g.QueryDistinct(j) != len(wantE) || int64(g.QuerySize(j)) != size {
-				return fmt.Errorf("query %d counts %d/%d, want %d/%d", j, g.QueryDistinct(j), g.QuerySize(j), len(wantE), size)
-			}
-			return nil
-		})
-		if err == nil && next != hi {
-			err = fmt.Errorf("walk stopped at %d, want %d", next, hi)
-		}
+	if err != nil {
+		t.Fatalf("ForEachQuery: %v", err)
+	}
+}
+
+// TestBinaryRoundTrip: a graph built from query rows and one built from
+// the entry side write the same binary form, which parses back, in the
+// layout the size rule picks, to a graph that agrees with the dense
+// reference. The shapes are those of TestLayoutsAgree, plus n = 0 and 1
+// and a sparse incidence, so both layouts are written and parsed.
+func TestBinaryRoundTrip(t *testing.T) {
+	var cases []incidence
+	for ci, sz := range [][2]int{{0, 0}, {0, 3}, {1, 0}, {1, 1}, {5, 0}, {3, 1}, {40, 63}, {40, 64}, {70, 65}, {33, 130}, {64, 200}, {300, 460}} {
+		cases = append(cases, randomIncidence(sz[0], sz[1], uint64(ci+1)))
+	}
+	sparse := incidence{200, 70, make([][]int32, 200)}
+	for i := range sparse.a {
+		sparse.a[i] = make([]int32, sparse.m)
+		sparse.a[i][(i*13)%sparse.m] = int32(1 + i%3)
+	}
+	cases = append(cases, sparse)
+	var parsed [2]int // index-stored, bit-stored
+	for ci, in := range cases {
+		fromRows, err := FromQueryRows(in.n, in.m, 2, in.rows())
 		if err != nil {
-			t.Fatalf("ForEachQuery(%d, %d): %v", lo, hi, err)
+			t.Fatal(err)
 		}
+		eptr, eqry, emul := in.entrySide()
+		fromEntries, err := FromEntrySide(in.m, eptr, eqry, emul)
+		if err != nil {
+			t.Fatal(err)
+		}
+		form := fromRows.AppendBinary(nil)
+		if other := fromEntries.AppendBinary(nil); !bytes.Equal(other, form) {
+			t.Fatalf("n=%d m=%d: built from rows the form is %x, from the entry side %x", in.n, in.m, form, other)
+		}
+		g, err := ParseBinary(form)
+		if err != nil {
+			t.Fatalf("n=%d m=%d: %v", in.n, in.m, err)
+		}
+		if (g.cells != nil) != bitStored(g.n, g.m, g.DistinctPairs()) {
+			t.Fatalf("n=%d m=%d: parsed bit-stored %v", in.n, in.m, g.cells != nil)
+		}
+		if g.cells != nil {
+			parsed[1]++
+		} else {
+			parsed[0]++
+		}
+		checkAgainstDense(t, g, in, uint64(ci))
+	}
+	if parsed[0] == 0 || parsed[1] == 0 {
+		t.Fatalf("parsed (index, bits) = %v, want both layouts", parsed)
 	}
 }
 

@@ -50,7 +50,7 @@ func WriteDesign(w io.Writer, g *graph.Bipartite) error {
 		return err
 	}
 	row := make([]string, 3)
-	err := g.ForEachQuery(0, g.M(), func(j int, ents, muls []int32) error {
+	err := g.ForEachQuery(func(j int, ents, muls []int32) error {
 		for p, e := range ents {
 			row[0] = strconv.Itoa(j)
 			row[1] = strconv.Itoa(int(e))

@@ -45,8 +45,10 @@ func TestDesignRoundTrip(t *testing.T) {
 
 // queryRow returns query j's row, read through the graph's visitor.
 func queryRow(g *graph.Bipartite, j int) (ents, muls []int32) {
-	g.ForEachQuery(j, j+1, func(_ int, e, mu []int32) error {
-		ents, muls = slices.Clone(e), slices.Clone(mu)
+	g.ForEachQuery(func(k int, e, mu []int32) error {
+		if k == j {
+			ents, muls = slices.Clone(e), slices.Clone(mu)
+		}
 		return nil
 	})
 	return ents, muls

@@ -95,7 +95,7 @@ func equalGraphs(a, b *graph.Bipartite) bool {
 
 // queryRows collects every query's row through the graph's visitor.
 func queryRows(g *graph.Bipartite) (ents, muls [][]int32) {
-	g.ForEachQuery(0, g.M(), func(_ int, e, mu []int32) error {
+	g.ForEachQuery(func(_ int, e, mu []int32) error {
 		ents = append(ents, slices.Clone(e))
 		muls = append(muls, slices.Clone(mu))
 		return nil
@@ -373,7 +373,7 @@ func TestBuildsArePinned(t *testing.T) {
 		}
 		h := fnv.New64a()
 		var buf [8]byte
-		g.ForEachQuery(0, g.M(), func(_ int, ent, mul []int32) error {
+		g.ForEachQuery(func(_ int, ent, mul []int32) error {
 			for p := range ent {
 				binary.LittleEndian.PutUint32(buf[:4], uint32(ent[p]))
 				binary.LittleEndian.PutUint32(buf[4:], uint32(mul[p]))

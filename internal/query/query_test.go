@@ -17,7 +17,7 @@ import (
 // Counts uses.
 func matrixProduct(g *graph.Bipartite, x []int64) []int64 {
 	y := make([]int64, g.M())
-	g.ForEachQuery(0, g.M(), func(j int, ents, muls []int32) error {
+	g.ForEachQuery(func(j int, ents, muls []int32) error {
 		for p, e := range ents {
 			y[j] += int64(muls[p]) * x[e]
 		}
@@ -72,7 +72,7 @@ func TestAdditiveMatchesCountIn(t *testing.T) {
 		sigma := bitvec.Random(n, k, r)
 		res := Execute(g, sigma, Options{Seed: seed})
 		ok := true
-		g.ForEachQuery(0, g.M(), func(j int, ents, muls []int32) error {
+		g.ForEachQuery(func(j int, ents, muls []int32) error {
 			flat := make([]int, 0, g.QuerySize(j))
 			for p, e := range ents {
 				for c := int32(0); c < muls[p]; c++ {

@@ -33,8 +33,8 @@ func BenchmarkRemoteShardDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		y := cluster.MeasureBatch(s, []*bitvec.Vector{sigma}, noise.Model{})[0]
-		// Warm up once so the one-time scheme install (design frame encode
-		// + parse) stays out of the steady-state measurement.
+		// Warm up once so the one-time scheme install (design encode +
+		// parse) stays out of the steady-state measurement.
 		if _, err := cluster.Decode(context.Background(), engine.Job{Scheme: s, Y: y, K: k}); err != nil {
 			b.Fatal(err)
 		}
@@ -117,8 +117,9 @@ func BenchmarkRemoteShardDecode(b *testing.B) {
 }
 
 // BenchmarkSchemeInstall prices one worker install at the service's
-// home scale (n = 10⁴, m = 600, Γ = n/2): encode the design frame, PUT
-// it to a worker over httptest loopback, parse and validate it there.
+// home scale (n = 10⁴, m = 600, Γ = n/2): encode the design's binary
+// form, PUT it to a worker over httptest loopback, parse and validate it
+// there.
 // Client and worker share the process, so allocs/op cover both tiers;
 // SetBytes makes the body size visible as MB/s.
 func BenchmarkSchemeInstall(b *testing.B) {
@@ -131,7 +132,7 @@ func BenchmarkSchemeInstall(b *testing.B) {
 	sc := engine.NewSchemeAt(spec, spec.Key(), g, 0)
 	_, ts := newWorker(b, 1, 1, 0, ServerOptions{})
 	sh := newShard(b, ts, nil)
-	b.SetBytes(int64(len(AppendDesign(nil, g))))
+	b.SetBytes(int64(len(g.AppendBinary(nil))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

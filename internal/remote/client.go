@@ -581,7 +581,8 @@ func (s *Shard) QueueCapacity() int { return cap(s.jobs) + s.lastGauges().QueueC
 // probe).
 func (s *Shard) Workers() int { return s.lastGauges().Workers }
 
-// CachedSchemes reports the worker's resident scheme count.
+// CachedSchemes reports the worker's resident scheme count: the designs
+// installed on it, as of the last probe.
 func (s *Shard) CachedSchemes() int { return s.lastGauges().CachedSchemes }
 
 func (s *Shard) lastGauges() healthResponse {
@@ -983,10 +984,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// ensure ships the scheme's design frame to the worker if this client
-// hasn't (or a 404 told it the worker lost it). Serialized per scheme;
-// idempotent on the worker. A worker that cannot parse the frame (a
-// version skew answers 415 or 400) fails the install with its reason.
+// ensure ships the scheme's design, in its binary form, to the worker if
+// this client hasn't (or a 404 told it the worker lost it). Serialized
+// per scheme; idempotent on the worker. A worker that cannot parse the
+// body (a version skew answers 415 or 400) fails the install with its
+// reason.
 func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -995,7 +997,7 @@ func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 	}
 	rctx, cancel := context.WithTimeout(ctx, s.opts.requestTimeout())
 	defer cancel()
-	body := bytes.NewReader(AppendDesign(nil, st.scheme.G))
+	body := bytes.NewReader(st.scheme.G.AppendBinary(nil))
 	req, err := http.NewRequestWithContext(rctx, http.MethodPut, s.base+schemePathPrefix+url.PathEscape(st.id), body)
 	if err != nil {
 		return err

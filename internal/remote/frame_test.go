@@ -4,11 +4,15 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -239,10 +243,11 @@ func FuzzBatchFrame(f *testing.F) {
 	})
 }
 
-// frameTestDesigns covers every design family the frame must carry:
+// frameTestDesigns covers every design family an install carries:
 // multi-edges (random-regular), plain 0/1 incidences (bernoulli,
 // constant-column), an explicit Fixed design with an empty query, and a
-// design with no queries at all.
+// design with no queries at all. The sparse design is index-stored, the
+// others bit-stored.
 func frameTestDesigns(t testing.TB, seed uint64) map[string]*graph.Bipartite {
 	t.Helper()
 	build := func(d pooling.Design, n, m int) *graph.Bipartite {
@@ -262,61 +267,97 @@ func frameTestDesigns(t testing.TB, seed uint64) map[string]*graph.Bipartite {
 	}
 }
 
-// TestDesignFrameRoundTrip: every design family survives encode → parse
-// GraphKey-identical, across seeds.
+// TestDesignFrameRoundTrip: every design family across seeds, and the
+// home scale, survive AppendBinary → ParseBinary with every row, every
+// query's counts and the GraphKey. graph's TestBinaryRoundTrip covers
+// the edge shapes of both layouts against a dense reference.
 func TestDesignFrameRoundTrip(t *testing.T) {
+	home, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	designs := map[string]*graph.Bipartite{"home scale": home}
 	for seed := uint64(1); seed <= 5; seed++ {
 		for name, g := range frameTestDesigns(t, seed) {
-			got, err := ParseDesign(AppendDesign(nil, g))
-			if err != nil {
-				t.Fatalf("%s seed %d: parse: %v", name, seed, err)
+			designs[fmt.Sprintf("%s seed %d", name, seed)] = g
+		}
+	}
+	for name, g := range designs {
+		got, err := graph.ParseBinary(g.AppendBinary(nil))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		if got.N() != g.N() || got.M() != g.M() || got.DistinctPairs() != g.DistinctPairs() {
+			t.Fatalf("%s: %d×%d with %d pairs came back %d×%d with %d", name, g.N(), g.M(), g.DistinctPairs(), got.N(), got.M(), got.DistinctPairs())
+		}
+		for i := 0; i < g.N(); i++ {
+			q1, m1 := g.EntryQueries(i)
+			q2, m2 := got.EntryQueries(i)
+			if !slices.Equal(q1, q2) || !slices.Equal(m1, m2) {
+				t.Fatalf("%s: entry %d row changed", name, i)
 			}
-			if engine.GraphKey(got) != engine.GraphKey(g) {
-				t.Fatalf("%s seed %d: round trip changed the graph", name, seed)
+		}
+		for j := 0; j < g.M(); j++ {
+			if got.QueryDistinct(j) != g.QueryDistinct(j) || got.QuerySize(j) != g.QuerySize(j) {
+				t.Fatalf("%s: query %d counts %d/%d, want %d/%d", name, j, got.QueryDistinct(j), got.QuerySize(j), g.QueryDistinct(j), g.QuerySize(j))
 			}
+		}
+		if engine.GraphKey(got) != engine.GraphKey(g) {
+			t.Fatalf("%s: GraphKey changed", name)
 		}
 	}
 }
 
-// TestDesignFrameGolden pins the install frame's bytes: frontends and
-// workers of different builds must read each other's frames, so the
-// encoding may not drift whatever the graph stores.
+// TestDesignFrameGolden pins the binary form's bytes: frontends and
+// workers of different builds must read each other's installs, and the
+// WAL's ad-hoc scheme records outlive the build that wrote them. The
+// home-scale design and the paper's Fig. 1 are bit-stored; the last
+// design is index-stored.
 func TestDesignFrameGolden(t *testing.T) {
 	home, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	frame := AppendDesign(nil, home)
-	h.Write(frame)
-	if got, want := h.Sum64(), uint64(0x1a91490559cd5e4b); got != want || len(frame) != 4721059 {
-		t.Fatalf("home-scale frame: %d bytes, digest %#x; want 4721059 bytes, %#x", len(frame), got, want)
+	form := home.AppendBinary(nil)
+	h.Write(form)
+	if got, want := h.Sum64(), uint64(0xe82018b271e14528); got != want || len(form) != 3159937 {
+		t.Fatalf("home-scale form: %d bytes, digest %#x; want 3159937 bytes, %#x", len(form), got, want)
 	}
-	fig1, err := pooling.Fixed{Queries: [][]int{{0, 1, 3}, {1, 4, 6}, {0, 1, 4, 6, 6}, {2, 4}, {0, 5, 5, 6, 6}}}.Build(7, 5, pooling.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "70640107050301010101020103020103010201040101010103010202020301020103010105020102"
-	if got := hex.EncodeToString(AppendDesign(nil, fig1)); got != want {
-		t.Fatalf("Fig. 1 frame %s, want %s", got, want)
+	for _, tc := range []struct {
+		n, m    int
+		queries [][]int
+		want    string
+	}{
+		{7, 5, [][]int{{0, 1, 3}, {1, 4, 6}, {0, 1, 4, 6, 6}, {2, 4}, {0, 5, 5, 6, 6}},
+			"70640207050f1500000000000000070000000000000008000000000000000100000000000000" +
+				"0e0000000000000010000000000000001600000000000000010101010101010101010102010202"},
+		{7, 5, [][]int{{0}, {}, {6, 2}, {2, 2, 2}, {}}, "706402070504010100020301000000010301010301"},
+	} {
+		g, err := pooling.Fixed{Queries: tc.queries}.Build(tc.n, tc.m, pooling.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(g.AppendBinary(nil)); got != tc.want {
+			t.Errorf("form of %v: %s, want %s", tc.queries, got, tc.want)
+		}
 	}
 }
 
 // TestDesignFrameParseFootprint guards the install path's memory: parsing
-// the home-scale frame allocates the entry side once, at its final size
-// of a multiplicity byte per pair and a bit per (entry, query) cell, plus
-// O(n + m) scratch — never a query index per pair, nor a query-side copy
-// next to it.
+// the home-scale form allocates the graph once, at its final size of a
+// multiplicity byte per pair and a bit per (entry, query) cell, plus
+// O(n + m) — never a query index per pair, nor a query-side copy next
+// to it.
 func TestDesignFrameParseFootprint(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := AppendDesign(nil, g)
+	form := g.AppendBinary(nil)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := ParseDesign(frame)
+	got, err := graph.ParseBinary(form)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -324,103 +365,175 @@ func TestDesignFrameParseFootprint(t *testing.T) {
 	alloc := after.TotalAlloc - before.TotalAlloc
 	size := got.DistinctPairs() + int64(got.N())*int64((got.M()+63)/64)*8
 	limit := uint64(1.1*float64(size)) + 64*uint64(got.N()) + 64*uint64(got.M())
-	t.Logf("parsing the home-scale frame allocated %d bytes, limit %d", alloc, limit)
+	t.Logf("parsing the home-scale form allocated %d bytes, limit %d", alloc, limit)
 	if alloc > limit {
-		t.Fatalf("parsing the home-scale frame allocated %d bytes, limit %d (pairs and bitmap: %d)", alloc, limit, size)
+		t.Fatalf("parsing the home-scale form allocated %d bytes, limit %d (pairs and bitmap: %d)", alloc, limit, size)
 	}
 }
 
-// TestSkipVarints checks the word-at-a-time varint skip against a byte
-// walk on random varint streams, cut short at random.
-func TestSkipVarints(t *testing.T) {
-	naive := func(data []byte, pos int, k uint64) int {
-		for ; k > 0; k-- {
-			for pos < len(data) && data[pos] >= 0x80 {
-				pos++
-			}
-			if pos == len(data) {
-				return -1
-			}
-			pos++
-		}
-		return pos
+// TestDesignFrameEncodeFootprint: encoding the home-scale design
+// allocates one buffer, of at most 1.05 × the form's length: the form is
+// sized before it is written, so it never grows.
+func TestDesignFrameEncodeFootprint(t *testing.T) {
+	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := rng.NewRandSeeded(3)
-	for trial := 0; trial < 2000; trial++ {
-		var data []byte
-		for v := r.Intn(80); v > 0; v-- {
-			data = binary.AppendUvarint(data, r.Uint64()>>(r.Intn(64)))
-		}
-		data = data[:r.Intn(len(data)+1)]
-		pos := r.Intn(len(data) + 1)
-		k := uint64(r.Intn(90))
-		if got, want := skipVarints(data, pos, k), naive(data, pos, k); got != want {
-			t.Fatalf("trial %d: skipVarints(%x, %d, %d) = %d, want %d", trial, data, pos, k, got, want)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	form := g.AppendBinary(nil)
+	runtime.ReadMemStats(&after)
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1.05*float64(len(form))); alloc > limit {
+		t.Fatalf("encoding the %d-byte home-scale form allocated %d bytes, limit %d", len(form), alloc, limit)
 	}
 }
 
-// designFrame hand-assembles a design frame from raw uvarints after the
-// prelude, so tests can state hostile frames field by field.
-func designFrame(fields ...uint64) []byte {
-	buf := []byte{'p', 'd', frameVersion}
-	for _, v := range fields {
-		buf = appendUvarint(buf, v)
+// designFrame hand-assembles a binary form: the header's n, m and pair
+// count, then the body bytes as given.
+func designFrame(n, m, pairs uint64, body ...byte) []byte {
+	buf := []byte{'p', 'd', 2}
+	for _, v := range []uint64{n, m, pairs} {
+		buf = binary.AppendUvarint(buf, v)
 	}
-	return buf
+	return append(buf, body...)
 }
 
-// hostileDesignFrames are frames the parser must refuse. Each is also
+// Small forms to state hostile input with. One entry and four queries
+// with three pairs is bit-stored: 8 bytes of bits against 12 of indices.
+// Four entries and one or two queries are always index-stored.
+var (
+	// bits sets queries 0, 1 and 2 of the one entry.
+	bits3 = []byte{0b0111, 0, 0, 0, 0, 0, 0, 0}
+	// validBits is bits3 with multiplicities 1, 3 and 255.
+	validBits = designFrame(1, 4, 3, append(slices.Clone(bits3), 1, 3, 255)...)
+	// validIndex: entry 0 in query 0 (delta 1), entry 2 in queries 0 and
+	// 1 (deltas 1, 1), multiplicities 1, 3, 255.
+	validIndex = designFrame(4, 2, 3, 1, 1, 0, 2, 1, 1, 0, 1, 3, 255)
+)
+
+// hostileDesignFrames are forms the parser must refuse. Each is also
 // checked in as a FuzzDesignFrame seed under testdata/fuzz, named by its
-// key.
+// key. The names of version 1's seeds are kept where the intent carries
+// over: entry-at-n and entry-past-n now name a query at and past m,
+// distinct-above-n a pair count above n·m, and huge-multiplicity a
+// query delta of 2^32 + 1, which read as 32 bits would be a legal 1.
 var hostileDesignFrames = map[string][]byte{
 	"empty":             {},
-	"wrong-magic":       {'p', 'b', frameVersion, 1, 0},
-	"wrong-version":     {'p', 'd', frameVersion + 1, 1, 0},
+	"wrong-magic":       {'p', 'b', 2, 1, 0, 0},
+	"wrong-version":     {'p', 'd', 3, 1, 0, 0},
+	"version-1":         {'p', 'd', 1, 4, 1, 1, 1, 1},
 	"truncated-prelude": {'p', 'd'},
-	"truncated-header":  designFrame(4),
-	"truncated-query":   designFrame(4, 2, 1, 1, 1),
-	"huge-n":            designFrame(graph.MaxParsedDim+1, 0),
-	"huge-m":            designFrame(4, 1<<40),
-	"huge-distinct":     designFrame(4, 1, 1<<40),
-	"distinct-above-n":  designFrame(2, 1, 3, 1, 1, 1, 1, 1, 1),
-	"zero-delta":        designFrame(4, 1, 2, 1, 1, 0, 1),
-	"entry-at-n":        designFrame(4, 1, 1, 5, 1),
-	"entry-past-n":      designFrame(4, 1, 2, 2, 1, 3, 1),
-	"zero-multiplicity": designFrame(4, 1, 1, 1, 0),
-	"multiplicity-256":  designFrame(4, 1, 1, 1, graph.MaxMultiplicity+1),
-	"huge-multiplicity": designFrame(4, 1, 1, 1, 1<<31),
-	"trailing-bytes":    append(designFrame(4, 1, 1, 1, 1), 0),
+	"truncated-header":  {'p', 'd', 2, 4},
+	"truncated-after-m": {'p', 'd', 2, 4, 2},
+	"truncated-body":    designFrame(1, 4, 3),
+	"truncated-bits":    designFrame(1, 4, 3, bits3[:5]...),
+	"truncated-mults":   designFrame(1, 4, 3, append(slices.Clone(bits3), 1, 1)...),
+	"truncated-query":   validIndex[:len(validIndex)-5],
+	"huge-n":            designFrame(graph.MaxParsedDim+1, 0, 0),
+	"huge-m":            designFrame(4, 1<<40, 0),
+	"huge-distinct":     designFrame(4, 1, 1<<40, 1),
+	"distinct-above-n":  designFrame(2, 1, 3, 1, 1, 1, 1, 1, 1, 1),
+	"bits-missing":      designFrame(1000, 64, 3000, make([]byte, 3000)...),
+	"bits-short":        designFrame(1, 4, 4, 0b1111, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
+	"popcount-below":    designFrame(1, 4, 3, append([]byte{0b0011, 0, 0, 0, 0, 0, 0, 0}, 1, 1, 1)...),
+	"popcount-above":    designFrame(1, 4, 3, append([]byte{0b1111, 0, 0, 0, 0, 0, 0, 0}, 1, 1, 1)...),
+	"bit-at-m":          designFrame(1, 4, 3, append([]byte{0b10011, 0, 0, 0, 0, 0, 0, 0}, 1, 1, 1)...),
+	"bit-past-m":        designFrame(1, 4, 3, append([]byte{0b0011, 0, 0, 0, 0, 0, 0, 0x80}, 1, 1, 1)...),
+	"zero-delta":        designFrame(4, 2, 2, 2, 1, 0, 0, 0, 0, 1, 1),
+	"entry-at-n":        designFrame(4, 1, 1, 1, 2, 0, 0, 0, 1),
+	"entry-past-n":      designFrame(4, 2, 2, 2, 1, 3, 0, 0, 0, 1, 1),
+	"degree-above-m":    designFrame(4, 1, 2, 2, 1, 1, 0, 0, 0, 1, 1),
+	"degrees-below":     designFrame(4, 1, 2, 1, 1, 0, 0, 0, 1, 1),
+	"huge-multiplicity": designFrame(4, 1, 1, 1, 0x81, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 1),
+	"zero-multiplicity": designFrame(4, 2, 3, 1, 1, 0, 2, 1, 1, 0, 1, 0, 1),
+	"trailing-bytes":    append(slices.Clone(validBits), 0),
+	"trailing-rows":     append(validIndex[:len(validIndex)-3:len(validIndex)-3], 0, 1, 3, 255),
 }
 
+// TestDesignFrameRejectsHostile: every hostile form is refused with an
+// error, and each hostile seed is in the fuzz corpus. Damage to the end
+// of a larger form, of either layout, is refused before the parser
+// allocates the graph: each refusal allocates less than its entry
+// offsets alone would take.
 func TestDesignFrameRejectsHostile(t *testing.T) {
-	for _, mu := range []uint64{3, graph.MaxMultiplicity} {
-		if _, err := ParseDesign(designFrame(4, 1, 2, 1, 1, 2, mu)); err != nil {
-			t.Fatalf("control frame with multiplicity %d rejected: %v", mu, err)
+	for name, form := range map[string][]byte{"bits": validBits, "index": validIndex} {
+		g, err := graph.ParseBinary(form)
+		if err != nil {
+			t.Fatalf("control %s form rejected: %v", name, err)
+		}
+		if _, mu := g.EntryQueries(g.N() / 2); mu[len(mu)-1] != graph.MaxMultiplicity {
+			t.Fatalf("control %s form: multiplicities %v", name, mu)
 		}
 	}
-	for name, data := range hostileDesignFrames {
-		if g, err := ParseDesign(data); err == nil {
+	for name, form := range hostileDesignFrames {
+		if g, err := graph.ParseBinary(form); err == nil {
 			t.Errorf("%s: parsed into n=%d m=%d", name, g.N(), g.M())
+		}
+		seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDesignFrame", name))
+		if err != nil {
+			t.Errorf("%s: not in the fuzz corpus: %v", name, err)
+			continue
+		}
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", form); string(seed) != want {
+			t.Errorf("%s: corpus file holds %q, want %q", name, seed, want)
+		}
+	}
+	for _, d := range []struct {
+		design pooling.Design
+		n, m   int
+		bits   bool
+	}{{pooling.RandomRegular{}, 2000, 130, true}, {pooling.RandomRegular{Gamma: 5}, 5000, 40, false}} {
+		g, err := d.design.Build(d.n, d.m, pooling.BuildOptions{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		form := g.AppendBinary(nil)
+		damaged := map[string][]byte{
+			"short":          form[:len(form)-1],
+			"long":           append(slices.Clone(form), 1),
+			"last mult zero": append(slices.Clone(form[:len(form)-1]), 0),
+		}
+		if d.bits {
+			words := g.N() * ((g.M() + 63) / 64)
+			first := len(form) - int(g.DistinctPairs()) - 8*words // entry 0's first word
+			last := first + 8*(words-1)                           // the last entry's last word
+			atM := slices.Clone(form)
+			atM[last] |= 1 << (g.M() & 7) // m = 130: query 130 is bit 2 of block 2
+			damaged["bit at m"] = atM
+			popcount := slices.Clone(form)
+			popcount[first] ^= 1 // entry 0, query 0
+			damaged["popcount"] = popcount
+		}
+		for what, bad := range damaged {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := graph.ParseBinary(bad)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%d×%d form, %s: parsed", g.N(), g.M(), what)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8*uint64(g.N()) {
+				t.Errorf("%d×%d form, %s: refused after allocating %d bytes (%v)", g.N(), g.M(), what, alloc, err)
+			}
 		}
 	}
 }
 
 // FuzzDesignFrame throws arbitrary bytes at the design parser: it must
-// never panic or allocate past the input's size class, and any frame it
+// never panic or allocate past the input's size class, and any form it
 // accepts must re-encode and re-parse to the same graph.
 func FuzzDesignFrame(f *testing.F) {
 	for _, g := range frameTestDesigns(f, 1) {
 		if g.DistinctPairs() < 512 {
-			f.Add(AppendDesign(nil, g))
+			f.Add(g.AppendBinary(nil))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ParseDesign(data)
+		g, err := graph.ParseBinary(data)
 		if err != nil {
 			return
 		}
-		again, err := ParseDesign(AppendDesign(nil, g))
+		again, err := graph.ParseBinary(g.AppendBinary(nil))
 		if err != nil {
 			t.Fatalf("re-encoded design failed to parse: %v", err)
 		}

@@ -6,11 +6,12 @@
 // scheme, and admission control speaks ErrSaturated — so the wire
 // protocol is a direct transcription of that surface:
 //
-//	PUT  /shard/v1/schemes/{id}      binary design frame → 204, 415 for
-//	                                 any other media type (idempotent
-//	                                 install; the frontend owns the graph
-//	                                 and ships it, so worker and frontend
-//	                                 are bit-identical by construction)
+//	PUT  /shard/v1/schemes/{id}      the design's binary form (package
+//	                                 graph's) → 204, 415 for any other
+//	                                 media type (idempotent install; the
+//	                                 frontend owns the graph and ships
+//	                                 it, so worker and frontend are
+//	                                 bit-identical by construction)
 //	POST /shard/v1/decode-batch      binary frame of one or more decode
 //	                                 jobs → 200 with one status-tagged
 //	                                 result per job (an unknown scheme

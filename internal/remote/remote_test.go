@@ -588,9 +588,9 @@ func TestWorkerStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInstallWantsDesignFrame: the install route takes only the binary
-// design frame. A labio CSV body answers 415 rather than being guessed
-// at, a garbled frame 400, and a valid frame installs the scheme placed
+// TestInstallWantsDesignFrame: the install route takes only a design's
+// binary form. A labio CSV body answers 415 rather than being guessed
+// at, a garbled form 400, and a valid form installs the scheme placed
 // and routed under its install id.
 func TestInstallWantsDesignFrame(t *testing.T) {
 	c := engine.NewCluster(engine.ClusterConfig{Shards: 2, Shard: engine.Config{Workers: 1}})
@@ -606,7 +606,7 @@ func TestInstallWantsDesignFrame(t *testing.T) {
 	if err := labio.WriteDesign(&csv, g); err != nil {
 		t.Fatal(err)
 	}
-	frame := AppendDesign(nil, g)
+	frame := g.AppendBinary(nil)
 	const id = "random-regular{Gamma:0}|60|20|4"
 	put := func(contentType string, body []byte) int {
 		t.Helper()
@@ -650,4 +650,26 @@ func TestInstallWantsDesignFrame(t *testing.T) {
 	if owner := c.Owner(es); owner != c.Shard(es.Home()) {
 		t.Fatal("installed scheme was not placed on the shard its install id routes to")
 	}
+}
+
+// TestCachedSchemesCountsInstalls: installed designs never enter the
+// worker's engine caches, so its health reports its install table. After
+// one install and a probe, the client reads one resident scheme.
+func TestCachedSchemesCountsInstalls(t *testing.T) {
+	_, ts := newWorker(t, 2, 1, 0, ServerOptions{})
+	sh := newShard(t, ts, nil)
+	spec := engine.SpecFor(pooling.RandomRegular{}, 60, 20, 4)
+	g, err := pooling.RandomRegular{}.Build(60, 20, pooling.BuildOptions{Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, 2*time.Second, sh.Healthy, "worker never probed healthy")
+	if got := sh.CachedSchemes(); got != 0 {
+		t.Fatalf("CachedSchemes before any install = %d", got)
+	}
+	st := &schemeState{id: spec.Key(), scheme: engine.NewSchemeAt(spec, spec.Key(), g, 0)}
+	if err := sh.ensure(context.Background(), st); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, 2*time.Second, func() bool { return sh.CachedSchemes() == 1 }, "CachedSchemes never read 1 after an install")
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"pooleddata/internal/engine"
+	"pooleddata/internal/graph"
 	"pooleddata/internal/noise"
 	"pooleddata/metrics"
 )
@@ -121,10 +122,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleInstall registers the design frame under the caller-chosen id,
-// replacing any previous entry — installs are idempotent, so a frontend
-// re-ensuring after a worker restart or registry eviction needs no
-// coordination. Any body but a design frame answers 415.
+// handleInstall registers the design, sent in its binary form, under
+// the caller-chosen id, replacing any previous entry — installs are
+// idempotent, so a frontend re-ensuring after a worker restart or
+// registry eviction needs no coordination. Any other media type answers
+// 415, and a body graph.ParseBinary refuses 400 with its reason.
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if id == "" {
@@ -140,9 +142,9 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
-	g, err := ParseDesign(body)
+	g, err := graph.ParseBinary(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse design frame: %v", err)
+		writeError(w, http.StatusBadRequest, "parse design: %v", err)
 		return
 	}
 	// Place, route and account under the install id — the canonical key
@@ -323,14 +325,15 @@ func batchStatusCode(st byte) string {
 	}
 }
 
+// handleHealth answers the probe. Installed designs never enter the
+// engine shards' caches, so the resident count is the install table's.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := healthResponse{OK: true, Shards: s.cluster.Shards()}
+	h := healthResponse{OK: true, Shards: s.cluster.Shards(), CachedSchemes: s.SchemeCount()}
 	for i := 0; i < s.cluster.Shards(); i++ {
 		sh := s.cluster.Shard(i)
 		h.QueueDepth += sh.QueueDepth()
 		h.QueueCapacity += sh.QueueCapacity()
 		h.Workers += sh.Workers()
-		h.CachedSchemes += sh.CachedSchemes()
 	}
 	writeJSON(w, http.StatusOK, h)
 }

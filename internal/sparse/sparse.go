@@ -103,7 +103,7 @@ func QueryMultiplicity(g *graph.Bipartite) *CSR {
 	}
 	col := make([]int32, ptr[m])
 	val := make([]int32, ptr[m])
-	g.ForEachQuery(0, g.M(), func(j int, es, mu []int32) error {
+	g.ForEachQuery(func(j int, es, mu []int32) error {
 		copy(col[ptr[j]:], es)
 		copy(val[ptr[j]:], mu)
 		return nil

@@ -101,8 +101,8 @@ type Seal struct {
 
 // SchemeRecord journals one scheme registry entry: its id, the
 // frontend's opaque scheme ref, and, for ad-hoc uploads only, the design
-// itself as a design frame. Parametric schemes carry no design; they
-// rebuild from the ref.
+// itself in package graph's binary form. Parametric schemes carry no
+// design; they rebuild from the ref.
 type SchemeRecord struct {
 	ID     string
 	Ref    string

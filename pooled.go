@@ -158,7 +158,7 @@ func (s *Scheme) M() int { return s.m }
 // many times as the design drew it.
 func (s *Scheme) Pools() [][]int {
 	out := make([][]int, s.m)
-	s.g.ForEachQuery(0, s.m, func(j int, ents, muls []int32) error {
+	s.g.ForEachQuery(func(j int, ents, muls []int32) error {
 		pool := make([]int, 0, s.g.QuerySize(j))
 		for p, e := range ents {
 			for c := int32(0); c < muls[p]; c++ {

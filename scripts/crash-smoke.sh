@@ -6,11 +6,13 @@
 # restored from their sealed logs, stream byte for byte as before.
 #
 # Two campaigns run at the kill. The first is sized so a single worker
-# chews through it slowly enough to guarantee the kill lands mid-flight:
-# one shard, one worker, 160 jobs against a 6000x3000 scheme. The second
-# runs on an ad-hoc upload (a small design posted back as CSV) under
-# another tenant, so only the upload's scheme record in the WAL can
-# bring its design back.
+# chews through it slowly enough that the kill lands mid-flight: one
+# shard, one worker, 1600 jobs against a 6000x3000 scheme, about 1.6 s
+# of decoding on a 2-vCPU machine. The second, 400 small jobs, runs on
+# an ad-hoc upload (a small design posted back as CSV) under another
+# tenant, so only the upload's scheme record in the WAL can bring its
+# design back. The first restart's log must show both campaigns
+# restored unfinished, or the run proved nothing about recovery.
 set -eu
 
 tmp=$(mktemp -d)
@@ -56,13 +58,7 @@ sfield() { # sfield NAME JSON -> first string value of "NAME"
 
 batch() { # batch JOBS M -> a JSON batch of JOBS all-zero count rows
 	row="[$(printf '0,%.0s' $(seq 2 "$2"))0]"
-	out=$row
-	j=1
-	while [ "$j" -lt "$1" ]; do
-		out="$out,$row"
-		j=$((j + 1))
-	done
-	printf '%s' "$out"
+	yes "$row" | head -n "$1" | paste -sd, -
 }
 
 submit() { # submit BODY_FILE -> campaign id
@@ -88,12 +84,13 @@ submit() { # submit BODY_FILE -> campaign id
 
 start
 
-# Register the heavy scheme and launch a 160-job campaign of all-zero
-# counts (k=8 keeps the decoder scoring every candidate column per job).
+# Register the heavy scheme and launch a campaign of all-zero counts
+# (k=8 keeps the decoder scoring every candidate column per job).
+heavy=1600 light=400
 curl -sf -X POST "$base/v1/schemes" \
 	-d '{"design":"random-regular","n":6000,"m":3000,"seed":1}' >/dev/null ||
 	fail "scheme registration failed"
-printf '{"scheme":"s1","k":8,"batch":[%s]}' "$(batch 160 3000)" >"$tmp/campaign.json"
+{ printf '{"scheme":"s1","k":8,"batch":['; batch "$heavy" 3000; printf ']}'; } >"$tmp/campaign.json"
 cid=$(submit "$tmp/campaign.json")
 
 # Upload an ad-hoc design: a small parametric design's CSV, posted back
@@ -106,7 +103,7 @@ up=$(curl -sf -X POST "$base/v1/schemes" -H 'Content-Type: text/csv' \
 	--data-binary @"$tmp/design.csv") || fail "ad-hoc upload failed"
 sid=$(sfield id "$up")
 case "$up" in *'"ad_hoc":true'*) ;; *) fail "upload not registered as ad-hoc: $up" ;; esac
-printf '{"scheme":"%s","k":2,"tenant":"lab-b","batch":[%s]}' "$sid" "$(batch 40 100)" >"$tmp/adhoc.json"
+{ printf '{"scheme":"%s","k":2,"tenant":"lab-b","batch":[' "$sid"; batch "$light" 100; printf ']}'; } >"$tmp/adhoc.json"
 aid=$(submit "$tmp/adhoc.json")
 
 # Let a handful of jobs settle, then kill the server dead — no signal
@@ -124,11 +121,21 @@ asettled=$(field completed "$(curl -sf "$base/v1/campaigns/$aid")")
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 pid=
-echo "crash-smoke: killed pooledd with $settled/160 and ${asettled:-0}/40 (ad-hoc) jobs settled"
+echo "crash-smoke: killed pooledd with $settled/$heavy and ${asettled:-0}/$light (ad-hoc) jobs settled"
 
 # Restart against the same WAL dir: recovery must bring the ad-hoc
-# scheme back, replay each settled prefix and re-dispatch the rest.
+# scheme back, replay each settled prefix and re-dispatch the rest. Its
+# "wal restored campaign ID (STATE, N/T settled, ...)" lines prove the
+# kill landed mid-flight: both campaigns, each with N < T.
 start
+sed -n 's/.*wal restored campaign \(c[0-9]*\) ([a-z]*, \([0-9]*\)\/\([0-9]*\) settled.*/\1 \2 \3/p' \
+	"$tmp/pooledd.log" >"$tmp/restored"
+[ "$(wc -l <"$tmp/restored")" -eq 2 ] ||
+	fail "want 2 campaigns restored after the kill, got: $(cat "$tmp/restored")"
+while read -r c n t; do
+	[ "$n" -lt "$t" ] || fail "campaign $c restored with $n/$t jobs settled: the kill landed after it finished"
+	echo "crash-smoke: campaign $c restored mid-flight with $n/$t jobs settled"
+done <"$tmp/restored"
 await() { # await ID TOTAL
 	i=0
 	while :; do
@@ -141,8 +148,8 @@ await() { # await ID TOTAL
 	done
 	echo "crash-smoke: campaign $1 completed $2/$2 after restart"
 }
-await "$cid" 160
-await "$aid" 40
+await "$cid" "$heavy"
+await "$aid" "$light"
 
 # Each full event stream must be contiguous and duplicate-free: ids
 # 1..N+1 (N results + the terminal done event), exactly once each. The
@@ -155,14 +162,14 @@ stream() { # stream ID TOTAL
 	dups=$(sed -n 's/.*"index":\([0-9]*\).*/\1/p' "$tmp/stream-$1" | sort -n | uniq -d)
 	[ -z "$dups" ] || fail "duplicate job indices in $1's recovered stream: $dups"
 }
-stream "$cid" 160
-stream "$aid" 40
+stream "$cid" "$heavy"
+stream "$aid" "$light"
 
 # A client resuming from a pre-crash cursor sees only what it missed.
 curl -sfN "$base/v1/campaigns/$cid/events?after=100" >"$tmp/resume" ||
 	fail "cursor resume failed"
-[ "$(sed -n 's/^id: //p' "$tmp/resume")" = "$(seq 101 161)" ] ||
-	fail "resume from cursor 100 did not deliver ids 101..161"
+[ "$(sed -n 's/^id: //p' "$tmp/resume")" = "$(seq 101 $((heavy + 1)))" ] ||
+	fail "resume from cursor 100 did not deliver ids 101..$((heavy + 1))"
 
 curl -sf "$base/metrics" | grep -q '^pooled_wal_recovered_campaigns_total' ||
 	fail "recovered-campaigns metric missing from /metrics"
@@ -183,4 +190,4 @@ for id in "$cid" "$aid"; do
 done
 echo "crash-smoke: both finished campaigns replayed byte for byte after a second restart"
 
-echo "crash-smoke: OK (ad-hoc scheme restored, contiguous events, exactly-once delivery, recovery metric present, sealed streams replay byte for byte)"
+echo "crash-smoke: OK (killed mid-flight, ad-hoc scheme restored, contiguous events, exactly-once delivery, recovery metric present, sealed streams replay byte for byte)"

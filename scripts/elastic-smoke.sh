@@ -58,6 +58,15 @@ fpid=$!
 wait_up "http://$w1/metrics" "worker 1" "$tmp/w1.log"
 wait_up "http://$w2/metrics" "worker 2" "$tmp/w2.log"
 wait_up "$base/v1/stats" "frontend" "$tmp/frontend.log"
+# The frontend's first probe can beat worker 1's listener, and until the
+# next probe (2 s later) an unhealthy worker refuses campaigns as
+# saturated: wait until the frontend has seen it healthy.
+i=0
+until curl -sf "$base/v1/stats" | grep -q '"healthy":true'; do
+	i=$((i + 1))
+	[ "$i" -le 100 ] || fail "frontend never saw worker 1 healthy"
+	sleep 0.1
+done
 
 # Register the scheme and launch a 160-job campaign of all-zero counts
 # (k=8 keeps the decoder scoring every candidate column per job).
