@@ -112,6 +112,8 @@ metrics-lint:
 	curl -sf -X POST http://127.0.0.1:19392/v1/workers \
 	  -d '{"addr":"127.0.0.1:19391"}' >/dev/null; \
 	curl -sf -X DELETE http://127.0.0.1:19392/v1/workers/127.0.0.1:19391 >/dev/null; \
+	curl -sf http://127.0.0.1:19392/v1/schemes/s1 | grep -q '"owner":"127.0.0.1:19390"' || \
+	  { echo "metrics-lint: s1 not owned by 127.0.0.1:19390 after /v1/workers churn" >&2; exit 1; }; \
 	curl -sf http://127.0.0.1:19390/metrics | $$tmp/promcheck; \
 	curl -sf http://127.0.0.1:19392/metrics | $$tmp/promcheck; \
 	for i in $$(seq 1 20); do \
@@ -121,8 +123,8 @@ metrics-lint:
 	done; \
 	for series in pooled_wal_appends_total pooled_ring_members \
 	  pooled_ring_changes_total pooled_jobs_redispatched_total \
-	  pooled_scheme_migrations_total pooled_trace_offered_total \
-	  pooled_trace_retained_total pooled_scheme_load_jobs_total; do \
+	  pooled_trace_offered_total pooled_trace_retained_total \
+	  pooled_scheme_load_jobs_total; do \
 	  grep -q "^$$series" $$tmp/front.prom || \
 	    { echo "metrics-lint: $$series missing from frontend exposition" >&2; exit 1; }; \
 	done; \

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"context"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -38,7 +41,6 @@ func startElasticFrontend(t testing.TB, workers ...*httptest.Server) (*httptest.
 	t.Cleanup(f.Close)
 	srv := newServer(cluster, campaign.Config{})
 	srv.fleet = f
-	f.setOnChange(srv.migrateSchemes)
 	t.Cleanup(srv.campaigns.Close)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
@@ -295,18 +297,24 @@ func TestElasticEvictionAndRejoin(t *testing.T) {
 // eviction hook was queued on.)
 //
 // The choreography that used to wedge: stillborn workers march toward
-// eviction a few ms apart; the first eviction fires and lingers in the
-// (deliberately slow) change hook; the drains arrive while the later
-// workers' eviction hooks are still queued on f.mu behind it. A drain
-// that then wins the lock before its own worker's hook would close the
-// client under f.mu and wait forever for the hook-blocked probe
-// goroutine. Each round shifts the drain instant to sweep the window.
+// eviction a few ms apart; the first eviction fires and lingers in its
+// (deliberately slow) log line, after f.mu is released; the drains
+// arrive while the later workers' eviction hooks are still queued on
+// f.mu behind it. A drain that then wins the lock before its own
+// worker's hook would close the client under f.mu and wait forever for
+// the hook-blocked probe goroutine. Each round shifts the drain instant
+// to sweep the window.
 func TestDrainRacesEviction(t *testing.T) {
 	_, w0 := startWorker(t)
-	_, _, f := startElasticFrontend(t, w0)
-	// Slow change hook: stretches each eviction so the drains below
+	// The slow eviction log stretches each eviction so the drains below
 	// reliably overlap the queued probe-threshold transitions.
-	f.setOnChange(func(string) { time.Sleep(25 * time.Millisecond) })
+	f, _ := newFleet([]string{w0.Listener.Addr().String()}, fleetConfig{
+		probeInterval: 20 * time.Millisecond,
+		retryBackoff:  5 * time.Millisecond,
+		retries:       1,
+		log:           slog.New(slowEvictLog{slog.NewTextHandler(io.Discard, nil)}),
+	})
+	t.Cleanup(f.Close)
 
 	for round := 0; round < 3; round++ {
 		// Eviction lands EvictAfter(3) probes after Add — ~40ms at the
@@ -350,6 +358,17 @@ func TestDrainRacesEviction(t *testing.T) {
 			t.Fatal("drain deadlocked against probe-driven eviction")
 		}
 	}
+}
+
+// slowEvictLog sleeps 25 ms on the fleet's eviction line, which the
+// probe goroutine logs after releasing f.mu and before it probes again.
+type slowEvictLog struct{ slog.Handler }
+
+func (h slowEvictLog) Handle(ctx context.Context, r slog.Record) error {
+	if r.Message == "worker evicted after failed probes" {
+		time.Sleep(25 * time.Millisecond)
+	}
+	return h.Handler.Handle(ctx, r)
 }
 
 // TestElasticChurnHammer races campaigns against continuous membership

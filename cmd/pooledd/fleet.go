@@ -33,13 +33,6 @@ type fleet struct {
 
 	mu      sync.Mutex
 	workers map[string]*remote.Shard // every tracked client, in-ring or evicted
-	// onChange runs after every ring mutation (add, remove, evict,
-	// rejoin) — the server hangs scheme migration off it. It is read
-	// under mu but always invoked outside it: migration rescans the whole
-	// scheme registry, and holding the membership lock for that long
-	// would stall the workers API and every probe hook behind one
-	// migration pass.
-	onChange func(reason string)
 }
 
 // fleetConfig carries the per-worker client knobs every fleet member is
@@ -114,25 +107,8 @@ func (f *fleet) Close() {
 	f.cluster.Close()
 }
 
-// setOnChange installs the ring-mutation hook. Probe goroutines may
-// already be firing hooks, so it is set under f.mu.
-func (f *fleet) setOnChange(fn func(reason string)) {
-	f.mu.Lock()
-	f.onChange = fn
-	f.mu.Unlock()
-}
-
-func (f *fleet) changed(reason string) {
-	f.mu.Lock()
-	fn := f.onChange
-	f.mu.Unlock()
-	if fn != nil {
-		fn(reason)
-	}
-}
-
-// Add registers a new worker: builds its client, joins it to the ring,
-// and triggers scheme migration. Fails on a duplicate address.
+// Add registers a new worker: builds its client and joins it to the
+// ring. Fails on a duplicate address.
 func (f *fleet) Add(addr string) error {
 	f.mu.Lock()
 	if _, dup := f.workers[addr]; dup {
@@ -148,7 +124,6 @@ func (f *fleet) Add(addr string) error {
 	f.workers[addr] = sh
 	f.mu.Unlock()
 	f.cfg.log.Info("worker joined", "addr", addr, "members", f.cluster.Shards())
-	f.changed("add")
 	return nil
 }
 
@@ -184,7 +159,6 @@ func (f *fleet) Remove(addr string) error {
 	f.mu.Unlock()
 	sh.Close()
 	f.cfg.log.Info("worker drained", "addr", addr, "members", f.cluster.Shards())
-	f.changed("remove")
 	return nil
 }
 
@@ -205,7 +179,6 @@ func (f *fleet) evict(addr string) {
 	}
 	f.mu.Unlock()
 	f.cfg.log.Warn("worker evicted after failed probes", "addr", addr, "members", f.cluster.Shards())
-	f.changed("evict")
 }
 
 // rejoin re-admits an evicted worker whose probe recovered. Fires from
@@ -224,7 +197,6 @@ func (f *fleet) rejoin(addr string) {
 	}
 	f.mu.Unlock()
 	f.cfg.log.Info("worker rejoined", "addr", addr, "members", f.cluster.Shards())
-	f.changed("rejoin")
 }
 
 // workerStatus is one row of GET /v1/workers.

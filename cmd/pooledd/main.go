@@ -29,7 +29,8 @@
 //
 //	POST   /v1/schemes             {"design":"random-regular","n":10000,"m":600,"seed":1}
 //	                               or a labio design CSV (Content-Type: text/csv)
-//	GET    /v1/schemes/{id}        scheme metadata (including its shard)
+//	GET    /v1/schemes/{id}        scheme metadata, including the shard and worker
+//	                               owning its key on the ring right now
 //	GET    /v1/schemes/{id}/design the design as labio CSV (for the robot)
 //	POST   /v1/decode              {"scheme":"s1","k":16,"decoder":"mn","counts":[...]}
 //	                               or {"batch":[[...],[...]]} for pipelined decoding
@@ -61,8 +62,10 @@
 //	GET    /v1/workers             fleet membership: every tracked worker with health
 //	                               and ring status (-workers frontends only)
 //	POST   /v1/workers             {"addr":"node3:9090"} registers a worker at runtime:
-//	                               joins it to the consistent-hash ring and migrates its
-//	                               share of the registered schemes → 201 + member list
+//	                               joins it to the consistent-hash ring; the schemes
+//	                               keyed to its arcs route to it from the next job on,
+//	                               and the first decode there installs each design
+//	                               → 201 + member list
 //	DELETE /v1/workers/{addr}      drains a worker: flushes its queue to it, removes it
 //	                               from the ring, stops its health probe (409 for the
 //	                               last worker; a probe-evicted worker instead rejoins
@@ -208,10 +211,7 @@ func main() {
 	srv.maxBody = *maxBody
 	srv.traces = traces
 	srv.instrument(reg, logger)
-	if workers != nil {
-		srv.fleet = workers
-		workers.setOnChange(srv.migrateSchemes)
-	}
+	srv.fleet = workers
 	// Boot order: the -designs preloads, then the journal — the scheme
 	// registry under its ids, then the campaigns that decode against it.
 	// An interior-corrupt file refuses boot — a torn tail record does not.

@@ -128,7 +128,6 @@ func (s *server) instrument(reg *metrics.Registry, log *slog.Logger) {
 		s.mu.Unlock()
 		e.Gauge("pooled_registered_schemes", "Scheme ids resident in the frontend registry.", float64(n))
 		e.Gauge("pooled_uptime_seconds", "Seconds since process start.", time.Since(s.start).Seconds())
-		e.Counter("pooled_scheme_migrations_total", "Registry schemes re-homed to a new ring owner after membership changes.", float64(s.schemeMigrations.Load()))
 	})
 	if ts := s.traces; ts != nil {
 		reg.OnGather(func(e *metrics.Exporter) {

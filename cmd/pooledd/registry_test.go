@@ -78,8 +78,9 @@ var registryCluster = engine.ClusterConfig{Shards: 2, Shard: engine.Config{Cache
 // TestSchemeRegistryRoundTrip: the registry survives a restart through
 // the WAL alone. Two parametric specs and an ad-hoc upload come back
 // under the same ids with byte-identical designs; the parametric ones
-// are rebuilt into the shard caches, so repeating a spec is a cache hit
-// that answers the same id, and new ids continue the sequence.
+// are rebuilt into the shard caches. Repeating a spec answers the same
+// id from the registry, building nothing and leaving the caches
+// untouched, and new ids continue the sequence.
 func TestSchemeRegistryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1 := startWALServer(t, dir, registryCluster)
@@ -122,17 +123,21 @@ func TestSchemeRegistryRoundTrip(t *testing.T) {
 		t.Fatalf("shard caches hold %d schemes, want the 2 parametric ones", cached)
 	}
 
+	caches := func() (built, hits uint64) {
+		for i := 0; i < s2.cluster.Shards(); i++ {
+			st := s2.cluster.Shard(i).Stats()
+			built, hits = built+st.SchemesBuilt, hits+st.CacheHits
+		}
+		return built, hits
+	}
+	built, hits := caches()
 	var again schemeEntry
 	postJSON(t, s2.ts.URL+"/v1/schemes", specs[0], &again)
 	if again.ID != "s1" {
 		t.Fatalf("repeated spec answered %q, want s1", again.ID)
 	}
-	hits := uint64(0)
-	for i := 0; i < s2.cluster.Shards(); i++ {
-		hits += s2.cluster.Shard(i).Stats().CacheHits
-	}
-	if hits == 0 {
-		t.Fatal("repeat scheme request after restart was not a cache hit")
+	if b, h := caches(); b != built || h != hits {
+		t.Fatalf("repeat scheme request after restart built %d schemes and hit the caches %d times, want neither", b-built, h-hits)
 	}
 	var next schemeEntry
 	postJSON(t, s2.ts.URL+"/v1/schemes", schemeRequest{N: 90, M: 40, Seed: 1}, &next)

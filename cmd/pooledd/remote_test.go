@@ -264,7 +264,6 @@ func TestFederatedCampaignsBackToBack(t *testing.T) {
 	t.Cleanup(f.Close)
 	srv := newServer(cluster, campaign.Config{})
 	srv.fleet = f
-	f.setOnChange(srv.migrateSchemes)
 	t.Cleanup(srv.campaigns.Close)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pooleddata/internal/campaign"
@@ -42,10 +41,6 @@ type server struct {
 	// /v1/workers endpoints reject.
 	fleet *fleet
 
-	// schemeMigrations counts registry entries re-homed after ring
-	// changes (the pooled_scheme_migrations_total backing).
-	schemeMigrations atomic.Uint64
-
 	// maxSchemes bounds the id registry: beyond it the oldest entries are
 	// dropped (their ids start returning 404), so uploaded ad-hoc designs
 	// and churned specs cannot pin memory forever. maxBody bounds request
@@ -75,7 +70,8 @@ type server struct {
 	// journal holds the registry's scheme records (nil without a WAL).
 	// regMu serializes registrations, each of which writes its record
 	// before its entry becomes visible under mu; lookups take only mu,
-	// so they never wait on disk. nextID is guarded by regMu.
+	// so they never wait on disk. nextID is guarded by regMu. Entries
+	// are immutable once inserted.
 	journal *wal.WAL
 	regMu   sync.Mutex
 	nextID  int
@@ -83,7 +79,7 @@ type server struct {
 	mu      sync.Mutex
 	schemes map[string]*schemeEntry
 	order   []string // registration order, oldest first
-	bySpec  map[engine.Spec]string
+	bySpec  map[engine.Spec]*schemeEntry
 }
 
 type schemeEntry struct {
@@ -92,10 +88,10 @@ type schemeEntry struct {
 	N      int    `json:"n"`
 	M      int    `json:"m"`
 	Seed   uint64 `json:"seed"`
-	Shard  int    `json:"shard"`
-	// Owner is the ring ID of the member owning this scheme's routing
-	// key right now; it moves when membership changes. Empty for
-	// schemes with no routing key.
+	// Shard and Owner are the index and ring ID of the member owning this
+	// scheme's key right now, read from the live ring each time the entry
+	// is served (see placed), so they follow membership changes.
+	Shard int    `json:"shard"`
 	Owner string `json:"owner,omitempty"`
 	AdHoc bool   `json:"ad_hoc,omitempty"`
 
@@ -120,7 +116,7 @@ func newServer(cluster *engine.Cluster, ccfg campaign.Config) *server {
 		sseHeartbeat:    15 * time.Second,
 		sseWriteTimeout: 10 * time.Second,
 		schemes:         make(map[string]*schemeEntry),
-		bySpec:          make(map[engine.Spec]string),
+		bySpec:          make(map[engine.Spec]*schemeEntry),
 		log:             slog.Default(),
 	}
 	// Nil-safe instruments so handlers never branch on "is metrics
@@ -210,8 +206,9 @@ type schemeRequest struct {
 	D      int     `json:"d,omitempty"`
 }
 
-// handleCreateScheme builds (or fetches from the owning shard's cache) a
-// pooling scheme. JSON bodies describe a design by parameters; text/csv
+// handleCreateScheme registers a pooling scheme. JSON bodies describe a
+// design by parameters: a registered spec answers its entry, anything
+// else is built (or fetched from the owning shard's cache). text/csv
 // bodies upload an explicit design in the labio format (the
 // WriteDesignCSV output).
 func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
@@ -244,6 +241,10 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if ent, ok := s.registered(engine.SpecFor(des, req.N, req.M, req.Seed)); ok {
+		writeJSON(w, http.StatusCreated, s.placed(ent))
+		return
+	}
 	es, err := s.cluster.Scheme(des, req.N, req.M, req.Seed)
 	if err != nil {
 		// A build is a pure function of the request: if it fails, the
@@ -266,7 +267,7 @@ func (s *server) writeRegistered(w http.ResponseWriter, es *engine.Scheme, ref w
 		httpError(w, http.StatusInternalServerError, "journal scheme: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, ent)
+	writeJSON(w, http.StatusCreated, s.placed(ent))
 }
 
 // checkSpecSize refuses a parametric design too large to build: n or m
@@ -299,56 +300,46 @@ func checkSpecSize(des pooling.Design, n, m int) error {
 	return nil
 }
 
-// register assigns (or reuses) the entry for a scheme and returns a copy
-// of it. Cached schemes are deduplicated by spec so repeated POSTs return
-// the same id. With a journal, the entry's scheme record is durable
-// before the entry is visible; a record that cannot be written
-// registers nothing.
-//
-// Registry entries are shared and migrateSchemes rewrites them under
-// s.mu, so register and lookup hand out copies taken under the lock:
-// handlers encode and dispatch from a consistent snapshot without
-// holding it.
-func (s *server) register(es *engine.Scheme, ref walSchemeRef) (schemeEntry, error) {
+// register assigns (or reuses) the entry for a scheme. Cached schemes
+// are deduplicated by spec so repeated POSTs return the same id. With a
+// journal, the entry's scheme record is durable before the entry is
+// visible; a record that cannot be written registers nothing.
+func (s *server) register(es *engine.Scheme, ref walSchemeRef) (*schemeEntry, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	if !ref.AdHoc {
-		s.mu.Lock()
-		id := s.bySpec[es.Spec]
-		s.mu.Unlock()
-		if ent, ok := s.lookup(id); ok {
+		if ent, ok := s.registered(es.Spec); ok {
 			return ent, nil
 		}
 	}
 	s.nextID++
-	ent := s.newEntry(fmt.Sprintf("s%d", s.nextID), es, ref)
+	ent := newEntry(fmt.Sprintf("s%d", s.nextID), es, ref)
 	if err := s.journalScheme(ent); err != nil {
-		return schemeEntry{}, err
+		return nil, err
 	}
 	s.insert(ent)
 	return ent, nil
 }
 
 // newEntry builds the registry entry id for scheme es, described by ref.
-func (s *server) newEntry(id string, es *engine.Scheme, ref walSchemeRef) schemeEntry {
-	return schemeEntry{
+func newEntry(id string, es *engine.Scheme, ref walSchemeRef) *schemeEntry {
+	return &schemeEntry{
 		ID: id, Design: ref.Design, N: ref.N, M: ref.M, Seed: ref.Seed,
-		Shard: es.Home(), AdHoc: ref.AdHoc, Owner: s.cluster.OwnerID(es.RouteKey()),
-		Gamma: ref.Gamma, P: ref.P, D: ref.D,
+		AdHoc: ref.AdHoc, Gamma: ref.Gamma, P: ref.P, D: ref.D,
 		scheme: es,
 	}
 }
 
-// insert publishes the registry's own copy of ent and evicts the oldest
-// entries beyond maxSchemes (their ids start returning 404), deleting
-// their scheme records. Callers hold regMu.
-func (s *server) insert(ent schemeEntry) {
+// insert publishes ent and evicts the oldest entries beyond maxSchemes
+// (their ids start returning 404), deleting their scheme records.
+// Callers hold regMu.
+func (s *server) insert(ent *schemeEntry) {
 	var evicted []string
 	s.mu.Lock()
-	s.schemes[ent.ID] = &ent
+	s.schemes[ent.ID] = ent
 	s.order = append(s.order, ent.ID)
 	if !ent.AdHoc {
-		s.bySpec[ent.scheme.Spec] = ent.ID
+		s.bySpec[ent.scheme.Spec] = ent
 	}
 	for len(s.schemes) > s.maxSchemes {
 		oldest := s.order[0]
@@ -367,15 +358,28 @@ func (s *server) insert(ent schemeEntry) {
 	}
 }
 
-// lookup returns a copy of the registry entry id, taken under s.mu.
-func (s *server) lookup(id string) (schemeEntry, bool) {
+// lookup returns the registry entry id.
+func (s *server) lookup(id string) (*schemeEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ent, ok := s.schemes[id]
-	if !ok {
-		return schemeEntry{}, false
-	}
-	return *ent, true
+	return ent, ok
+}
+
+// registered returns the entry of a registered spec.
+func (s *server) registered(spec engine.Spec) (*schemeEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ent, ok := s.bySpec[spec]
+	return ent, ok
+}
+
+// placed is ent as served: a copy whose shard and owner come from one
+// lookup of the live ring.
+func (s *server) placed(ent *schemeEntry) schemeEntry {
+	out := *ent
+	out.Shard, out.Owner = s.cluster.Placement(ent.scheme.RouteKey())
+	return out
 }
 
 func (s *server) handleGetScheme(w http.ResponseWriter, r *http.Request) {
@@ -384,7 +388,7 @@ func (s *server) handleGetScheme(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown scheme %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, ent)
+	writeJSON(w, http.StatusOK, s.placed(ent))
 }
 
 // handleGetDesign streams the scheme's pooling design as a labio CSV file
@@ -736,7 +740,6 @@ type statsResponse struct {
 	Members           []string                        `json:"members"`
 	MembershipAdds    uint64                          `json:"membership_adds"`
 	MembershipRemoves uint64                          `json:"membership_removes"`
-	SchemeMigrations  uint64                          `json:"scheme_migrations"`
 	Schemes           int                             `json:"schemes"`
 	Campaigns         campaignGauges                  `json:"campaigns"`
 	Tenants           map[string]campaign.TenantStats `json:"tenants"`
@@ -759,7 +762,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Members:           cs.Members,
 		MembershipAdds:    cs.MembershipAdds,
 		MembershipRemoves: cs.MembershipRemoves,
-		SchemeMigrations:  s.schemeMigrations.Load(),
 		Schemes:           n,
 		Campaigns: campaignGauges{
 			Active: active, Finished: finished, Retained: active + finished,
@@ -900,8 +902,10 @@ func (s *server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAddWorker joins a `pooledd -worker` to the fleet at runtime:
-// the new member takes its arcs on the ring, owned schemes migrate to
-// it, and the campaign dispatcher starts offering it jobs immediately.
+// the new member takes its arcs on the ring, so the schemes keyed to
+// them route to it from the next job on (the first decode there installs
+// the design), and the campaign dispatcher starts offering it jobs
+// immediately.
 func (s *server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
 		httpError(w, http.StatusBadRequest, "worker membership requires a -workers frontend")
@@ -928,7 +932,7 @@ func (s *server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRemoveWorker drains a worker: its arcs move to the survivors,
-// schemes migrate off it, and queued jobs re-dispatch through the ring.
+// and queued jobs re-dispatch through the ring.
 func (s *server) handleRemoveWorker(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
 		httpError(w, http.StatusBadRequest, "worker membership requires a -workers frontend")
@@ -946,47 +950,5 @@ func (s *server) handleRemoveWorker(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.log.Info("worker drained", "trace_id", traceFrom(r.Context()), "addr", addr)
 		writeJSON(w, http.StatusOK, map[string]any{"members": s.cluster.MemberIDs()})
-	}
-}
-
-// migrateSchemes re-resolves every registered scheme's ring owner after
-// a membership change and warms the caches of the new owners, so the
-// first decode after a topology change pays a cache install, not a
-// rebuild-plus-install. Correctness never depends on it — routing
-// re-resolves per submit — it is purely cache warmth plus accurate
-// registry metadata.
-func (s *server) migrateSchemes(reason string) {
-	s.mu.Lock()
-	ents := make([]*schemeEntry, 0, len(s.schemes))
-	for _, ent := range s.schemes {
-		ents = append(ents, ent)
-	}
-	s.mu.Unlock()
-
-	moved := 0
-	for _, ent := range ents {
-		s.mu.Lock()
-		cur, oldOwner := ent.scheme, ent.Owner
-		s.mu.Unlock()
-		owner := s.cluster.OwnerID(cur.RouteKey())
-		if owner == oldOwner {
-			continue
-		}
-		var fresh *engine.Scheme
-		if ent.AdHoc {
-			fresh = s.cluster.SchemeFromGraph(cur.G, cur.RouteKey())
-		} else {
-			fresh = s.cluster.InstallScheme(cur.Spec, cur.G)
-		}
-		s.mu.Lock()
-		ent.Owner = owner
-		ent.Shard = fresh.Home()
-		ent.scheme = fresh
-		s.mu.Unlock()
-		moved++
-	}
-	if moved > 0 {
-		s.schemeMigrations.Add(uint64(moved))
-		s.log.Info("schemes migrated", "reason", reason, "moved", moved)
 	}
 }

@@ -55,7 +55,7 @@ func (e *schemeEntry) refJSON() string {
 
 // journalScheme writes ent's scheme record. Preloads are not journaled:
 // their -designs file brings them back.
-func (s *server) journalScheme(ent schemeEntry) error {
+func (s *server) journalScheme(ent *schemeEntry) error {
 	if s.journal == nil || strings.HasPrefix(ent.Design, "file:") {
 		return nil
 	}
@@ -190,7 +190,7 @@ func replaySchemes(srv *server, logw io.Writer) error {
 			fmt.Fprintf(logw, "pooledd: wal skipped scheme record %s: %v\n", rec.ID, err)
 			continue
 		}
-		ent := srv.newEntry(rec.ID, es, ref)
+		ent := newEntry(rec.ID, es, ref)
 		if _, taken := srv.lookup(rec.ID); taken {
 			srv.nextID++
 			ent.ID = fmt.Sprintf("s%d", srv.nextID)
@@ -202,7 +202,7 @@ func replaySchemes(srv *server, logw io.Writer) error {
 		}
 		srv.insert(ent)
 		fmt.Fprintf(logw, "pooledd: wal restored scheme %s (%s n=%d m=%d shard=%d)\n",
-			ent.ID, ent.Design, ent.N, ent.M, ent.Shard)
+			ent.ID, ent.Design, ent.N, ent.M, srv.placed(ent).Shard)
 	}
 	return nil
 }

@@ -376,11 +376,12 @@ func schemeFromEngine(es *engine.Scheme, workers int) *Scheme {
 }
 
 // engineScheme returns the engine-side view of s, wrapping ad-hoc schemes
-// (pooled.New, LoadDesignCSV) on first use.
+// (pooled.New, LoadDesignCSV) on first use under their GraphKey: the key
+// routes them on the ring and names their design to a remote worker.
 func (s *Scheme) engineScheme() *engine.Scheme {
 	s.esOnce.Do(func() {
 		if s.es == nil {
-			s.es = &engine.Scheme{G: s.g}
+			s.es = engine.NewSchemeAt(engine.Spec{}, engine.GraphKey(s.g), s.g, 0)
 		}
 	})
 	return s.es

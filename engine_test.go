@@ -1,10 +1,17 @@
 package pooled
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"log/slog"
+	"net/http/httptest"
 	"testing"
 
+	"pooleddata/internal/engine"
+	"pooleddata/internal/remote"
 	"pooleddata/internal/rng"
+	"pooleddata/metrics"
 )
 
 func TestEngineDecodeAndStats(t *testing.T) {
@@ -241,5 +248,66 @@ func TestNoisyFacade(t *testing.T) {
 	}
 	if _, err := eng.DecodeNoisy(context.Background(), scheme, ys[0], k, NoiseModel{Kind: "poisson"}); err == nil {
 		t.Fatal("invalid model accepted by DecodeNoisy")
+	}
+}
+
+// TestEngineRemoteWorkers: a federated Engine decodes the schemes built
+// outside it on its worker. A New scheme and a LoadDesignCSV scheme each
+// decode twice, their supports equal Reconstruct, and the worker
+// installs each design once: a wrapped scheme is known by its GraphKey.
+func TestEngineRemoteWorkers(t *testing.T) {
+	wc := engine.NewCluster(engine.ClusterConfig{Shards: 1, Shard: engine.Config{Workers: 2}})
+	defer wc.Close()
+	reg := metrics.NewRegistry()
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	w := httptest.NewServer(remote.NewServer(wc, remote.ServerOptions{Metrics: reg, Logger: quiet}).Handler())
+	defer w.Close()
+	eng := NewEngine(EngineOptions{RemoteWorkers: []string{w.Listener.Addr().String()}})
+	defer eng.Close()
+
+	n, k, m := 300, 5, 200
+	made, err := New(n, m, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(n, m, Options{Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := other.WriteDesignCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDesignCSV(&csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range []*Scheme{made, loaded} {
+		for d := 0; d < 2; d++ {
+			y := s.Measure(makeSignal(n, k, uint64(40+2*i+d)))
+			res, err := eng.Decode(context.Background(), s, y, k, MN)
+			if err != nil {
+				t.Fatalf("scheme %d, decode %d: %v", i, d, err)
+			}
+			want, err := s.Reconstruct(y, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalInts(res.Support, want) {
+				t.Fatalf("scheme %d, decode %d: remote support %v, Reconstruct %v", i, d, res.Support, want)
+			}
+		}
+	}
+	var installs float64
+	for _, fam := range reg.Gather() {
+		if fam.Name == "pooled_worker_scheme_installs_total" {
+			installs = fam.Samples[0].Value
+		}
+	}
+	if installs != 2 {
+		t.Fatalf("worker counted %v installs for two designs decoded twice each, want 2", installs)
+	}
+	if st := wc.Stats().Total; st.JobsCompleted != 4 {
+		t.Fatalf("worker completed %d jobs, want 4", st.JobsCompleted)
 	}
 }

@@ -80,11 +80,13 @@ type Scheme struct {
 	// never correctness.
 	home int
 
-	// key is the consistent-hash routing key: the spec key for parametric
-	// schemes, a content hash for ad-hoc graphs, the frontend's install id
-	// for schemes a worker installed. May be empty for ad-hoc schemes of
-	// a standalone Engine; Cluster.Owner falls back to home for those.
-	// Set before the scheme is published, so routing never races.
+	// key is the consistent-hash routing key and the design's identity
+	// across the federation hop: the spec key for parametric schemes, a
+	// content hash for ad-hoc graphs, the frontend's install id for
+	// schemes a worker installed. May be empty for ad-hoc schemes of a
+	// standalone Engine; Cluster.Owner falls back to home for those, and
+	// a remote shard refuses them. Set before the scheme is published, so
+	// routing never races.
 	key string
 
 	extOnce sync.Once
@@ -104,11 +106,10 @@ func (s *Scheme) Home() int { return s.home }
 func (s *Scheme) RouteKey() string { return s.key }
 
 // NewSchemeAt wraps a prebuilt graph as a scheme owned by cluster shard
-// home and routed by key — the constructor alternative Shard
-// implementations (the remote shard client) use so the schemes they hand
-// out route back to them inside a Cluster. spec is zero for ad-hoc
-// designs; key is spec.Key() for parametric schemes and the content hash
-// for ad-hoc ones.
+// home and routed by key, for designs built outside any cache (the
+// public package's pooled.New and LoadDesignCSV schemes). spec is zero
+// for ad-hoc designs; key is spec.Key() for parametric schemes and the
+// content hash for ad-hoc ones.
 func NewSchemeAt(spec Spec, key string, g *graph.Bipartite, home int) *Scheme {
 	return &Scheme{Spec: spec, G: g, home: home, key: key}
 }
@@ -141,8 +142,10 @@ func (en *cacheEntry) done() bool {
 	}
 }
 
-// cache is an LRU scheme cache with build deduplication.
-type cache struct {
+// Cache is an LRU scheme cache with build deduplication: every Engine
+// keeps one, and so does each remote shard client, whose frontend
+// builds the designs its worker decodes on. Safe for concurrent use.
+type Cache struct {
 	mu sync.Mutex
 	// home is the shard index stamped on every scheme this cache
 	// creates. Atomic: membership changes re-stamp it from the cluster
@@ -154,14 +157,42 @@ type cache struct {
 	metrics *counters
 }
 
-func newCache(capacity int, metrics *counters) *cache {
-	return &cache{cap: capacity, bys: make(map[Spec]*list.Element), lru: list.New(), metrics: metrics}
+// NewCache returns an empty cache holding up to capacity schemes.
+func NewCache(capacity int) *Cache { return newCache(capacity, new(counters)) }
+
+func newCache(capacity int, metrics *counters) *Cache {
+	return &Cache{cap: capacity, bys: make(map[Spec]*list.Element), lru: list.New(), metrics: metrics}
+}
+
+// SetHome assigns the cluster shard index stamped on every scheme the
+// cache creates from now on, so cluster routing (Scheme.Home) finds its
+// way back. NewClusterOf calls it at assembly, before the shard hands
+// out schemes, and every membership change re-stamps it.
+func (c *Cache) SetHome(i int) { c.home.Store(int64(i)) }
+
+// Scheme returns the cached scheme for (des, n, m, seed), building it at
+// most once no matter how many goroutines ask concurrently. The returned
+// scheme is shared: callers on a cache hit receive the identical pointer.
+func (c *Cache) Scheme(des pooling.Design, n, m int, seed uint64) (*Scheme, error) {
+	if des == nil {
+		des = pooling.RandomRegular{}
+	}
+	return c.get(SpecFor(des, n, m, seed), func() (*graph.Bipartite, error) {
+		return des.Build(n, m, pooling.BuildOptions{Seed: seed})
+	})
+}
+
+// SchemeFromGraph wraps a prebuilt design (e.g. one uploaded as a labio
+// CSV file) as a scheme routed by key, without caching it. A standalone
+// engine may pass "": routing then falls back to the home shard.
+func (c *Cache) SchemeFromGraph(g *graph.Bipartite, key string) *Scheme {
+	return &Scheme{G: g, home: int(c.home.Load()), key: key}
 }
 
 // get returns the scheme for spec, running build at most once per miss.
 // Concurrent callers for the same spec share a single build; failed
 // builds are not cached, so a later call retries.
-func (c *cache) get(spec Spec, build func() (*graph.Bipartite, error)) (*Scheme, error) {
+func (c *Cache) get(spec Spec, build func() (*graph.Bipartite, error)) (*Scheme, error) {
 	c.mu.Lock()
 	if el, ok := c.bys[spec]; ok {
 		ent := el.Value.(*cacheEntry)
@@ -200,11 +231,13 @@ func (c *cache) get(spec Spec, build func() (*graph.Bipartite, error)) (*Scheme,
 	return ent.scheme, ent.err
 }
 
-// put installs a prebuilt graph under spec as a completed entry,
-// replacing any existing entry for that spec (in-flight builds keep
-// serving their waiters; the map simply points at the new entry). This
-// is the warm-start path, so no build counters move.
-func (c *cache) put(spec Spec, g *graph.Bipartite) *Scheme {
+// InstallScheme inserts a prebuilt design under spec as a completed
+// entry, replacing any existing entry for that spec (in-flight builds
+// keep serving their waiters; the map simply points at the new entry) —
+// the warm-start path for labio design files loaded at boot, so no build
+// counters move. The installed scheme is an ordinary cache entry
+// afterwards: hits, LRU order, and eviction all apply.
+func (c *Cache) InstallScheme(spec Spec, g *graph.Bipartite) *Scheme {
 	ent := &cacheEntry{spec: spec, ready: make(chan struct{}), scheme: &Scheme{Spec: spec, G: g, home: int(c.home.Load()), key: spec.Key()}}
 	close(ent.ready)
 	c.mu.Lock()
@@ -221,7 +254,7 @@ func (c *cache) put(spec Spec, g *graph.Bipartite) *Scheme {
 // evictLocked trims the cache to capacity, oldest first, skipping entries
 // whose build is still in flight (their waiters hold the entry anyway, so
 // evicting them would only duplicate work).
-func (c *cache) evictLocked() {
+func (c *Cache) evictLocked() {
 	for len(c.bys) > c.cap {
 		victim := (*list.Element)(nil)
 		for el := c.lru.Back(); el != nil; el = el.Prev() {
@@ -241,7 +274,7 @@ func (c *cache) evictLocked() {
 }
 
 // len reports the number of cached (or in-flight) schemes.
-func (c *cache) len() int {
+func (c *Cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.bys)

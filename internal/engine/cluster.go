@@ -314,16 +314,22 @@ func (c *Cluster) ShardOf(spec Spec) int {
 	return v.lookup(spec.Key())
 }
 
-// OwnerID reports the ring ID of the member owning key — what the
-// front-end uses to decide which scheme-cache entries to migrate after a
-// membership change.
-func (c *Cluster) OwnerID(key string) string {
+// Placement reports where key lives right now, from one lookup of the
+// live ring: the owning member's index in the current view and its ring
+// ID. Unhealthy members are skipped, as on submit.
+func (c *Cluster) Placement(key string) (shard int, id string) {
 	v := c.cur.Load()
 	i := v.lookup(key)
 	if i < 0 {
-		return ""
+		return i, ""
 	}
-	return v.members[i].id
+	return i, v.members[i].id
+}
+
+// OwnerID reports the ring ID of the member owning key.
+func (c *Cluster) OwnerID(key string) string {
+	_, id := c.Placement(key)
+	return id
 }
 
 // lookup resolves key to a member index, preferring the ring owner but

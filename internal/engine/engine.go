@@ -27,8 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pooleddata/internal/graph"
-	"pooleddata/internal/pooling"
 	"pooleddata/metrics/trace"
 )
 
@@ -40,9 +38,6 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds the decode job queue; 0 means 4·Workers.
 	QueueDepth int
-	// BuildParallelism bounds goroutines per design build; 0 means
-	// GOMAXPROCS.
-	BuildParallelism int
 	// Traces, when set, makes the engine the trace owner for jobs that
 	// arrive without a builder (Job.Trace == nil): it opens a span tree
 	// per job, records the shard-queue and decode spans, and offers the
@@ -203,8 +198,11 @@ func (c *counters) snapshot() Stats {
 // pipeline. Create one with New and release its workers with Close. Safe
 // for concurrent use.
 type Engine struct {
+	// Cache is the engine's scheme cache; its Scheme, SchemeFromGraph,
+	// InstallScheme and SetHome are the engine's.
+	*Cache
+
 	cfg            Config
-	cache          *cache
 	stats          counters
 	hist           histogramSet
 	noiseHist      histogramSet
@@ -232,7 +230,7 @@ func New(cfg Config) *Engine {
 	e.noiseHist.limit = 64
 	e.noiseQueueHist.limit = 64
 	e.load = newLoadTable(defaultLoadKeys)
-	e.cache = newCache(cfg.cacheCapacity(), &e.stats)
+	e.Cache = newCache(cfg.cacheCapacity(), &e.stats)
 	for w := 0; w < cfg.workers(); w++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -298,12 +296,6 @@ func (e *Engine) Healthy() bool { return true }
 // Addr is empty for local shards.
 func (e *Engine) Addr() string { return "" }
 
-// SetHome assigns the cluster shard index stamped on every scheme this
-// engine creates, so cluster routing (Scheme.Home) finds its way back.
-// Must be called before the engine hands out schemes; NewClusterOf does
-// it at assembly.
-func (e *Engine) SetHome(i int) { e.cache.home.Store(int64(i)) }
-
 // Engine is the in-process Shard implementation.
 var _ Shard = (*Engine)(nil)
 var _ HomeSetter = (*Engine)(nil)
@@ -315,36 +307,7 @@ var _ HomeSetter = (*Engine)(nil)
 func ValidateJob(job Job) error { return validateJob(job) }
 
 // CachedSchemes reports the number of cached (or in-flight) schemes.
-func (e *Engine) CachedSchemes() int { return e.cache.len() }
-
-// Scheme returns the cached scheme for (des, n, m, seed), building it at
-// most once no matter how many goroutines ask concurrently. The returned
-// scheme is shared: callers on a cache hit receive the identical pointer.
-func (e *Engine) Scheme(des pooling.Design, n, m int, seed uint64) (*Scheme, error) {
-	if des == nil {
-		des = pooling.RandomRegular{}
-	}
-	spec := SpecFor(des, n, m, seed)
-	return e.cache.get(spec, func() (*graph.Bipartite, error) {
-		return des.Build(n, m, pooling.BuildOptions{Seed: seed, Parallelism: e.cfg.BuildParallelism})
-	})
-}
-
-// SchemeFromGraph wraps a prebuilt design (e.g. one uploaded as a labio
-// CSV file) as an engine scheme routed by key, without caching it. A
-// standalone engine may pass "": routing then falls back to the home
-// shard.
-func (e *Engine) SchemeFromGraph(g *graph.Bipartite, key string) *Scheme {
-	return &Scheme{G: g, home: int(e.cache.home.Load()), key: key}
-}
-
-// InstallScheme inserts a prebuilt design into the scheme cache under
-// spec, replacing any existing entry — the warm-start path for labio
-// design files loaded at boot. The installed scheme is an ordinary cache
-// entry afterwards: hits, LRU order, and eviction all apply.
-func (e *Engine) InstallScheme(spec Spec, g *graph.Bipartite) *Scheme {
-	return e.cache.put(spec, g)
-}
+func (e *Engine) CachedSchemes() int { return e.Cache.len() }
 
 func validateJob(job Job) error {
 	if job.Scheme == nil || job.Scheme.G == nil {

@@ -135,7 +135,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	// Touch seed 1 so seed 2 is the LRU victim.
 	e.Scheme(pooling.RandomRegular{}, 100, 40, 1)
 	e.Scheme(pooling.RandomRegular{}, 100, 40, 3)
-	if got := e.cache.len(); got != 2 {
+	if got := e.Cache.len(); got != 2 {
 		t.Fatalf("cache holds %d schemes, want 2", got)
 	}
 	st := e.Stats()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -18,9 +19,7 @@ import (
 
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/engine"
-	"pooleddata/internal/graph"
 	"pooleddata/internal/noise"
-	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
 	"pooleddata/metrics"
 	"pooleddata/metrics/trace"
@@ -64,11 +63,6 @@ type Options struct {
 	// RetryBackoff is the base delay between retries (grows linearly
 	// with the attempt). 0 means 50ms.
 	RetryBackoff time.Duration
-	// MaxSchemes bounds the client-side scheme cache; evicted schemes
-	// are re-ensured on demand. 0 means 128.
-	MaxSchemes int
-	// BuildParallelism bounds goroutines per local design build.
-	BuildParallelism int
 	// EvictAfter is how many consecutive probe failures fire OnEvict.
 	// 0 means 3; negative disables eviction (probes still flip Healthy).
 	EvictAfter int
@@ -154,13 +148,6 @@ func (o Options) retryBackoff() time.Duration {
 	return o.RetryBackoff
 }
 
-func (o Options) maxSchemes() int {
-	if o.MaxSchemes <= 0 {
-		return 128
-	}
-	return o.MaxSchemes
-}
-
 func (o Options) logger() *slog.Logger {
 	if o.Logger != nil {
 		return o.Logger
@@ -168,24 +155,35 @@ func (o Options) logger() *slog.Logger {
 	return slog.Default()
 }
 
-// schemeState is the client-side record of one scheme: the local graph
-// (the frontend is the source of truth) plus whether the worker
-// currently has it installed.
-type schemeState struct {
-	spec   engine.Spec
-	id     string
-	ready  chan struct{} // build finished (spec schemes built via Scheme)
-	scheme *engine.Scheme
-	err    error
+// maxSchemes bounds the designs a client keeps built and the install
+// ids it remembers; beyond it the oldest go first.
+const maxSchemes = 128
 
-	mu      sync.Mutex // serializes installs per scheme
-	ensured bool
+// errNoKey refuses a job whose scheme has no key: without one the
+// worker cannot be told which design to decode on.
+var errNoKey = errors.New("remote: scheme has no key (neither a spec key nor a content hash) to install its design under")
+
+// schemeState names a job's design to the worker: the install id the
+// worker keys its table by (the scheme's key: its spec key, or an
+// upload's GraphKey) and the scheme whose graph installs under it.
+type schemeState struct {
+	id     string
+	scheme *engine.Scheme
 }
 
-func (st *schemeState) unensure() {
-	st.mu.Lock()
-	st.ensured = false
-	st.mu.Unlock()
+// install is the client's record of one install id: whether the worker
+// holds the design. Its mutex serializes the id's installs, so jobs
+// racing on one design ship it once.
+type install struct {
+	sync.Mutex
+	held bool
+}
+
+// clear forgets the install after the worker answered 404 for it.
+func (in *install) clear() {
+	in.Lock()
+	in.held = false
+	in.Unlock()
 }
 
 // task is one queued decode awaiting a sender.
@@ -203,13 +201,15 @@ type task struct {
 // goroutines — so admission control, backpressure, and Close semantics
 // match the local shard it stands in for. Safe for concurrent use.
 type Shard struct {
+	// Cache builds and keeps the designs this client's schemes wrap: the
+	// frontend is their source of truth (it serves design CSVs and
+	// validates jobs against the graph), and the worker receives each
+	// one before its first decode there.
+	*engine.Cache
+
 	opts Options
 	base string
 	hc   *http.Client
-	// home is the cluster index stamped on this client's schemes.
-	// Atomic: membership changes re-stamp it while scheme builds read
-	// it concurrently.
-	home atomic.Int64
 
 	jobs chan *task
 	wg   sync.WaitGroup
@@ -231,12 +231,11 @@ type Shard struct {
 	jobsCanceled    atomic.Uint64
 	signalsMeasured atomic.Uint64
 
-	smu      sync.Mutex
-	bySpec   map[engine.Spec]*schemeState
-	byScheme map[*engine.Scheme]*schemeState
-	order    []*schemeState
-	instance int64
-	adhocSeq atomic.Uint64
+	// installs records the install ids the worker holds, at most
+	// maxSchemes of them; order is their arrival order, oldest first.
+	imu      sync.Mutex
+	installs map[string]*install
+	order    []string
 
 	stop      chan struct{}
 	probeDone chan struct{}
@@ -267,17 +266,16 @@ func New(opts Options) *Shard {
 		base = "http://" + base
 	}
 	s := &Shard{
-		opts: opts,
-		base: strings.TrimRight(base, "/"),
+		Cache: engine.NewCache(maxSchemes),
+		opts:  opts,
+		base:  strings.TrimRight(base, "/"),
 		hc: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: opts.senders() + 2,
 			IdleConnTimeout:     90 * time.Second,
 		}},
 		jobs:      make(chan *task, opts.queueDepth()),
 		bufPool:   sync.Pool{New: func() any { return new(bytes.Buffer) }},
-		bySpec:    make(map[engine.Spec]*schemeState),
-		byScheme:  make(map[*engine.Scheme]*schemeState),
-		instance:  time.Now().UnixNano(),
+		installs:  make(map[string]*install),
 		stop:      make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
@@ -304,10 +302,6 @@ func New(opts Options) *Shard {
 	go s.probeLoop()
 	return s
 }
-
-// SetHome assigns the cluster index stamped on this client's schemes
-// (cluster assembly and every membership change re-stamp it).
-func (s *Shard) SetHome(i int) { s.home.Store(int64(i)) }
 
 // Addr reports the worker address this shard fronts.
 func (s *Shard) Addr() string { return s.opts.Addr }
@@ -356,127 +350,22 @@ func (s *Shard) Close() {
 	s.hc.CloseIdleConnections()
 }
 
-func (s *Shard) adhocID() string {
-	return fmt.Sprintf("adhoc-%d-%d", s.instance, s.adhocSeq.Add(1))
-}
-
-// Scheme builds the design locally (the frontend serves design CSVs and
-// validates jobs against the graph) and lazily ships it to the worker
-// before the first decode. Builds dedupe per spec like the engine
-// cache; repeat calls return the identical pointer.
-func (s *Shard) Scheme(des pooling.Design, n, m int, seed uint64) (*engine.Scheme, error) {
-	if des == nil {
-		des = pooling.RandomRegular{}
-	}
-	spec := engine.SpecFor(des, n, m, seed)
-	s.smu.Lock()
-	if st, ok := s.bySpec[spec]; ok {
-		s.smu.Unlock()
-		<-st.ready
-		return st.scheme, st.err
-	}
-	st := &schemeState{spec: spec, id: spec.Key(), ready: make(chan struct{})}
-	s.bySpec[spec] = st
-	s.smu.Unlock()
-
-	g, err := des.Build(n, m, pooling.BuildOptions{Seed: seed, Parallelism: s.opts.BuildParallelism})
-	s.smu.Lock()
-	if err != nil {
-		st.err = err
-		if cur, ok := s.bySpec[spec]; ok && cur == st {
-			delete(s.bySpec, spec)
-		}
-	} else {
-		st.scheme = engine.NewSchemeAt(spec, st.id, g, int(s.home.Load()))
-		s.byScheme[st.scheme] = st
-		s.order = append(s.order, st)
-		s.evictLocked()
-	}
-	s.smu.Unlock()
-	close(st.ready)
-	return st.scheme, st.err
-}
-
-// SchemeFromGraph wraps an ad-hoc design; the graph ships to the worker
-// before its first decode under key (the scheme's ring routing key, the
-// content hash the cluster placed it by), so re-uploads and re-ensures
-// after failover are idempotent on the worker's registry.
-func (s *Shard) SchemeFromGraph(g *graph.Bipartite, key string) *engine.Scheme {
-	id := key
-	if id == "" {
-		id = s.adhocID()
-	}
-	sc := engine.NewSchemeAt(engine.Spec{}, key, g, int(s.home.Load()))
-	st := &schemeState{id: id, ready: closedChan(), scheme: sc}
-	s.smu.Lock()
-	s.byScheme[sc] = st
-	s.order = append(s.order, st)
-	s.evictLocked()
-	s.smu.Unlock()
-	return sc
-}
-
-// InstallScheme registers a prebuilt design under spec (warm start);
-// the worker receives it lazily before the first decode.
-func (s *Shard) InstallScheme(spec engine.Spec, g *graph.Bipartite) *engine.Scheme {
-	id := spec.Key()
-	sc := engine.NewSchemeAt(spec, id, g, int(s.home.Load()))
-	st := &schemeState{spec: spec, id: id, ready: closedChan(), scheme: sc}
-	s.smu.Lock()
-	s.bySpec[spec] = st
-	s.byScheme[sc] = st
-	s.order = append(s.order, st)
-	s.evictLocked()
-	s.smu.Unlock()
-	return sc
-}
-
-func closedChan() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}
-
-// evictLocked trims the client scheme cache; evicted schemes still work
-// if a caller kept one (stateFor rebuilds their record on demand, and
-// the worker is re-ensured idempotently).
-func (s *Shard) evictLocked() {
-	for len(s.order) > s.opts.maxSchemes() {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		if cur, ok := s.bySpec[victim.spec]; ok && cur == victim {
-			delete(s.bySpec, victim.spec)
-		}
-		if victim.scheme != nil {
-			delete(s.byScheme, victim.scheme)
+// record returns the record of install id, making one on first use and
+// dropping the oldest beyond maxSchemes.
+func (s *Shard) record(id string) *install {
+	s.imu.Lock()
+	defer s.imu.Unlock()
+	in, ok := s.installs[id]
+	if !ok {
+		in = new(install)
+		s.installs[id] = in
+		s.order = append(s.order, id)
+		if len(s.order) > maxSchemes {
+			delete(s.installs, s.order[0])
+			s.order = s.order[1:]
 		}
 	}
-}
-
-// stateFor returns (rebuilding if evicted) the record of a scheme a job
-// carries. Schemes created by other shards or standalone engines get a
-// fresh record keyed by their spec (or a new ad-hoc id), so any scheme
-// with a graph can decode remotely.
-func (s *Shard) stateFor(sc *engine.Scheme) *schemeState {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	if st, ok := s.byScheme[sc]; ok {
-		return st
-	}
-	id := sc.RouteKey() // spec key or ad-hoc content hash
-	if sc.Spec != (engine.Spec{}) {
-		id = sc.Spec.Key()
-	} else if id == "" {
-		id = s.adhocID()
-	}
-	st := &schemeState{spec: sc.Spec, id: id, ready: closedChan(), scheme: sc}
-	s.byScheme[sc] = st
-	if sc.Spec != (engine.Spec{}) {
-		s.bySpec[sc.Spec] = st
-	}
-	s.order = append(s.order, st)
-	s.evictLocked()
-	return st
+	return in
 }
 
 // MeasureBatch runs on the frontend — measurement is simulation-side
@@ -523,6 +412,9 @@ func (s *Shard) Offer(ctx context.Context, job engine.Job) (*engine.Future, erro
 func (s *Shard) submit(ctx context.Context, job engine.Job, mode submitMode) (*engine.Future, error) {
 	if err := engine.ValidateJob(job); err != nil {
 		return nil, err
+	}
+	if job.Scheme.RouteKey() == "" {
+		return nil, errNoKey
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -766,24 +658,24 @@ func frameContext(tasks []*task) (ctx context.Context, release func()) {
 // result. It returns the tasks to retry, the error that holds them back,
 // and whether the worker answered.
 func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr error, answered bool) {
-	// Install every distinct scheme once. A job whose scheme does not
-	// install waits for the next attempt; its frame-mates ship.
+	// Install every distinct design once, by its key. A job whose design
+	// does not install waits for the next attempt; its frame-mates ship.
 	ready := make([]*task, 0, len(tasks))
-	states := make([]*schemeState, 0, len(tasks))
-	installs := make(map[*schemeState]error, 1)
+	ids := make([]string, 0, len(tasks))
+	installs := make(map[string]error, 1)
 	for _, t := range tasks {
-		st := s.stateFor(t.job.Scheme)
-		err, done := installs[st]
+		st := schemeState{id: t.job.Scheme.RouteKey(), scheme: t.job.Scheme}
+		err, done := installs[st.id]
 		if !done {
-			err = s.ensure(ctx, st)
-			installs[st] = err
+			err = s.ensure(ctx, &st)
+			installs[st.id] = err
 		}
 		if err != nil {
 			retry, lastErr = append(retry, t), err
 			continue
 		}
 		ready = append(ready, t)
-		states = append(states, st)
+		ids = append(ids, st.id)
 	}
 	if len(ready) == 0 {
 		return retry, lastErr, false
@@ -795,7 +687,7 @@ func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr
 	jobs := make([]batchJob, len(ready))
 	for i, t := range ready {
 		jobs[i] = batchJob{
-			Scheme: states[i].id,
+			Scheme: ids[i],
 			Noise:  t.job.Noise.Canon().String(),
 			Trace:  t.job.TraceID,
 			K:      t.job.K,
@@ -838,7 +730,7 @@ func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr
 		case batchNotFound:
 			// The worker restarted or evicted the scheme: re-install and
 			// retry.
-			states[i].unensure()
+			s.record(ids[i]).clear()
 			fallthrough
 		default: // unavailable, or saturated from an older worker
 			retry, lastErr = append(retry, t), fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err)
@@ -984,15 +876,16 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// ensure ships the scheme's design, in its binary form, to the worker if
-// this client hasn't (or a 404 told it the worker lost it). Serialized
-// per scheme; idempotent on the worker. A worker that cannot parse the
-// body (a version skew answers 415 or 400) fails the install with its
-// reason.
+// ensure ships the scheme's design, in its binary form, to the worker
+// under st.id unless the client's record says the worker holds it (a 404
+// clears the record). Serialized per install id; idempotent on the
+// worker. A worker that cannot parse the body (a version skew answers
+// 415 or 400) fails the install with its reason.
 func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.ensured {
+	in := s.record(st.id)
+	in.Lock()
+	defer in.Unlock()
+	if in.held {
 		return nil
 	}
 	rctx, cancel := context.WithTimeout(ctx, s.opts.requestTimeout())
@@ -1015,7 +908,7 @@ func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		return fmt.Errorf("remote: install scheme on %s: status %d: %s", s.opts.Addr, resp.StatusCode, eb.Error)
 	}
-	st.ensured = true
+	in.held = true
 	return nil
 }
 

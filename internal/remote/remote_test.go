@@ -673,3 +673,21 @@ func TestCachedSchemesCountsInstalls(t *testing.T) {
 	}
 	eventually(t, 2*time.Second, func() bool { return sh.CachedSchemes() == 1 }, "CachedSchemes never read 1 after an install")
 }
+
+// TestKeylessSchemeRefused: a scheme with no key (a standalone engine's
+// wrap of a graph under "") cannot be named to the worker, so a remote
+// shard refuses its job at submit with an error naming the cause.
+func TestKeylessSchemeRefused(t *testing.T) {
+	_, ts := newWorker(t, 1, 1, 0, ServerOptions{})
+	sh := newShard(t, ts, nil)
+	g, err := pooling.RandomRegular{}.Build(60, 20, pooling.BuildOptions{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := engine.New(engine.Config{Workers: 1})
+	defer local.Close()
+	job := engine.Job{Scheme: local.SchemeFromGraph(g, ""), Y: make([]int64, 20), K: 0}
+	if _, err := sh.Submit(context.Background(), job); !errors.Is(err, errNoKey) || !strings.Contains(err.Error(), "no key") {
+		t.Fatalf("keyless scheme: err = %v, want one naming the missing key", err)
+	}
+}
