@@ -1,50 +1,52 @@
 package main
 
 import (
-	"context"
-	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pooleddata/internal/bitvec"
 	"pooleddata/internal/campaign"
 	"pooleddata/internal/engine"
 	"pooleddata/internal/noise"
 	"pooleddata/internal/pooling"
+	"pooleddata/internal/query"
 	"pooleddata/internal/remote"
+	"pooleddata/internal/rng"
 )
 
 // Elastic-fleet end-to-end coverage: runtime worker registration and
-// drain over the HTTP membership API, probe-driven eviction with
-// auto-rejoin, and membership churn racing live campaigns.
+// drain over the HTTP membership API, routing around a dead worker by
+// health alone, and membership churn racing live campaigns.
 
-// startElasticFrontend boots a frontend with a fleet manager over the
-// given workers — the in-process form of `pooledd -workers ...` with
-// the /v1/workers endpoints live. Probe and retry knobs are tightened
-// so eviction and rejoin land within test timeouts.
-func startElasticFrontend(t testing.TB, workers ...*httptest.Server) (*httptest.Server, *server, *fleet) {
+// startElasticFrontend boots a frontend over the given workers — the
+// in-process form of `pooledd -workers ...` with the /v1/workers
+// endpoints live. Probe and retry knobs are tightened so health flips
+// land within test timeouts.
+func startElasticFrontend(t testing.TB, workers ...*httptest.Server) (*httptest.Server, *server, *engine.Cluster) {
 	t.Helper()
-	addrs := make([]string, len(workers))
-	for i, w := range workers {
-		addrs[i] = w.Listener.Addr().String()
+	opts := &remote.Options{
+		ProbeInterval: 20 * time.Millisecond,
+		RetryBackoff:  5 * time.Millisecond,
+		Retries:       1,
 	}
-	f, cluster := newFleet(addrs, fleetConfig{
-		probeInterval: 20 * time.Millisecond,
-		retryBackoff:  5 * time.Millisecond,
-		retries:       1,
-	})
-	t.Cleanup(f.Close)
+	shards := make([]engine.Shard, len(workers))
+	for i, w := range workers {
+		shards[i] = dialWorker(*opts, w.Listener.Addr().String())
+	}
+	cluster := engine.NewClusterOf(shards...)
+	t.Cleanup(cluster.Close)
 	srv := newServer(cluster, campaign.Config{})
-	srv.fleet = f
+	srv.workerOpts = opts
 	t.Cleanup(srv.campaigns.Close)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
-	return ts, srv, f
+	return ts, srv, cluster
 }
 
 func deleteWorker(t testing.TB, url, addr string) *http.Response {
@@ -231,44 +233,65 @@ func TestElasticDrainWorkerMidCampaign(t *testing.T) {
 	}
 }
 
-// TestElasticEvictionAndRejoin kills a worker's listener: after
-// EvictAfter failed probes the fleet pulls it from the ring (still
-// listed as a non-member in /v1/workers), and when the listener comes
-// back on the same address the probe re-admits it.
-func TestElasticEvictionAndRejoin(t *testing.T) {
+// TestElasticDeadWorkerRoutedAround kills a worker's listener: while
+// its probe fails, the key it owns names the survivor as owner and
+// decodes there, and /v1/workers lists the dead worker healthy:false;
+// once the worker answers again on the same address, the key routes
+// back to it. The ring never changes: health alone moves the key.
+func TestElasticDeadWorkerRoutedAround(t *testing.T) {
+	const n, m, k = 300, 240, 5
 	_, w0 := startWorker(t)
 	w1Engine, w1 := startWorker(t)
-	w1Addr := w1.Listener.Addr().String()
-	fed, srv, _ := startElasticFrontend(t, w0, w1)
-
-	if len(srv.cluster.MemberIDs()) != 2 {
-		t.Fatalf("boot members = %v", srv.cluster.MemberIDs())
-	}
-
-	// Kill the listener; the probe evicts the worker from the ring.
-	w1.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.cluster.HasMember(w1Addr) {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never evicted after listener death")
+	w0Addr, w1Addr := w0.Listener.Addr().String(), w1.Listener.Addr().String()
+	fed, srv, cluster := startElasticFrontend(t, w0, w1)
+	noChurn := func(when string) {
+		t.Helper()
+		if adds, removes := cluster.MembershipChanges(); adds != 0 || removes != 0 {
+			t.Fatalf("%s: membership changes adds=%d removes=%d, want 0/0", when, adds, removes)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	owner := func(id string) string {
+		var got schemeEntry
+		getJSON(t, fed.URL+"/v1/schemes/"+id, &got)
+		return got.Owner
+	}
+	waitOwner := func(id, want, why string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for owner(id) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: owner of %s is %q, want %q", why, id, owner(id), want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	var sch schemeEntry
+	postJSON(t, fed.URL+"/v1/schemes", schemeRequest{Design: "random-regular", N: n, M: m, Seed: seedOwnedByID(cluster, n, m, w1Addr)}, &sch)
+	waitOwner(sch.ID, w1Addr, "before the death")
+	ent, _ := srv.lookup(sch.ID)
+	sigma := bitvec.Random(n, k, rng.NewRandSeeded(5))
+	y := query.Execute(ent.scheme.G, sigma, query.Options{}).Y
+	decodeHTTP(t, fed.URL, sch.ID, k, y, sigma.Support())
+
+	// Kill the listener: once the probe fails, the key routes to the
+	// survivor, and a decode of it succeeds there.
+	w1.Close()
+	waitOwner(sch.ID, w0Addr, "after the listener died")
+	decodeHTTP(t, fed.URL, sch.ID, k, y, sigma.Support())
 	var wl struct {
 		Workers []workerStatus `json:"workers"`
+		Members []string       `json:"members"`
 	}
 	getJSON(t, fed.URL+"/v1/workers", &wl)
-	evicted := false
-	for _, ws := range wl.Workers {
-		if ws.Addr == w1Addr && !ws.Member {
-			evicted = true
-		}
+	want := []workerStatus{{Addr: w0Addr, Healthy: true}, {Addr: w1Addr, Healthy: false}}
+	if !reflect.DeepEqual(wl.Workers, want) || len(wl.Members) != 2 {
+		t.Fatalf("workers after the death = %+v, members %v; want %+v and both members", wl.Workers, wl.Members, want)
 	}
-	if !evicted {
-		t.Fatalf("evicted worker not listed as non-member: %+v", wl.Workers)
-	}
+	noChurn("after the death")
 
-	// Resurrect the worker on the same address; the probe re-admits it.
+	// Revive the worker on the same address: the key routes back, and
+	// its decode runs there.
 	ln, err := reListen(w1Addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", w1Addr, err)
@@ -276,51 +299,44 @@ func TestElasticEvictionAndRejoin(t *testing.T) {
 	revived := &http.Server{Handler: remoteHandlerFor(t, w1Engine)}
 	go revived.Serve(ln)
 	t.Cleanup(func() { revived.Close() })
-
-	for !srv.cluster.HasMember(w1Addr) {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never rejoined after listener revival")
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitOwner(sch.ID, w1Addr, "after the revival")
+	decodeHTTP(t, fed.URL, sch.ID, k, y, sigma.Support())
+	if c := w1Engine.Stats().Total.JobsCompleted; c != 2 {
+		t.Fatalf("worker decoded %d jobs, want one before its death and one after its revival", c)
 	}
-	adds, removes := srv.cluster.MembershipChanges()
-	if adds < 1 || removes < 1 {
-		t.Fatalf("membership changes adds=%d removes=%d, want >=1 each (eviction + rejoin)", adds, removes)
-	}
+	noChurn("after the revival")
 }
 
-// TestDrainRacesEviction regression-tests the drain-vs-eviction
-// deadlock: an administrative DELETE racing the probe-threshold
-// transition of a dying worker must not wedge the membership lock.
-// (Remove used to close the client — which waits out the probe
-// goroutine — while holding f.mu, the same lock that goroutine's
-// eviction hook was queued on.)
-//
-// The choreography that used to wedge: stillborn workers march toward
-// eviction a few ms apart; the first eviction fires and lingers in its
-// (deliberately slow) log line, after f.mu is released; the drains
-// arrive while the later workers' eviction hooks are still queued on
-// f.mu behind it. A drain that then wins the lock before its own
-// worker's hook would close the client under f.mu and wait forever for
-// the hook-blocked probe goroutine. Each round shifts the drain instant
-// to sweep the window.
-func TestDrainRacesEviction(t *testing.T) {
+// TestDrainDeadWorkersConcurrently drains, concurrently over DELETE
+// /v1/workers/{addr}, workers that never listened: once right after
+// they join, with their first probes in flight, and once after every
+// probe has failed. Every drain must return 200 and leave the boot
+// worker the only member. The requests go straight to the handler, so
+// the test fails on its own deadline from its own goroutine, and its
+// cleanup closes only the boot worker's client and servers no request
+// is still in.
+func TestDrainDeadWorkersConcurrently(t *testing.T) {
 	_, w0 := startWorker(t)
-	// The slow eviction log stretches each eviction so the drains below
-	// reliably overlap the queued probe-threshold transitions.
-	f, _ := newFleet([]string{w0.Listener.Addr().String()}, fleetConfig{
-		probeInterval: 20 * time.Millisecond,
-		retryBackoff:  5 * time.Millisecond,
-		retries:       1,
-		log:           slog.New(slowEvictLog{slog.NewTextHandler(io.Discard, nil)}),
-	})
-	t.Cleanup(f.Close)
+	w0Addr := w0.Listener.Addr().String()
+	_, srv, cluster := startElasticFrontend(t, w0)
+	h := srv.handler()
+	serve := func(method, path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	unhealthy := func(addrs []string) bool {
+		for _, sh := range cluster.Stats().Shards {
+			for _, a := range addrs {
+				if sh.ID == a && sh.Healthy {
+					return false
+				}
+			}
+		}
+		return true
+	}
 
-	for round := 0; round < 3; round++ {
-		// Eviction lands EvictAfter(3) probes after Add — ~40ms at the
-		// 20ms test probe interval — so staggering the Adds staggers the
-		// hooks across the drain burst.
-		start := time.Now()
+	for round, settle := range []bool{false, true} {
 		var addrs []string
 		for i := 0; i < 5; i++ {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -329,57 +345,50 @@ func TestDrainRacesEviction(t *testing.T) {
 			}
 			addr := ln.Addr().String()
 			ln.Close()
-			if err := f.Add(addr); err != nil {
-				t.Fatalf("add %s: %v", addr, err)
+			if code := serve(http.MethodPost, "/v1/workers", `{"addr":"`+addr+`"}`); code != http.StatusCreated {
+				t.Fatalf("round %d: register %s: status %d", round, addr, code)
 			}
 			addrs = append(addrs, addr)
-			time.Sleep(4 * time.Millisecond)
 		}
-		// Fire every drain concurrently just after the first eviction has
-		// claimed the lock, while the rest are still inbound.
-		if d := time.Duration(38+4*round)*time.Millisecond - time.Since(start); d > 0 {
-			time.Sleep(d)
+		deadline := time.After(30 * time.Second)
+		for settle && !unhealthy(addrs) {
+			select {
+			case <-deadline:
+				t.Fatalf("round %d: probes never marked the dead workers unhealthy", round)
+			case <-time.After(5 * time.Millisecond):
+			}
 		}
-		var wg sync.WaitGroup
-		done := make(chan struct{})
+		// One buffered slot per drain, so no drain blocks on a test
+		// that has already failed.
+		codes := make(chan int, len(addrs))
 		for _, addr := range addrs {
-			wg.Add(1)
-			go func(addr string) {
-				defer wg.Done()
-				if err := f.Remove(addr); err != nil {
-					t.Errorf("remove %s: %v", addr, err)
+			go func(addr string) { codes <- serve(http.MethodDelete, "/v1/workers/"+addr, "") }(addr)
+		}
+		for range addrs {
+			select {
+			case code := <-codes:
+				if code != http.StatusOK {
+					t.Errorf("round %d: drain answered %d, want 200", round, code)
 				}
-			}(addr)
+			case <-deadline:
+				t.Fatalf("round %d: concurrent drains of dead workers did not return", round)
+			}
 		}
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatal("drain deadlocked against probe-driven eviction")
+		if got := cluster.MemberIDs(); !reflect.DeepEqual(got, []string{w0Addr}) {
+			t.Fatalf("round %d: members after the drains = %v, want only %s", round, got, w0Addr)
 		}
 	}
-}
-
-// slowEvictLog sleeps 25 ms on the fleet's eviction line, which the
-// probe goroutine logs after releasing f.mu and before it probes again.
-type slowEvictLog struct{ slog.Handler }
-
-func (h slowEvictLog) Handle(ctx context.Context, r slog.Record) error {
-	if r.Message == "worker evicted after failed probes" {
-		time.Sleep(25 * time.Millisecond)
-	}
-	return h.Handler.Handle(ctx, r)
 }
 
 // TestElasticChurnHammer races campaigns against continuous membership
 // churn and stats polling — the -race exercise of the lock-free view
-// swap, probe-driven hooks, and re-dispatch accounting.
+// swap, the join and drain paths, and re-dispatch accounting.
 func TestElasticChurnHammer(t *testing.T) {
 	const n, m, k, batch = 200, 120, 4, 12
 	_, w0 := startWorker(t)
 	_, w1 := startWorker(t)
 	_, w2 := startWorker(t)
-	fed, _, f := startElasticFrontend(t, w0, w1)
+	fed, srv, _ := startElasticFrontend(t, w0, w1)
 	w2Addr := w2.Listener.Addr().String()
 
 	stop := make(chan struct{})
@@ -395,9 +404,9 @@ func TestElasticChurnHammer(t *testing.T) {
 				return
 			default:
 			}
-			if err := f.Add(w2Addr); err == nil {
+			if err := srv.addWorker(w2Addr); err == nil {
 				time.Sleep(2 * time.Millisecond)
-				_ = f.Remove(w2Addr)
+				_ = srv.removeWorker(w2Addr)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -434,7 +443,7 @@ func TestElasticChurnHammer(t *testing.T) {
 }
 
 // reListen rebinds a TCP listener on addr — the "worker restarted on
-// the same host:port" move of the rejoin test. The port was just
+// the same host:port" move of the dead-worker test. The port was just
 // released by the dead httptest server, but another process may grab
 // it; callers skip on failure.
 func reListen(addr string) (net.Listener, error) {

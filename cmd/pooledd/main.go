@@ -59,8 +59,8 @@
 //	                               decode-latency histograms, jobs_by_noise per-model
 //	                               counters, campaign gauges, per-tenant gauges with
 //	                               decode-latency histograms, ring membership counters)
-//	GET    /v1/workers             fleet membership: every tracked worker with health
-//	                               and ring status (-workers frontends only)
+//	GET    /v1/workers             fleet membership: every ring member with its probe
+//	                               health (-workers frontends only)
 //	POST   /v1/workers             {"addr":"node3:9090"} registers a worker at runtime:
 //	                               joins it to the consistent-hash ring; the schemes
 //	                               keyed to its arcs route to it from the next job on,
@@ -68,9 +68,10 @@
 //	                               → 201 + member list
 //	DELETE /v1/workers/{addr}      drains a worker: flushes its queue to it, removes it
 //	                               from the ring, stops its health probe (409 for the
-//	                               last worker; a probe-evicted worker instead rejoins
-//	                               automatically on its next successful probe, tuned by
-//	                               -evict-after)
+//	                               last worker). Only these two change the ring: a
+//	                               worker that stops answering its probe stays a
+//	                               member, and keys route around it while it is
+//	                               unhealthy
 //	GET    /metrics                Prometheus text exposition of the same surface
 //	                               (served by both modes: frontend and -worker)
 //
@@ -119,7 +120,6 @@ func main() {
 	workerMode := flag.Bool("worker", false, "serve only the shard worker API (the backend a -workers frontend drives)")
 	workerAddrs := flag.String("workers", "", "comma-separated worker addresses (host:port); the frontend decodes on these pooledd -worker processes instead of local shards")
 	workerTimeout := flag.Duration("worker-timeout", 0, "per-request deadline against remote workers (0: 60s)")
-	evictAfter := flag.Int("evict-after", 0, "consecutive health-probe failures before a worker is evicted from the ring; it rejoins on the next successful probe (0: 3, negative: never evict)")
 	shards := flag.Int("shards", 4, "engine shard count (each shard owns its cache and worker pool); with -workers, the shard count is the worker count")
 	cache := flag.Int("cache", 16, "scheme cache capacity per shard (LRU; frontend mode only)")
 	shardWorkers := flag.Int("shard-workers", 0, "decode workers per shard (0: GOMAXPROCS/shards)")
@@ -164,16 +164,18 @@ func main() {
 		logger.Info("job tracing enabled", "sample", *traceSample, "capacity", *traceStore)
 	}
 	var cluster *engine.Cluster
-	var workers *fleet
+	var workerOpts *remote.Options
 	if *workerAddrs != "" {
 		addrs := splitList(*workerAddrs)
 		if len(addrs) == 0 {
 			exitOn(fmt.Errorf("-workers %q names no worker addresses", *workerAddrs))
 		}
-		workers, cluster = newFleet(addrs, fleetConfig{
-			timeout: *workerTimeout, evictAfter: *evictAfter,
-			reg: reg, log: logger,
-		})
+		workerOpts = &remote.Options{RequestTimeout: *workerTimeout, Metrics: reg, Logger: logger}
+		shards := make([]engine.Shard, len(addrs))
+		for i, a := range addrs {
+			shards[i] = dialWorker(*workerOpts, a)
+		}
+		cluster = engine.NewClusterOf(shards...)
 		logger.Info("fronting remote workers", "count", len(addrs), "addrs", strings.Join(addrs, ", "))
 	} else {
 		cluster = engine.NewCluster(engine.ClusterConfig{
@@ -211,7 +213,7 @@ func main() {
 	srv.maxBody = *maxBody
 	srv.traces = traces
 	srv.instrument(reg, logger)
-	srv.fleet = workers
+	srv.workerOpts = workerOpts
 	// Boot order: the -designs preloads, then the journal — the scheme
 	// registry under its ids, then the campaigns that decode against it.
 	// An interior-corrupt file refuses boot — a torn tail record does not.

@@ -395,6 +395,39 @@ func TestObservabilityFederatedE2E(t *testing.T) {
 	}
 }
 
+// TestFederatedBuildCounters: a -workers frontend builds every
+// parametric design in its remote client's scheme cache, and those
+// builds reach /v1/stats and /metrics like a local shard's. Two
+// registered specs read two builds on both.
+func TestFederatedBuildCounters(t *testing.T) {
+	_, w := startWorker(t)
+	fed, srv, _ := startElasticFrontend(t, w)
+	reg := metrics.NewRegistry()
+	srv.instrument(reg, nil)
+
+	for seed := uint64(1); seed <= 2; seed++ {
+		if resp := postJSON(t, fed.URL+"/v1/schemes", schemeRequest{Design: "random-regular", N: 200, M: 100, Seed: seed}, nil); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("register seed %d: status %d", seed, resp.StatusCode)
+		}
+	}
+	var st struct {
+		SchemesBuilt uint64 `json:"schemes_built"`
+	}
+	getJSON(t, fed.URL+"/v1/stats", &st)
+	if st.SchemesBuilt != 2 {
+		t.Fatalf("/v1/stats schemes_built = %d, want 2", st.SchemesBuilt)
+	}
+	for _, fam := range reg.Gather() {
+		if fam.Name == "pooled_engine_schemes_built_total" {
+			if got := fam.Samples[0].Value; got != 2 {
+				t.Fatalf("pooled_engine_schemes_built_total = %v, want 2", got)
+			}
+			return
+		}
+	}
+	t.Fatal("pooled_engine_schemes_built_total not exported")
+}
+
 // TestMetricsAndStatsBoundedUnderTenantFlood hammers the server with
 // thousands of distinct tenant names and asserts neither /v1/stats nor
 // /metrics grows without bound: campaign retention prunes tenant

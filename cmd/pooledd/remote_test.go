@@ -260,10 +260,11 @@ func TestFederatedCampaignsBackToBack(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	w := httptest.NewServer(remote.NewServer(wc, remote.ServerOptions{Logger: quiet}).Handler())
 	t.Cleanup(w.Close)
-	f, cluster := newFleet([]string{w.Listener.Addr().String()}, fleetConfig{log: quiet})
-	t.Cleanup(f.Close)
+	opts := &remote.Options{Logger: quiet}
+	cluster := engine.NewClusterOf(dialWorker(*opts, w.Listener.Addr().String()))
+	t.Cleanup(cluster.Close)
 	srv := newServer(cluster, campaign.Config{})
-	srv.fleet = f
+	srv.workerOpts = opts
 	t.Cleanup(srv.campaigns.Close)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)

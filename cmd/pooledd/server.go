@@ -36,10 +36,14 @@ type server struct {
 	campaigns *campaign.Store
 	start     time.Time
 
-	// fleet is the runtime worker-membership manager — nil on a
-	// local-shard frontend, where the topology is fixed at boot and the
-	// /v1/workers endpoints reject.
-	fleet *fleet
+	// workerOpts is the client template of a -workers frontend: every
+	// worker that joins, at boot or through POST /v1/workers, gets a
+	// client built from it, and the cluster's ring is the one worker
+	// list. Nil on a local-shard frontend, where the topology is fixed
+	// at boot and the /v1/workers endpoints reject. joinMu serializes
+	// joins (see addWorker).
+	workerOpts *remote.Options
+	joinMu     sync.Mutex
 
 	// maxSchemes bounds the id registry: beyond it the oldest entries are
 	// dropped (their ids start returning 404), so uploaded ad-hoc designs
@@ -78,8 +82,8 @@ type server struct {
 
 	mu      sync.Mutex
 	schemes map[string]*schemeEntry
-	order   []string // registration order, oldest first
-	bySpec  map[engine.Spec]*schemeEntry
+	order   []string                // registration order, oldest first
+	byKey   map[string]*schemeEntry // by the scheme's routing key
 }
 
 type schemeEntry struct {
@@ -116,7 +120,7 @@ func newServer(cluster *engine.Cluster, ccfg campaign.Config) *server {
 		sseHeartbeat:    15 * time.Second,
 		sseWriteTimeout: 10 * time.Second,
 		schemes:         make(map[string]*schemeEntry),
-		bySpec:          make(map[engine.Spec]*schemeEntry),
+		byKey:           make(map[string]*schemeEntry),
 		log:             slog.Default(),
 	}
 	// Nil-safe instruments so handlers never branch on "is metrics
@@ -207,10 +211,11 @@ type schemeRequest struct {
 }
 
 // handleCreateScheme registers a pooling scheme. JSON bodies describe a
-// design by parameters: a registered spec answers its entry, anything
-// else is built (or fetched from the owning shard's cache). text/csv
-// bodies upload an explicit design in the labio format (the
-// WriteDesignCSV output).
+// design by parameters; text/csv bodies upload an explicit design in the
+// labio format (the WriteDesignCSV output). A design whose key is
+// registered — its spec key, or an upload's GraphKey — answers its
+// entry; anything else is built (or fetched from the owning shard's
+// cache) or wrapped.
 func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "text/csv") {
@@ -219,7 +224,12 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "parse design csv: %v", err)
 			return
 		}
-		es := s.cluster.SchemeFromGraph(g, engine.GraphKey(g))
+		key := engine.GraphKey(g)
+		if ent, ok := s.registered(key); ok {
+			writeJSON(w, http.StatusCreated, s.placed(ent))
+			return
+		}
+		es := s.cluster.SchemeFromGraph(g, key)
 		s.writeRegistered(w, es, walSchemeRef{Design: "uploaded", N: g.N(), M: g.M(), AdHoc: true})
 		return
 	}
@@ -241,7 +251,7 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if ent, ok := s.registered(engine.SpecFor(des, req.N, req.M, req.Seed)); ok {
+	if ent, ok := s.registered(engine.SpecFor(des, req.N, req.M, req.Seed).Key()); ok {
 		writeJSON(w, http.StatusCreated, s.placed(ent))
 		return
 	}
@@ -300,17 +310,16 @@ func checkSpecSize(des pooling.Design, n, m int) error {
 	return nil
 }
 
-// register assigns (or reuses) the entry for a scheme. Cached schemes
-// are deduplicated by spec so repeated POSTs return the same id. With a
-// journal, the entry's scheme record is durable before the entry is
-// visible; a record that cannot be written registers nothing.
+// register assigns (or reuses) the entry for a scheme. Schemes are
+// deduplicated by routing key, so repeated POSTs of a spec or uploads of
+// one design return the same id. With a journal, the entry's scheme
+// record is durable before the entry is visible; a record that cannot
+// be written registers nothing.
 func (s *server) register(es *engine.Scheme, ref walSchemeRef) (*schemeEntry, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	if !ref.AdHoc {
-		if ent, ok := s.registered(es.Spec); ok {
-			return ent, nil
-		}
+	if ent, ok := s.registered(es.RouteKey()); ok {
+		return ent, nil
 	}
 	s.nextID++
 	ent := newEntry(fmt.Sprintf("s%d", s.nextID), es, ref)
@@ -338,16 +347,16 @@ func (s *server) insert(ent *schemeEntry) {
 	s.mu.Lock()
 	s.schemes[ent.ID] = ent
 	s.order = append(s.order, ent.ID)
-	if !ent.AdHoc {
-		s.bySpec[ent.scheme.Spec] = ent
-	}
+	s.byKey[ent.scheme.RouteKey()] = ent
 	for len(s.schemes) > s.maxSchemes {
 		oldest := s.order[0]
 		s.order = s.order[1:]
 		if old, ok := s.schemes[oldest]; ok {
 			delete(s.schemes, oldest)
-			if !old.AdHoc {
-				delete(s.bySpec, old.scheme.Spec)
+			// A journal written before uploads were deduplicated can
+			// hold two ids for one key; the key keeps the newer one.
+			if key := old.scheme.RouteKey(); s.byKey[key] == old {
+				delete(s.byKey, key)
 			}
 			evicted = append(evicted, oldest)
 		}
@@ -366,11 +375,11 @@ func (s *server) lookup(id string) (*schemeEntry, bool) {
 	return ent, ok
 }
 
-// registered returns the entry of a registered spec.
-func (s *server) registered(spec engine.Spec) (*schemeEntry, bool) {
+// registered returns the entry registered under a routing key.
+func (s *server) registered(key string) (*schemeEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ent, ok := s.bySpec[spec]
+	ent, ok := s.byKey[key]
 	return ent, ok
 }
 
@@ -735,8 +744,8 @@ type statsResponse struct {
 	SchemeLoad []schemeLoadRow     `json:"scheme_load,omitempty"`
 	Shards     []engine.ShardStats `json:"shards"`
 	// Members is the current consistent-hash-ring membership; the adds/
-	// removes counters are lifetime runtime ring changes (joins, drains,
-	// evictions, rejoins — boot placement is not counted).
+	// removes counters are lifetime runtime ring changes (joins and
+	// drains — boot placement is not counted).
 	Members           []string                        `json:"members"`
 	MembershipAdds    uint64                          `json:"membership_adds"`
 	MembershipRemoves uint64                          `json:"membership_removes"`
@@ -890,14 +899,61 @@ type workerRequest struct {
 	Addr string `json:"addr"`
 }
 
+// workerStatus is one row of GET /v1/workers: a ring member and its
+// probe state.
+type workerStatus struct {
+	Addr    string `json:"addr"`
+	Healthy bool   `json:"healthy"`
+}
+
+// dialWorker builds the client of the worker at addr from the template.
+func dialWorker(tmpl remote.Options, addr string) *remote.Shard {
+	tmpl.Addr = addr
+	return remote.New(tmpl)
+}
+
+// addWorker joins the worker at addr to the ring. A worker already on
+// the ring is refused with ErrDuplicateShard before a second client for
+// it exists: the two would share, and on Close zero, one set of series.
+func (s *server) addWorker(addr string) error {
+	s.joinMu.Lock()
+	defer s.joinMu.Unlock()
+	if s.cluster.HasMember(addr) {
+		return fmt.Errorf("%w: %s", engine.ErrDuplicateShard, addr)
+	}
+	sh := dialWorker(*s.workerOpts, addr)
+	if err := s.cluster.AddShard(addr, sh); err != nil {
+		sh.Close()
+		return err
+	}
+	return nil
+}
+
+// removeWorker drains the worker at addr: out of the ring, then its
+// client closed, which flushes the jobs queued on it to the worker.
+func (s *server) removeWorker(addr string) error {
+	sh, err := s.cluster.RemoveShard(addr)
+	if err != nil {
+		return err
+	}
+	sh.Close()
+	return nil
+}
+
 func (s *server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
+	if s.workerOpts == nil {
 		httpError(w, http.StatusBadRequest, "worker membership requires a -workers frontend")
 		return
 	}
+	// One view: the rows and the member list come from the same ring.
+	cs := s.cluster.Stats()
+	rows := make([]workerStatus, len(cs.Shards))
+	for i, sh := range cs.Shards {
+		rows[i] = workerStatus{Addr: sh.ID, Healthy: sh.Healthy}
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"workers": s.fleet.Status(),
-		"members": s.cluster.MemberIDs(),
+		"workers": rows,
+		"members": cs.Members,
 	})
 }
 
@@ -907,7 +963,7 @@ func (s *server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 // the design), and the campaign dispatcher starts offering it jobs
 // immediately.
 func (s *server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
+	if s.workerOpts == nil {
 		httpError(w, http.StatusBadRequest, "worker membership requires a -workers frontend")
 		return
 	}
@@ -920,7 +976,7 @@ func (s *server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing worker addr")
 		return
 	}
-	if err := s.fleet.Add(req.Addr); err != nil {
+	if err := s.addWorker(req.Addr); err != nil {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
@@ -934,12 +990,12 @@ func (s *server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
 // handleRemoveWorker drains a worker: its arcs move to the survivors,
 // and queued jobs re-dispatch through the ring.
 func (s *server) handleRemoveWorker(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
+	if s.workerOpts == nil {
 		httpError(w, http.StatusBadRequest, "worker membership requires a -workers frontend")
 		return
 	}
 	addr := r.PathValue("addr")
-	err := s.fleet.Remove(addr)
+	err := s.removeWorker(addr)
 	switch {
 	case errors.Is(err, engine.ErrUnknownShard):
 		httpError(w, http.StatusNotFound, "unknown worker %q", addr)

@@ -112,7 +112,7 @@ func (s *server) resolveSchemeRef(refJSON string) (*engine.Scheme, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rebuild scheme from ref %q: %v", refJSON, err)
 	}
-	// Re-register so the scheme is addressable again (same dedup-by-spec
+	// Re-register so the scheme is addressable again (same dedup-by-key
 	// path POST /v1/schemes uses) and later campaigns share the entry.
 	if _, err := s.register(es, ref); err != nil {
 		return nil, err

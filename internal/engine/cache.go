@@ -273,6 +273,18 @@ func (c *Cache) evictLocked() {
 	}
 }
 
+// AddCounters adds the counters the cache moves to st: builds, hits,
+// dedups, evictions and failures. A remote shard client folds its
+// frontend-side builds into its worker's stats with it.
+func (c *Cache) AddCounters(st *Stats) {
+	m := c.metrics
+	st.SchemesBuilt += m.schemesBuilt.Load()
+	st.CacheHits += m.cacheHits.Load()
+	st.BuildsDeduped += m.buildsDeduped.Load()
+	st.Evictions += m.evictions.Load()
+	st.BuildFailures += m.buildFailures.Load()
+}
+
 // len reports the number of cached (or in-flight) schemes.
 func (c *Cache) len() int {
 	c.mu.Lock()

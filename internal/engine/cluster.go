@@ -156,9 +156,11 @@ func newView(members []member) *view {
 // so the decode hot path stays lock-free — Owner is one atomic load plus
 // one binary search. Ownership is re-resolved from the scheme's routing
 // key on every submit, so jobs queued against a since-removed shard
-// automatically route to the key's new owner; unhealthy-but-not-yet-
-// evicted members are skipped by walking the ring to the next healthy
-// member.
+// automatically route to the key's new owner. Health alone routes
+// around a dead member: lookup skips unhealthy members by walking the
+// ring to the next healthy one, which names the owner the ring of the
+// healthy members alone would, so membership changes only when a
+// caller adds or removes a shard.
 //
 // A Cluster exposes the same operational surface as a single Engine
 // (Scheme, Submit, Decode, DecodeBatch, MeasureBatch, Stats, Close);
@@ -251,10 +253,9 @@ func (c *Cluster) AddShard(id string, sh Shard) error {
 }
 
 // RemoveShard drops the member with ID id from the ring and publishes
-// the new view, returning the removed shard so the caller can drain or
-// keep probing it — the cluster does not Close it. Removing the last
-// member is refused (ErrLastShard): a cluster with no shards cannot
-// route anything.
+// the new view, returning the removed shard for the caller to drain —
+// the cluster does not Close it. Removing the last member is refused
+// (ErrLastShard): a cluster with no shards cannot route anything.
 func (c *Cluster) RemoveShard(id string) (Shard, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,10 +334,9 @@ func (c *Cluster) OwnerID(key string) string {
 }
 
 // lookup resolves key to a member index, preferring the ring owner but
-// walking clockwise past unhealthy members (a dead-but-not-yet-evicted
-// worker must not black-hole its arcs). If no member is healthy the ring
-// owner is returned and the submit path's fail-fast error handling takes
-// over.
+// walking clockwise past unhealthy members (a dead worker must not
+// black-hole its arcs). If no member is healthy the ring owner is
+// returned and the submit path's fail-fast error handling takes over.
 func (v *view) lookup(key string) int {
 	i := v.ring.Lookup(key)
 	if i < 0 || v.members[i].sh.Healthy() {

@@ -3,11 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
+	"pooleddata/internal/rng"
 )
 
 func TestClusterAddRemoveShard(t *testing.T) {
@@ -126,7 +128,7 @@ func TestClusterAddShardMovesOnlyItsArcs(t *testing.T) {
 }
 
 // unhealthyShard wraps a local engine and reports unhealthy — the state
-// of a dead-but-not-yet-evicted remote.
+// of a remote whose worker died.
 type unhealthyShard struct {
 	*Engine
 	mu      sync.Mutex
@@ -175,5 +177,50 @@ func TestClusterSkipsUnhealthyOwner(t *testing.T) {
 	flaky.setHealthy(true)
 	if got := c.ShardOf(spec); got != 0 {
 		t.Fatalf("recovered owner: ShardOf = %d, want 0", got)
+	}
+}
+
+// healthOnly is a member whose only live method is Healthy, all lookup
+// reads.
+type healthOnly struct {
+	Shard
+	ok bool
+}
+
+func (h healthOnly) Healthy() bool { return h.ok }
+
+// TestHealthSkipMatchesHealthyRing: routing around unhealthy members
+// is routing on the ring of the healthy members alone. For random
+// fleets of 2–8 members with a random non-empty healthy subset, the
+// health-skipping lookup names the same owner as NewRing over the
+// healthy ids, so no ring change is needed to keep keys off a dead
+// member or to bring them back when it recovers.
+func TestHealthSkipMatchesHealthyRing(t *testing.T) {
+	r := rng.NewRandSeeded(2026)
+	keys := ringKeys(500)
+	for fleet := 0; fleet < 192; fleet++ {
+		size := 2 + fleet%7
+		members := make([]member, size)
+		var healthy []string
+		for i := range members {
+			id := fmt.Sprintf("10.%d.%d.%d:%d", r.Intn(256), r.Intn(256), r.Intn(256), 1024+r.Intn(60000))
+			ok := r.Bernoulli(0.5)
+			members[i] = member{id: id, sh: healthOnly{ok: ok}}
+			if ok {
+				healthy = append(healthy, id)
+			}
+		}
+		if len(healthy) == 0 {
+			i := r.Intn(size)
+			members[i].sh = healthOnly{ok: true}
+			healthy = append(healthy, members[i].id)
+		}
+		v, alone := newView(members), NewRing(healthy, DefaultVnodes)
+		for _, k := range keys {
+			if got, want := v.members[v.lookup(k)].id, alone.LookupID(k); got != want {
+				t.Fatalf("fleet %d (%d members, healthy %v): key %q routes to %s, the healthy ring names %s",
+					fleet, size, healthy, k, got, want)
+			}
+		}
 	}
 }

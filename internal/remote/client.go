@@ -63,16 +63,6 @@ type Options struct {
 	// RetryBackoff is the base delay between retries (grows linearly
 	// with the attempt). 0 means 50ms.
 	RetryBackoff time.Duration
-	// EvictAfter is how many consecutive probe failures fire OnEvict.
-	// 0 means 3; negative disables eviction (probes still flip Healthy).
-	EvictAfter int
-	// OnEvict fires (from the probe goroutine) when EvictAfter
-	// consecutive probes have failed — the frontend's hook to pull this
-	// worker out of the ring. The client keeps probing afterwards.
-	OnEvict func()
-	// OnRejoin fires (from the probe goroutine) when a probe succeeds
-	// after an eviction — the hook to re-admit the worker to the ring.
-	OnRejoin func()
 	// Metrics, when set, receives the client's transport metrics:
 	// per-stage request timers (serialize/network/worker-queue/
 	// worker-decode), jobs per frame, retries, and probe-state
@@ -109,16 +99,6 @@ func (o Options) probeInterval() time.Duration {
 		return 2 * time.Second
 	}
 	return o.ProbeInterval
-}
-
-func (o Options) evictAfter() int {
-	if o.EvictAfter == 0 {
-		return 3
-	}
-	if o.EvictAfter < 0 {
-		return 0
-	}
-	return o.EvictAfter
 }
 
 func (o Options) retries() int {
@@ -486,8 +466,8 @@ func (s *Shard) lastGauges() healthResponse {
 
 // Stats fetches the worker's counters (cached briefly) and folds in the
 // client-side outcomes the worker never saw: local admission
-// rejections, transport-failed jobs, cancellations, and locally
-// measured signals.
+// rejections, transport-failed jobs, cancellations, locally measured
+// signals, and the builds and hits of the client's scheme cache.
 func (s *Shard) Stats() engine.Stats {
 	s.statsMu.Lock()
 	if time.Since(s.statsAt) > statsTTL && s.healthy.Load() {
@@ -502,6 +482,7 @@ func (s *Shard) Stats() engine.Stats {
 	st.JobsFailed += s.jobsFailed.Load()
 	st.JobsCanceled += s.jobsCanceled.Load()
 	st.SignalsMeasured += s.signalsMeasured.Load()
+	s.Cache.AddCounters(&st)
 	return st
 }
 
@@ -914,46 +895,21 @@ func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 
 func (s *Shard) probeLoop() {
 	defer close(s.probeDone)
-	interval := s.opts.probeInterval()
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(s.opts.probeInterval())
 	defer tick.Stop()
-	// Eviction state lives entirely in this goroutine: OnEvict/OnRejoin
-	// fire from here and nowhere else, so the frontend's hooks need no
-	// synchronization of their own.
-	failures, evicted := 0, false
-	step := func() {
-		if s.probe() {
-			failures = 0
-			if evicted {
-				evicted = false
-				s.log.Info("worker rejoining after eviction")
-				if s.opts.OnRejoin != nil {
-					s.opts.OnRejoin()
-				}
-			}
-			return
-		}
-		failures++
-		if n := s.opts.evictAfter(); !evicted && n > 0 && failures >= n {
-			evicted = true
-			s.log.Warn("worker evicted after consecutive probe failures", "failures", failures)
-			if s.opts.OnEvict != nil {
-				s.opts.OnEvict()
-			}
-		}
-	}
-	step()
 	for {
+		s.probe()
 		select {
 		case <-tick.C:
-			step()
 		case <-s.stop:
 			return
 		}
 	}
 }
 
-func (s *Shard) probe() bool {
+// probe asks the worker's health endpoint and records the answer: the
+// gauges and a healthy state on success, an unhealthy one otherwise.
+func (s *Shard) probe() {
 	// A fixed timeout rather than the (possibly very short) probe
 	// interval: probes run sequentially in the loop, so a slow one just
 	// delays the next tick instead of overlapping it — and a tight
@@ -963,22 +919,21 @@ func (s *Shard) probe() bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+healthPath, nil)
 	if err != nil {
 		s.setHealthy(false, "probe request: "+err.Error())
-		return false
+		return
 	}
 	resp, err := s.hc.Do(req)
 	if err != nil {
 		s.setHealthy(false, "probe: "+err.Error())
-		return false
+		return
 	}
 	defer drainClose(resp.Body)
 	var h healthResponse
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&h) != nil || !h.OK {
 		s.setHealthy(false, fmt.Sprintf("probe status %d", resp.StatusCode))
-		return false
+		return
 	}
 	s.gauges.Store(&h)
 	s.setHealthy(true, "probe ok")
-	return true
 }
 
 // drainClose discards the rest of a response body and closes it, so the

@@ -1,12 +1,15 @@
 #!/bin/sh
 # Elastic-fleet smoke test: boot a frontend over one worker, start a
 # campaign, register a second worker mid-flight through the membership
-# API, SIGKILL the first worker, and assert the campaign still finishes
-# with zero failed jobs while /v1/stats reflects the membership churn.
+# API, SIGKILL whichever worker owns the campaign's scheme, and assert
+# the campaign still finishes with zero failed jobs, its dead worker's
+# jobs re-dispatched, while the ring keeps both members and
+# /v1/workers lists the dead one unhealthy.
 #
-# The campaign is sized so a single worker chews through it slowly
-# enough to guarantee both the join and the kill land mid-flight:
-# single-shard workers, 160 jobs against a 6000x3000 scheme.
+# The campaign is sized so the join and the kill both land mid-flight:
+# single-shard workers with one decode worker each, 1600 jobs against a
+# 6000x3000 scheme, as in crash-smoke. The script fails unless jobs are
+# still unsettled right after the join and right after the kill.
 set -eu
 
 tmp=$(mktemp -d)
@@ -14,6 +17,7 @@ w1=127.0.0.1:19404
 w2=127.0.0.1:19405
 fa=127.0.0.1:19406
 base=http://$fa
+jobs=1600
 w1pid=
 w2pid=
 fpid=
@@ -36,6 +40,15 @@ field() { # field NAME JSON -> first numeric value of "NAME"
 	printf '%s' "$2" | sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p" | head -1
 }
 
+sfield() { # sfield NAME JSON -> first string value of "NAME"
+	printf '%s' "$2" | sed -n "s/.*\"$1\":\"\([^\"]*\)\".*/\1/p" | head -1
+}
+
+settled() { # settled -> jobs of the campaign settled so far
+	p=$(curl -sf "$base/v1/campaigns/$cid") || fail "progress poll failed"
+	echo $(($(field completed "$p") + $(field failed "$p") + $(field canceled "$p")))
+}
+
 wait_up() { # wait_up URL WHAT LOG
 	i=0
 	while ! curl -sf "$1" >/dev/null 2>&1; do
@@ -53,7 +66,7 @@ wait_up() { # wait_up URL WHAT LOG
 w1pid=$!
 "$tmp/pooledd" -worker -addr "$w2" -shards 1 -shard-workers 1 2>>"$tmp/w2.log" &
 w2pid=$!
-"$tmp/pooledd" -addr "$fa" -workers "$w1" -evict-after 2 2>>"$tmp/frontend.log" &
+"$tmp/pooledd" -addr "$fa" -workers "$w1" 2>>"$tmp/frontend.log" &
 fpid=$!
 wait_up "http://$w1/metrics" "worker 1" "$tmp/w1.log"
 wait_up "http://$w2/metrics" "worker 2" "$tmp/w2.log"
@@ -68,45 +81,63 @@ until curl -sf "$base/v1/stats" | grep -q '"healthy":true'; do
 	sleep 0.1
 done
 
-# Register the scheme and launch a 160-job campaign of all-zero counts
-# (k=8 keeps the decoder scoring every candidate column per job).
+# Register the scheme and launch a campaign of all-zero counts (k=8
+# keeps the decoder scoring every candidate column per job).
 curl -sf -X POST "$base/v1/schemes" \
 	-d '{"design":"random-regular","n":6000,"m":3000,"seed":1}' >/dev/null ||
 	fail "scheme registration failed"
-row="[$(printf '0,%.0s' $(seq 1 2999))0]"
-batch=$row
-i=1
-while [ "$i" -lt 160 ]; do
-	batch="$batch,$row"
+row="[$(printf '0,%.0s' $(seq 2 3000))0]"
+{ printf '{"scheme":"s1","k":8,"batch":['; yes "$row" | head -n "$jobs" | paste -sd, -; printf ']}'; } >"$tmp/campaign.json"
+# A 429 means the worker's queue was full at admission; retry as a
+# client would.
+i=0
+while :; do
+	code=$(curl -s -o "$tmp/created" -w '%{http_code}' -X POST "$base/v1/campaigns" \
+		--data-binary @"$tmp/campaign.json") || fail "campaign submission failed"
+	[ "$code" = 429 ] || break
 	i=$((i + 1))
+	[ "$i" -le 100 ] || fail "campaign submission refused with 429 100 times"
+	sleep 0.01
 done
-printf '{"scheme":"s1","k":8,"batch":[%s]}' "$batch" >"$tmp/campaign.json"
-created=$(curl -sf -X POST "$base/v1/campaigns" --data-binary @"$tmp/campaign.json") ||
-	fail "campaign submission failed"
-cid=$(printf '%s' "$created" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
-[ -n "$cid" ] || fail "no campaign id in: $created"
+[ "$code" = 202 ] || fail "campaign submission answered $code: $(cat "$tmp/created")"
+cid=$(sfield id "$(cat "$tmp/created")")
+[ -n "$cid" ] || fail "no campaign id in: $(cat "$tmp/created")"
 
 # Let a handful of jobs settle on the lone worker, then grow the fleet
 # through the membership API while the campaign is still in flight.
 i=0
-while :; do
-	p=$(curl -sf "$base/v1/campaigns/$cid") || fail "progress poll failed"
-	settled=$(field completed "$p")
-	[ "${settled:-0}" -ge 5 ] && break
+while [ "$(settled)" -lt 5 ]; do
 	i=$((i + 1))
 	[ "$i" -le 200 ] || fail "no jobs settled before the join"
 	sleep 0.1
 done
 curl -sf -X POST "$base/v1/workers" -d "{\"addr\":\"$w2\"}" >/dev/null ||
 	fail "registering worker 2 mid-campaign failed"
-echo "elastic-smoke: worker 2 joined with $settled/160 jobs settled"
+n=$(settled)
+[ "$n" -lt "$jobs" ] || fail "the join landed after the campaign finished"
+echo "elastic-smoke: worker 2 joined with $n/$jobs jobs settled"
 
-# Kill the original worker dead — no drain, no goodbye. Its queued and
-# in-flight jobs must re-dispatch to the survivor, not fail.
-kill -9 "$w1pid"
-wait "$w1pid" 2>/dev/null || true
-w1pid=
-echo "elastic-smoke: killed worker 1"
+# Kill the worker that owns s1 now, as the live ring says, once it has
+# taken jobs — no drain, no goodbye. Its queued and in-flight jobs must
+# re-dispatch to the survivor, not fail.
+owner=$(sfield owner "$(curl -sf "$base/v1/schemes/s1")")
+case "$owner" in
+"$w1") pid=$w1pid survivor=$w2 ;;
+"$w2") pid=$w2pid survivor=$w1 ;;
+*) fail "s1 owner is \"$owner\", want $w1 or $w2" ;;
+esac
+i=0
+until [ "$(field jobs_submitted "$(curl -sf "http://$owner/shard/v1/stats")")" -gt 0 ] 2>/dev/null; do
+	i=$((i + 1))
+	[ "$i" -le 200 ] || fail "owner $owner never took a job"
+	sleep 0.01
+done
+kill -9 "$pid"
+wait "$pid" 2>/dev/null || true
+if [ "$pid" = "$w1pid" ]; then w1pid=; else w2pid=; fi
+n=$(settled)
+[ "$n" -lt "$jobs" ] || fail "the kill landed after the campaign finished"
+echo "elastic-smoke: killed the owner of s1 ($owner) with $n/$jobs jobs settled"
 
 i=0
 while :; do
@@ -120,40 +151,37 @@ done
 completed=$(field completed "$p")
 failed=$(field failed "$p")
 canceled=$(field canceled "$p")
-[ "${completed:-0}" -eq 160 ] || fail "completed=$completed, want 160"
+[ "${completed:-0}" -eq "$jobs" ] || fail "completed=$completed, want $jobs"
 [ "${failed:-0}" -eq 0 ] || fail "failed=$failed, want 0"
 [ "${canceled:-0}" -eq 0 ] || fail "canceled=$canceled, want 0"
-echo "elastic-smoke: campaign completed 160/160 with zero failed jobs"
+echo "elastic-smoke: campaign completed $jobs/$jobs with zero failed jobs"
 
-# Membership must be visible in /v1/stats: the survivor in the member
-# list, the join counted, and — once the probes give up on the corpse —
-# the dead worker evicted from the ring.
+# A dead worker stays on the ring: both workers are members, the join is
+# the only ring change, and /v1/workers lists the dead one unhealthy
+# within a few probe intervals (2 s each).
+stats=$(curl -sf "$base/v1/stats") || fail "stats poll failed"
+for w in "$w1" "$w2"; do
+	printf '%s' "$stats" | grep -q "\"members\":\[[^]]*\"$w\"" || fail "$w missing from stats members: $stats"
+done
+[ "$(field membership_adds "$stats")" -eq 1 ] || fail "membership_adds is not 1 after the join: $stats"
+[ "$(field membership_removes "$stats")" -eq 0 ] || fail "membership_removes is not 0 after the kill: $stats"
 i=0
-while :; do
-	stats=$(curl -sf "$base/v1/stats") || fail "stats poll failed"
-	case "$stats" in *"\"$w2\""*) ;; *) fail "worker 2 missing from stats members: $stats" ;; esac
-	adds=$(field membership_adds "$stats")
-	[ "${adds:-0}" -ge 1 ] || fail "membership_adds=$adds, want >=1"
-	removes=$(field membership_removes "$stats")
-	if [ "${removes:-0}" -ge 1 ]; then
-		if printf '%s' "$stats" | grep -qF "\"members\":[\"$w2\"]"; then
-			break
-		fi
-		fail "worker 1 evicted but members list is $stats"
-	fi
+until curl -sf "$base/v1/workers" | grep -qF "{\"addr\":\"$owner\",\"healthy\":false}"; do
 	i=$((i + 1))
-	[ "$i" -le 100 ] || fail "dead worker never evicted from the ring: $stats"
+	[ "$i" -le 50 ] || fail "/v1/workers never listed $owner unhealthy: $(curl -sf "$base/v1/workers")"
 	sleep 0.2
 done
-echo "elastic-smoke: stats shows the join and the eviction (members=[$w2])"
+curl -sf "$base/v1/workers" | grep -qF "{\"addr\":\"$survivor\",\"healthy\":true}" ||
+	fail "/v1/workers does not list the survivor $survivor healthy: $(curl -sf "$base/v1/workers")"
+echo "elastic-smoke: both workers stay members; /v1/workers lists $owner unhealthy"
 
 # The redispatch and ring series must be live on /metrics.
 m=$(curl -sf "$base/metrics") || fail "metrics scrape failed"
-printf '%s\n' "$m" | grep -q '^pooled_ring_members 1' ||
-	fail "pooled_ring_members gauge is not 1 after the eviction"
-printf '%s\n' "$m" | grep -q '^pooled_jobs_redispatched_total' ||
-	fail "redispatch series missing from /metrics"
+printf '%s\n' "$m" | grep -q '^pooled_ring_members 2$' ||
+	fail "pooled_ring_members gauge is not 2 with a dead member"
+redispatched=$(printf '%s\n' "$m" | awk '/^pooled_jobs_redispatched_total\{/ { n += $NF } END { print n + 0 }')
+[ "${redispatched:-0}" -gt 0 ] || fail "no job was re-dispatched after the kill"
 printf '%s\n' "$m" | grep -q '^pooled_ring_changes_total' ||
 	fail "ring-change series missing from /metrics"
 
-echo "elastic-smoke: OK (mid-flight join, zero failed jobs after SIGKILL, membership in stats)"
+echo "elastic-smoke: OK (join and kill mid-flight, $redispatched jobs re-dispatched, zero failed jobs, the dead worker a member listed unhealthy)"
