@@ -19,8 +19,8 @@
 //     pooledd -addr :8080 -workers node1:9090,node2:9090
 //
 //   - Worker (-worker): serves only the shard API (/shard/v1/...) that
-//     frontends drive — scheme installs, decode submissions with 429
-//     admission mirroring, health, stats:
+//     frontends drive — scheme installs, decode frames and health —
+//     plus its own /metrics:
 //
 //     pooledd -worker -addr :9090 -shards 2 -queue 64
 //

@@ -40,10 +40,8 @@ type server struct {
 	// worker that joins, at boot or through POST /v1/workers, gets a
 	// client built from it, and the cluster's ring is the one worker
 	// list. Nil on a local-shard frontend, where the topology is fixed
-	// at boot and the /v1/workers endpoints reject. joinMu serializes
-	// joins (see addWorker).
+	// at boot and the /v1/workers endpoints reject.
 	workerOpts *remote.Options
-	joinMu     sync.Mutex
 
 	// maxSchemes bounds the id registry: beyond it the oldest entries are
 	// dropped (their ids start returning 404), so uploaded ad-hoc designs
@@ -546,23 +544,23 @@ func (s *server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		}
 		fut, err := s.cluster.TrySubmit(r.Context(), job)
 		if errors.Is(err, engine.ErrSaturated) {
-			s.offerTrace(tb, err)
+			s.traces.Finish(tb, err)
 			rejectSaturated(w, shard)
 			return
 		}
 		if err != nil {
-			s.offerTrace(tb, err)
+			s.traces.Finish(tb, err)
 			httpError(w, decodeStatus(err), "decode: %v", err)
 			return
 		}
 		res, err := fut.Wait(r.Context())
 		if err != nil {
-			s.offerTrace(tb, err)
+			s.traces.Finish(tb, err)
 			s.log.Warn("decode failed", "trace_id", tid, "scheme", req.Scheme, "err", err)
 			httpError(w, decodeStatus(err), "decode: %v", err)
 			return
 		}
-		s.offerTrace(tb, nil)
+		s.traces.Finish(tb, nil)
 		s.log.Info("decode",
 			"trace_id", tid, "scheme", req.Scheme, "decoder", res.Decoder,
 			"k", req.K, "consistent", res.Stats.Consistent,
@@ -800,18 +798,6 @@ type schemeLoadRow struct {
 	Owner string `json:"owner,omitempty"`
 }
 
-// offerTrace seals a handler-owned trace and offers it for tail
-// sampling; nil-safe on both the builder and the store.
-func (s *server) offerTrace(tb *trace.Builder, err error) {
-	if tb == nil || s.traces == nil {
-		return
-	}
-	if err != nil {
-		tb.SetError(err.Error())
-	}
-	s.traces.Offer(tb.Finish())
-}
-
 // handleListTraces lists recently retained traces, newest first, as
 // one-line summaries. Query parameters narrow the listing: ?tenant=,
 // ?scheme= (routing key), ?min_ms= (at least this slow), ?error=true
@@ -913,14 +899,9 @@ func dialWorker(tmpl remote.Options, addr string) *remote.Shard {
 }
 
 // addWorker joins the worker at addr to the ring. A worker already on
-// the ring is refused with ErrDuplicateShard before a second client for
-// it exists: the two would share, and on Close zero, one set of series.
+// the ring is refused with ErrDuplicateShard, and the client built for
+// it is closed.
 func (s *server) addWorker(addr string) error {
-	s.joinMu.Lock()
-	defer s.joinMu.Unlock()
-	if s.cluster.HasMember(addr) {
-		return fmt.Errorf("%w: %s", engine.ErrDuplicateShard, addr)
-	}
 	sh := dialWorker(*s.workerOpts, addr)
 	if err := s.cluster.AddShard(addr, sh); err != nil {
 		sh.Close()

@@ -6,6 +6,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"pooleddata/internal/engine"
@@ -309,5 +311,42 @@ func TestEngineRemoteWorkers(t *testing.T) {
 	}
 	if st := wc.Stats().Total; st.JobsCompleted != 4 {
 		t.Fatalf("worker completed %d jobs, want 4", st.JobsCompleted)
+	}
+}
+
+// TestDuplicateRemoteWorkerKeepsHealthSeries: a refused duplicate
+// AddRemoteWorker builds and closes a second client for a live member's
+// address, and must leave every health series of that address at 1.
+func TestDuplicateRemoteWorkerKeepsHealthSeries(t *testing.T) {
+	wc := engine.NewCluster(engine.ClusterConfig{Shards: 1, Shard: engine.Config{Workers: 1}})
+	defer wc.Close()
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	w := httptest.NewServer(remote.NewServer(wc, remote.ServerOptions{Logger: quiet}).Handler())
+	defer w.Close()
+	addr := w.Listener.Addr().String()
+	reg := metrics.NewRegistry()
+	eng := NewEngine(EngineOptions{RemoteWorkers: []string{addr}, MetricsRegistry: reg})
+	defer eng.Close()
+
+	if err := eng.AddRemoteWorker(addr); err == nil {
+		t.Fatal("duplicate AddRemoteWorker accepted")
+	}
+	seen := 0
+	for _, fam := range reg.Gather() {
+		if !strings.HasSuffix(fam.Name, "_healthy") {
+			continue
+		}
+		for _, s := range fam.Samples {
+			if !slices.Contains(s.Values, addr) {
+				continue
+			}
+			seen++
+			if s.Value != 1 {
+				t.Errorf("%s%v = %v after a refused duplicate join, want 1", fam.Name, s.Values, s.Value)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatalf("no *_healthy series carries %s", addr)
 	}
 }

@@ -788,7 +788,7 @@ func (st *Store) campaignJobs(cp *Campaign, proto engine.Job, batch [][]int64, s
 			return
 		}
 		cp.settle(res.Tag, res, err)
-		st.finishJobTrace(jobs[res.Tag].Trace, err)
+		st.cfg.Traces.Finish(jobs[res.Tag].Trace, err)
 		jobs[res.Tag] = engine.Job{}
 	}
 	for i, y := range batch {
@@ -798,21 +798,6 @@ func (st *Store) campaignJobs(cp *Campaign, proto engine.Job, batch [][]int64, s
 		}
 	}
 	return jobs
-}
-
-// finishJobTrace seals a campaign job's trace and offers it to the
-// configured trace store for tail sampling. The campaign layer owns
-// builders it opened in Create, so every settle site calls this once
-// per job; duplicate settles are harmless (a sealed builder returns
-// nil, and the store ignores nil traces).
-func (st *Store) finishJobTrace(tb *trace.Builder, err error) {
-	if tb == nil || st.cfg.Traces == nil {
-		return
-	}
-	if err != nil {
-		tb.SetError(err.Error())
-	}
-	st.cfg.Traces.Offer(tb.Finish())
 }
 
 // Get returns the campaign with the given id.

@@ -24,7 +24,7 @@ func (e *Engine) MeasureBatch(s *Scheme, signals []*bitvec.Vector, nm noise.Mode
 	} else {
 		ys = query.ExecuteBatchNoisy(s.G, signals, e.Workers(), nm, nm.SignalSeeds(len(signals)))
 	}
-	e.stats.signalsMeasured.Add(uint64(len(signals)))
+	e.rec.Measured(len(signals))
 	return ys
 }
 

@@ -154,14 +154,18 @@ type Cache struct {
 	cap     int
 	bys     map[Spec]*list.Element
 	lru     *list.List // front = most recently used; values are *cacheEntry
-	metrics *counters
+	metrics cacheCounters
+}
+
+// cacheCounters are the counters a Cache moves, added to its shard's
+// Stats by AddCounters.
+type cacheCounters struct {
+	schemesBuilt, cacheHits, buildsDeduped, evictions, buildFailures atomic.Uint64
 }
 
 // NewCache returns an empty cache holding up to capacity schemes.
-func NewCache(capacity int) *Cache { return newCache(capacity, new(counters)) }
-
-func newCache(capacity int, metrics *counters) *Cache {
-	return &Cache{cap: capacity, bys: make(map[Spec]*list.Element), lru: list.New(), metrics: metrics}
+func NewCache(capacity int) *Cache {
+	return &Cache{cap: capacity, bys: make(map[Spec]*list.Element), lru: list.New()}
 }
 
 // SetHome assigns the cluster shard index stamped on every scheme the
@@ -274,10 +278,10 @@ func (c *Cache) evictLocked() {
 }
 
 // AddCounters adds the counters the cache moves to st: builds, hits,
-// dedups, evictions and failures. A remote shard client folds its
-// frontend-side builds into its worker's stats with it.
+// dedups, evictions and failures. Engine and the remote shard client
+// both add their cache's counters to their recorder's snapshot with it.
 func (c *Cache) AddCounters(st *Stats) {
-	m := c.metrics
+	m := &c.metrics
 	st.SchemesBuilt += m.schemesBuilt.Load()
 	st.CacheHits += m.cacheHits.Load()
 	st.BuildsDeduped += m.buildsDeduped.Load()

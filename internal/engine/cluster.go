@@ -295,12 +295,6 @@ func (c *Cluster) Shard(i int) Shard { return c.cur.Load().members[i].sh }
 // order.
 func (c *Cluster) MemberIDs() []string { return c.cur.Load().ring.Members() }
 
-// HasMember reports whether id is in the current membership.
-func (c *Cluster) HasMember(id string) bool {
-	_, ok := c.cur.Load().byID[id]
-	return ok
-}
-
 // MembershipChanges reports the lifetime add/remove counts — the backing
 // of the pooled_ring_changes_total metric.
 func (c *Cluster) MembershipChanges() (adds, removes uint64) {

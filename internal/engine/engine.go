@@ -14,8 +14,8 @@
 //     exactly one pooling build and share the immutable graph;
 //   - a decode pipeline: Submit(job) → Future over a bounded worker pool,
 //     with per-job decoder selection, context cancellation, and per-job
-//     stats (queue wait, decode time, residual, consistency) aggregated
-//     into engine-level counters;
+//     stats (queue wait, decode time, residual, consistency) recorded
+//     once per job, from its result, as it settles (Recorder);
 //   - a batched measurement path (MeasureBatch) that evaluates many
 //     signals against one design, one scatter over each signal's support.
 package engine
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pooleddata/metrics/trace"
@@ -81,8 +80,8 @@ type Stats struct {
 	// Decode pipeline.
 	JobsSubmitted uint64 `json:"jobs_submitted"`
 	JobsCompleted uint64 `json:"jobs_completed"` // decoded successfully
-	JobsFailed    uint64 `json:"jobs_failed"`    // decoder returned an error
-	JobsCanceled  uint64 `json:"jobs_canceled"`  // context canceled before a worker picked the job up
+	JobsFailed    uint64 `json:"jobs_failed"`    // settled with an error that was not a cancellation
+	JobsCanceled  uint64 `json:"jobs_canceled"`  // context ended before the job reached a decoder
 	JobsRejected  uint64 `json:"jobs_rejected"`  // refused by admission control (saturated queue)
 	Consistent    uint64 `json:"consistent"`     // completed jobs whose estimate reproduced y exactly
 
@@ -99,10 +98,10 @@ type Stats struct {
 
 	// QueueLatency and SettleLatency are the remaining pipeline stage
 	// timers, keyed by decoder name like DecodeLatency: time between
-	// enqueue and a worker picking the job up, and time spent completing
-	// the future plus running the OnDone callback. Together with
-	// DecodeLatency they account for a job's whole life inside the
-	// engine.
+	// enqueue and a decoder picking the job up (on a remote shard, the
+	// client's queue plus the worker's), and time spent completing the
+	// future plus running the OnDone callback. Together with
+	// DecodeLatency they account for a job's whole life in the shard.
 	QueueLatency  map[string]LatencyHistogram `json:"queue_latency,omitempty"`
 	SettleLatency map[string]LatencyHistogram `json:"settle_latency,omitempty"`
 
@@ -118,9 +117,9 @@ type Stats struct {
 	NoiseLatency map[string]LatencyHistogram `json:"noise_latency,omitempty"`
 
 	// SchemeLoad is the per-scheme hot-key table, hottest first: decode
-	// load keyed by routing key, bounded to the top keys. It crosses the
-	// federation hop inside /shard/v1/stats, so a frontend's aggregate
-	// covers work its remote workers executed.
+	// load keyed by routing key, bounded to the top keys. A remote shard
+	// client records its rows from the decode times its worker reports,
+	// so a frontend's aggregate covers the jobs it sent to its workers.
 	SchemeLoad []SchemeLoad `json:"scheme_load,omitempty"`
 }
 
@@ -167,33 +166,6 @@ func mergeHistMap(dst *map[string]LatencyHistogram, src map[string]LatencyHistog
 	}
 }
 
-// counters is the mutable, atomically-updated backing of Stats.
-type counters struct {
-	schemesBuilt, cacheHits, buildsDeduped, evictions, buildFailures atomic.Uint64
-	jobsSubmitted, jobsCompleted, jobsFailed, jobsCanceled           atomic.Uint64
-	jobsRejected, consistent, signalsMeasured                        atomic.Uint64
-	queueWaitNS, decodeNS                                            atomic.Int64
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		SchemesBuilt:    c.schemesBuilt.Load(),
-		CacheHits:       c.cacheHits.Load(),
-		BuildsDeduped:   c.buildsDeduped.Load(),
-		Evictions:       c.evictions.Load(),
-		BuildFailures:   c.buildFailures.Load(),
-		JobsSubmitted:   c.jobsSubmitted.Load(),
-		JobsCompleted:   c.jobsCompleted.Load(),
-		JobsFailed:      c.jobsFailed.Load(),
-		JobsCanceled:    c.jobsCanceled.Load(),
-		JobsRejected:    c.jobsRejected.Load(),
-		Consistent:      c.consistent.Load(),
-		SignalsMeasured: c.signalsMeasured.Load(),
-		TotalQueueWait:  time.Duration(c.queueWaitNS.Load()),
-		TotalDecodeTime: time.Duration(c.decodeNS.Load()),
-	}
-}
-
 // Engine is a reconstruction service core: scheme cache plus decode
 // pipeline. Create one with New and release its workers with Close. Safe
 // for concurrent use.
@@ -202,14 +174,8 @@ type Engine struct {
 	// InstallScheme and SetHome are the engine's.
 	*Cache
 
-	cfg            Config
-	stats          counters
-	hist           histogramSet
-	noiseHist      histogramSet
-	queueHist      histogramSet
-	settleHist     histogramSet
-	noiseQueueHist histogramSet
-	load           *loadTable
+	cfg Config
+	rec *Recorder
 
 	jobs chan *task
 	wg   sync.WaitGroup
@@ -221,16 +187,11 @@ type Engine struct {
 // New starts an Engine with cfg.Workers decode workers.
 func New(cfg Config) *Engine {
 	e := &Engine{
-		cfg:  cfg,
-		jobs: make(chan *task, cfg.queueDepth()),
+		Cache: NewCache(cfg.cacheCapacity()),
+		cfg:   cfg,
+		rec:   NewRecorder(),
+		jobs:  make(chan *task, cfg.queueDepth()),
 	}
-	// Noise-model keys embed caller-supplied parameters (σ, T); bound the
-	// per-model breakdowns so a sigma sweep cannot grow them without
-	// limit.
-	e.noiseHist.limit = 64
-	e.noiseQueueHist.limit = 64
-	e.load = newLoadTable(defaultLoadKeys)
-	e.Cache = newCache(cfg.cacheCapacity(), &e.stats)
 	for w := 0; w < cfg.workers(); w++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -253,21 +214,11 @@ func (e *Engine) Close() {
 }
 
 // Stats returns a snapshot of the engine counters, including the
-// per-decoder and per-noise-model latency histograms.
+// per-decoder and per-noise-model latency histograms: the recorder's
+// snapshot plus the scheme cache's counters.
 func (e *Engine) Stats() Stats {
-	st := e.stats.snapshot()
-	st.DecodeLatency = e.hist.snapshot()
-	st.NoiseLatency = e.noiseHist.snapshot()
-	st.QueueLatency = e.queueHist.snapshot()
-	st.SettleLatency = e.settleHist.snapshot()
-	st.NoiseQueueLatency = e.noiseQueueHist.snapshot()
-	st.SchemeLoad = e.load.snapshot(time.Now())
-	if len(st.NoiseLatency) > 0 {
-		st.JobsByNoise = make(map[string]uint64, len(st.NoiseLatency))
-		for key, h := range st.NoiseLatency {
-			st.JobsByNoise[key] = h.Count
-		}
-	}
+	st := e.rec.Snapshot()
+	e.Cache.AddCounters(&st)
 	return st
 }
 
@@ -284,7 +235,7 @@ func (e *Engine) Saturated() bool { return len(e.jobs) == cap(e.jobs) }
 
 // NoteRejected records n admission-control rejections that happened
 // outside TrySubmit (a batch or campaign turned away up front).
-func (e *Engine) NoteRejected(n int) { e.stats.jobsRejected.Add(uint64(n)) }
+func (e *Engine) NoteRejected(n int) { e.rec.Rejected(n) }
 
 // Workers reports the decode worker-pool size.
 func (e *Engine) Workers() int { return e.cfg.workers() }

@@ -63,7 +63,7 @@ func TestSchemeCacheHitIsPointerIdentical(t *testing.T) {
 }
 
 func TestCacheDeduplicatesConcurrentBuilds(t *testing.T) {
-	c := newCache(4, &counters{})
+	c := NewCache(4)
 	spec := Spec{Design: "stub", N: 10, M: 2, Seed: 1}
 	g, err := pooling.Fixed{Queries: [][]int{{0, 1}, {2, 3}}}.Build(10, 2, pooling.BuildOptions{})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestCacheDeduplicatesConcurrentBuilds(t *testing.T) {
 }
 
 func TestCacheBuildErrorIsNotCached(t *testing.T) {
-	c := newCache(4, &counters{})
+	c := NewCache(4)
 	spec := Spec{Design: "err", N: 1, M: 1, Seed: 1}
 	boom := errors.New("boom")
 	if _, err := c.get(spec, func() (*graph.Bipartite, error) { return nil, boom }); !errors.Is(err, boom) {

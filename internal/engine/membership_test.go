@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestClusterAddRemoveShard(t *testing.T) {
 	if err := c.AddShard("local-2", extra); err != nil {
 		t.Fatal(err)
 	}
-	if c.Shards() != 3 || !c.HasMember("local-2") {
+	if c.Shards() != 3 || !slices.Contains(c.MemberIDs(), "local-2") {
 		t.Fatalf("after add: %d shards, members %v", c.Shards(), c.MemberIDs())
 	}
 	if err := c.AddShard("local-2", extra); !errors.Is(err, ErrDuplicateShard) {
@@ -38,7 +39,7 @@ func TestClusterAddRemoveShard(t *testing.T) {
 	if removed != Shard(extra) {
 		t.Fatal("RemoveShard returned a different shard")
 	}
-	if c.HasMember("local-2") {
+	if slices.Contains(c.MemberIDs(), "local-2") {
 		t.Fatal("removed member still listed")
 	}
 	if _, err := c.RemoveShard("local-2"); !errors.Is(err, ErrUnknownShard) {

@@ -134,12 +134,12 @@ func (f *Future) Wait(ctx context.Context) (Result, error) {
 // NewFuture returns an unresolved Future for job plus the single-use
 // settle function that completes it — the adapter remote shard clients
 // use to fan RPC completions back into the local Future/OnDone surface.
-// settle stamps the job's Tag on the result, completes the future, and
-// then fires the job's OnDone callback, in the same order as the worker
-// pipeline's settle path, so fan-out callers cannot tell a remote
+// settle is the worker pipeline's own: it records the job in rec from
+// the result, completes the future, and then fires the job's OnDone
+// callback, so neither fan-out callers nor the stats can tell a remote
 // settlement from a local one.
-func NewFuture(job Job) (fut *Future, settle func(Result, error)) {
-	t := &task{job: job, fut: &Future{done: make(chan struct{})}}
+func NewFuture(job Job, rec *Recorder) (fut *Future, settle func(Result, error)) {
+	t := &task{job: job, rec: rec, fut: &Future{done: make(chan struct{})}}
 	return t.fut, t.settle
 }
 
@@ -148,10 +148,11 @@ type task struct {
 	job      Job
 	ctx      context.Context
 	fut      *Future
+	rec      *Recorder
 	enqueued time.Time
-	// ownTrace marks a builder the engine created itself (bare job,
-	// Config.Traces set) — the engine must finish and offer it.
-	ownTrace bool
+	// traces is set when the engine opened the job's builder itself
+	// (bare job, Config.Traces set): settle then finishes and offers it.
+	traces *trace.Store
 }
 
 // ErrClosed is returned by Submit after Close.
@@ -205,13 +206,13 @@ func (e *Engine) submit(ctx context.Context, job Job, mode submitMode) (*Future,
 		ctx = context.Background()
 	}
 	fut := &Future{done: make(chan struct{})}
-	t := &task{job: job, ctx: ctx, fut: fut, enqueued: time.Now()}
-	if e.traces() != nil && t.job.Trace == nil {
+	t := &task{job: job, ctx: ctx, fut: fut, rec: e.rec, enqueued: time.Now()}
+	if e.cfg.Traces != nil && t.job.Trace == nil {
 		if t.job.TraceID == "" {
 			t.job.TraceID = trace.NewID()
 		}
 		t.job.Trace = trace.NewBuilder(t.job.TraceID, "decode_job", trace.TierFrontend)
-		t.ownTrace = true
+		t.traces = e.cfg.Traces
 	}
 
 	// The read lock is held across the (possibly blocking) send so Close
@@ -225,18 +226,18 @@ func (e *Engine) submit(ctx context.Context, job Job, mode submitMode) (*Future,
 	if mode != submitBlock {
 		select {
 		case e.jobs <- t:
-			e.stats.jobsSubmitted.Add(1)
+			e.rec.Submitted()
 			return fut, nil
 		default:
 			if mode == submitTry {
-				e.stats.jobsRejected.Add(1)
+				e.rec.Rejected(1)
 			}
 			return nil, ErrSaturated
 		}
 	}
 	select {
 	case e.jobs <- t:
-		e.stats.jobsSubmitted.Add(1)
+		e.rec.Submitted()
 		return fut, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -261,90 +262,48 @@ func (e *Engine) worker() {
 	}
 }
 
-// run executes one task, completes its future, and fires the job's
-// completion callback (in that order, so a callback that unblocks a
-// waiter never races the future's result).
+// run executes one task and settles it with its result; the queue wait
+// and decode time in the result are the ones its spans record.
 func (e *Engine) run(t *task) {
 	wait := time.Since(t.enqueued)
 	tb := t.job.Trace
 	tb.SetScheme(t.job.Scheme.RouteKey())
+	tb.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, wait)
 	if err := t.ctx.Err(); err != nil {
-		e.stats.jobsCanceled.Add(1)
-		tb.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, wait)
 		t.settle(Result{Stats: JobStats{QueueWait: wait}}, err)
-		e.finishOwnedTrace(t, err)
 		return
 	}
 	dec := t.job.dec()
-	nm := t.job.Noise.Canon()
-	e.queueHist.get(dec.Name()).observe(wait)
-	e.noiseQueueHist.get(nm.Key()).observe(wait)
-	tb.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, wait)
 	start := time.Now()
 	est, err := dec.Decode(t.job.Scheme.G, t.job.Y, t.job.K)
-	elapsed := time.Since(start)
-	e.hist.get(dec.Name()).observe(elapsed)
-	e.noiseHist.get(nm.Key()).observe(elapsed)
-	e.load.record(t.job.Scheme.RouteKey(), elapsed.Nanoseconds(), time.Now())
-	tb.Span("decode", trace.TierFrontend, 0, start, elapsed)
-	if err != nil {
-		e.stats.jobsFailed.Add(1)
-		settleStart := time.Now()
-		t.settle(Result{Decoder: dec.Name(), Stats: JobStats{QueueWait: wait, DecodeTime: elapsed}}, err)
-		e.settleHist.get(dec.Name()).observe(time.Since(settleStart))
-		e.finishOwnedTrace(t, err)
-		return
+	res := Result{Decoder: dec.Name(), Stats: JobStats{QueueWait: wait, DecodeTime: time.Since(start)}}
+	tb.Span("decode", trace.TierFrontend, 0, start, res.Stats.DecodeTime)
+	if err == nil {
+		nm := t.job.Noise.Canon()
+		res.Support, res.Estimate = est.Support(), est
+		res.Stats.Residual = e.residual(t.job.Scheme, est, t.job.Y, nm)
+		res.Stats.Consistent = res.Stats.Residual <= nm.ResidualSlack(len(t.job.Y))
 	}
-	res := Result{
-		Support:  est.Support(),
-		Estimate: est,
-		Decoder:  dec.Name(),
-		Stats:    JobStats{QueueWait: wait, DecodeTime: elapsed},
-	}
-	res.Stats.Residual = e.residual(t.job.Scheme, est, t.job.Y, nm)
-	res.Stats.Consistent = res.Stats.Residual <= nm.ResidualSlack(len(t.job.Y))
-
-	e.stats.jobsCompleted.Add(1)
-	if res.Stats.Consistent {
-		e.stats.consistent.Add(1)
-	}
-	e.stats.queueWaitNS.Add(int64(wait))
-	e.stats.decodeNS.Add(int64(elapsed))
-	settleStart := time.Now()
-	t.settle(res, nil)
-	// The settle timer covers future completion plus the OnDone callback —
-	// the stage where campaign accounting and fan-out bookkeeping run.
-	e.settleHist.get(dec.Name()).observe(time.Since(settleStart))
-	e.finishOwnedTrace(t, nil)
+	t.settle(res, err)
 }
 
-// finishOwnedTrace seals and tail-samples a builder the engine itself
-// opened in submit; builders created by a caller are the caller's to
-// finish.
-func (e *Engine) finishOwnedTrace(t *task, err error) {
-	if !t.ownTrace {
-		return
-	}
-	if err != nil {
-		t.job.Trace.SetError(err.Error())
-	}
-	e.traces().Offer(t.job.Trace.Finish())
-}
-
-// traces returns the engine's trace store (nil when tracing is off).
-func (e *Engine) traces() *trace.Store { return e.cfg.Traces }
-
-// settle completes the task's future and then fires OnDone. The job's
-// tag and trace ID are stamped on every path so OnDone handlers can
-// route the settlement without per-job closures and logs can correlate
-// it with its ingress request.
+// settle records the job from its result, completes the future and then
+// fires OnDone, timing those two as the job's settle stage (the stage
+// where campaign accounting and fan-out bookkeeping run). The job's tag
+// and trace ID are stamped on every path so OnDone handlers can route
+// the settlement without per-job closures and logs can correlate it with
+// its ingress request. A builder the engine opened is finished last.
 func (t *task) settle(res Result, err error) {
 	res.Tag = t.job.Tag
 	res.TraceID = t.job.TraceID
+	t.rec.record(t.job, res, err)
+	start := time.Now()
 	t.fut.complete(res, err)
 	if t.job.OnDone != nil {
 		t.job.OnDone(res, err)
 	}
+	t.rec.settled(res, time.Since(start))
+	t.traces.Finish(t.job.Trace, err)
 }
 
 // residual computes the L1 misfit of est against y from

@@ -33,9 +33,6 @@ import (
 // keep working unchanged.
 var ErrWorkerUnavailable = fmt.Errorf("remote: worker unavailable: %w", engine.ErrShardUnavailable)
 
-// statsTTL bounds how often Stats() refetches from the worker.
-const statsTTL = 500 * time.Millisecond
-
 // Options configures a remote shard client.
 type Options struct {
 	// Addr is the worker's host:port (or full http:// base URL).
@@ -170,7 +167,6 @@ func (in *install) clear() {
 type task struct {
 	job      engine.Job
 	ctx      context.Context
-	fut      *engine.Future
 	settle   func(engine.Result, error)
 	enqueued time.Time
 }
@@ -200,16 +196,9 @@ type Shard struct {
 	healthy atomic.Bool
 	gauges  atomic.Pointer[healthResponse]
 
-	statsMu   sync.Mutex
-	statsAt   time.Time
-	statsLast engine.Stats
-
-	// Client-side counters merged into Stats(): outcomes the worker
-	// never saw (local rejections, transport failures, cancellations).
-	jobsRejected    atomic.Uint64
-	jobsFailed      atomic.Uint64
-	jobsCanceled    atomic.Uint64
-	signalsMeasured atomic.Uint64
+	// rec records every job this client settles, from the result its
+	// worker reported (or the error that stood in for one).
+	rec *engine.Recorder
 
 	// installs records the install ids the worker holds, at most
 	// maxSchemes of them; order is their arrival order, oldest first.
@@ -230,7 +219,6 @@ type Shard struct {
 	mStage       *metrics.HistogramVec
 	mRetries     *metrics.Counter
 	mTransitions *metrics.CounterVec
-	mHealthy     *metrics.Gauge
 	mBatchJobs   *metrics.Histogram
 }
 
@@ -247,6 +235,7 @@ func New(opts Options) *Shard {
 	}
 	s := &Shard{
 		Cache: engine.NewCache(maxSchemes),
+		rec:   engine.NewRecorder(),
 		opts:  opts,
 		base:  strings.TrimRight(base, "/"),
 		hc: &http.Client{Transport: &http.Transport{
@@ -268,13 +257,10 @@ func New(opts Options) *Shard {
 		"Decode attempts retried after a transport or worker failure.", "addr").With(opts.Addr)
 	s.mTransitions = reg.Counter("pooled_remote_worker_health_transitions_total",
 		"Probe-state flips, labeled by the state transitioned to.", "addr", "to")
-	s.mHealthy = reg.Gauge("pooled_remote_worker_healthy",
-		"1 while the worker's probe state is healthy.", "addr").With(opts.Addr)
 	s.mBatchJobs = reg.Histogram("pooled_remote_batch_jobs",
 		"Jobs carried by each binary decode frame.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}, "addr").With(opts.Addr)
 	s.healthy.Store(true)
-	s.mHealthy.Set(1)
 	for i := 0; i < opts.senders(); i++ {
 		s.wg.Add(1)
 		go s.sender()
@@ -298,12 +284,11 @@ func (s *Shard) setHealthy(h bool, cause string) {
 	if !s.healthy.CompareAndSwap(!h, h) {
 		return // no transition
 	}
-	to, v := "healthy", 1.0
+	to := "healthy"
 	if !h {
-		to, v = "unhealthy", 0.0
+		to = "unhealthy"
 	}
 	s.mTransitions.With(s.opts.Addr, to).Inc()
-	s.mHealthy.Set(v)
 	s.log.Info("worker health transition", "to", to, "cause", cause)
 }
 
@@ -322,11 +307,6 @@ func (s *Shard) Close() {
 	close(s.stop)
 	s.wg.Wait()
 	<-s.probeDone
-	// Nothing probes this worker anymore, so its healthy gauge would
-	// otherwise export the last observed value forever — misleading for a
-	// drained worker. Zero it after the probe and senders have made their
-	// final writes.
-	s.mHealthy.Set(0)
 	s.hc.CloseIdleConnections()
 }
 
@@ -359,7 +339,7 @@ func (s *Shard) MeasureBatch(sc *engine.Scheme, signals []*bitvec.Vector, nm noi
 	} else {
 		ys = query.ExecuteBatchNoisy(sc.G, signals, runtime.GOMAXPROCS(0), nm, nm.SignalSeeds(len(signals)))
 	}
-	s.signalsMeasured.Add(uint64(len(signals)))
+	s.rec.Measured(len(signals))
 	return ys
 }
 
@@ -404,8 +384,8 @@ func (s *Shard) submit(ctx context.Context, job engine.Job, mode submitMode) (*e
 	if !s.healthy.Load() {
 		return nil, s.unavailableErr(nil)
 	}
-	fut, settle := engine.NewFuture(job)
-	t := &task{job: job, ctx: ctx, fut: fut, settle: settle, enqueued: time.Now()}
+	fut, settle := engine.NewFuture(job, s.rec)
+	t := &task{job: job, ctx: ctx, settle: settle, enqueued: time.Now()}
 
 	// Same locking discipline as engine.submit: the read lock spans the
 	// send so Close never closes the channel under a sender.
@@ -417,16 +397,18 @@ func (s *Shard) submit(ctx context.Context, job engine.Job, mode submitMode) (*e
 	if mode != modeBlock {
 		select {
 		case s.jobs <- t:
+			s.rec.Submitted()
 			return fut, nil
 		default:
 			if mode == modeTry {
-				s.jobsRejected.Add(1)
+				s.rec.Rejected(1)
 			}
 			return nil, engine.ErrSaturated
 		}
 	}
 	select {
 	case s.jobs <- t:
+		s.rec.Submitted()
 		return fut, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -440,7 +422,7 @@ func (s *Shard) Saturated() bool {
 }
 
 // NoteRejected records admission rejections decided by a caller.
-func (s *Shard) NoteRejected(n int) { s.jobsRejected.Add(uint64(n)) }
+func (s *Shard) NoteRejected(n int) { s.rec.Rejected(n) }
 
 // QueueDepth combines jobs waiting client-side with the worker's last
 // reported queue depth.
@@ -464,48 +446,14 @@ func (s *Shard) lastGauges() healthResponse {
 	return healthResponse{}
 }
 
-// Stats fetches the worker's counters (cached briefly) and folds in the
-// client-side outcomes the worker never saw: local admission
-// rejections, transport-failed jobs, cancellations, locally measured
-// signals, and the builds and hits of the client's scheme cache.
+// Stats is the client's recorder snapshot plus its scheme cache's
+// counters: every job this client settled, recorded from its result the
+// moment it settled, and the designs the client built. Jobs another
+// frontend sent to the same worker are not among them.
 func (s *Shard) Stats() engine.Stats {
-	s.statsMu.Lock()
-	if time.Since(s.statsAt) > statsTTL && s.healthy.Load() {
-		if st, err := s.fetchStats(); err == nil {
-			s.statsLast = st
-			s.statsAt = time.Now()
-		}
-	}
-	st := s.statsLast
-	s.statsMu.Unlock()
-	st.JobsRejected += s.jobsRejected.Load()
-	st.JobsFailed += s.jobsFailed.Load()
-	st.JobsCanceled += s.jobsCanceled.Load()
-	st.SignalsMeasured += s.signalsMeasured.Load()
+	st := s.rec.Snapshot()
 	s.Cache.AddCounters(&st)
 	return st
-}
-
-func (s *Shard) fetchStats() (engine.Stats, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+statsPath, nil)
-	if err != nil {
-		return engine.Stats{}, err
-	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return engine.Stats{}, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return engine.Stats{}, fmt.Errorf("remote: stats status %d", resp.StatusCode)
-	}
-	var st engine.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return engine.Stats{}, err
-	}
-	return st, nil
 }
 
 func (s *Shard) unavailableErr(cause error) error {
@@ -595,7 +543,6 @@ func (s *Shard) settleCanceled(tasks []*task) []*task {
 	live := tasks[:0]
 	for _, t := range tasks {
 		if err := t.ctx.Err(); err != nil {
-			s.jobsCanceled.Add(1)
 			t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, err)
 			continue
 		}
@@ -607,7 +554,6 @@ func (s *Shard) settleCanceled(tasks []*task) []*task {
 // fail settles tasks with an error.
 func (s *Shard) fail(tasks []*task, err error) {
 	for _, t := range tasks {
-		s.jobsFailed.Add(1)
 		t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, err)
 	}
 }
@@ -720,22 +666,38 @@ func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr
 	return retry, lastErr, true
 }
 
-// settleOK settles one job's OK result and records its stages, once per
-// job however jobs were packed into frames: serialize is the job's share
-// of the frame's marshal, network the round trip minus the job's own
-// worker queue and decode time (no clock sync needed), and the trace
-// gets the matching wire spans.
+// settleOK settles one job's OK result and records its wire stages,
+// once per job however jobs were packed into frames. Each stage is built
+// once, as a name, tier, start and duration, and feeds both its
+// pooled_remote_request_seconds series and the trace span of the same
+// name: serialize is the job's share of the frame's marshal, network the
+// round trip minus the job's own worker queue and decode time (no clock
+// sync needed), and the worker's two stages are laid at the tail of the
+// request window. The "wire" span covers marshal plus round trip; the
+// histogram's "total" stage is its duration.
 func (s *Shard) settleOK(t *task, r *batchResult, serializeStart time.Time, serialize time.Duration, reqStart time.Time, roundTrip time.Duration) {
 	clientWait := serializeStart.Sub(t.enqueued)
 	queue, decode := time.Duration(r.QueueNS), time.Duration(r.DecodeNS)
-	network := max(roundTrip-queue-decode, 0)
-	s.mStage.With(s.opts.Addr, "serialize").ObserveDuration(serialize)
-	s.mStage.With(s.opts.Addr, "network").ObserveDuration(network)
-	s.mStage.With(s.opts.Addr, "worker_queue").ObserveDuration(queue)
-	s.mStage.With(s.opts.Addr, "worker_decode").ObserveDuration(decode)
-	s.mStage.With(s.opts.Addr, "total").ObserveDuration(serialize + roundTrip)
-	t.job.Trace.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait)
-	addWireSpans(t.job.Trace, serializeStart, serialize, reqStart, roundTrip, network, r.QueueNS, r.DecodeNS)
+	workerStart := reqStart.Add(max(roundTrip-queue-decode, 0))
+	wire := reqStart.Add(roundTrip).Sub(serializeStart)
+	stages := [...]struct {
+		name, tier string
+		start      time.Time
+		dur        time.Duration
+	}{
+		{"serialize", trace.TierFrontend, serializeStart, serialize},
+		{"network", trace.TierFrontend, reqStart, workerStart.Sub(reqStart)},
+		{"worker_queue", trace.TierWorker, workerStart, queue},
+		{"worker_decode", trace.TierWorker, workerStart.Add(queue), decode},
+	}
+	tb := t.job.Trace
+	tb.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait)
+	parent := tb.Span("wire", trace.TierFrontend, 0, serializeStart, wire)
+	s.mStage.With(s.opts.Addr, "total").ObserveDuration(wire)
+	for _, st := range stages {
+		s.mStage.With(s.opts.Addr, st.name).ObserveDuration(st.dur)
+		tb.Span(st.name, st.tier, parent, st.start, st.dur)
+	}
 	support := r.Support
 	if support == nil {
 		// A frame carries an empty support as none at all; results keep
@@ -818,30 +780,6 @@ func errString(err error) string {
 		return "unknown"
 	}
 	return err.Error()
-}
-
-// addWireSpans appends one job's wire-stage span subtree to its trace:
-// a "wire" parent covering marshal + round trip, with serialize and
-// network children measured on this side of the hop, and worker_queue /
-// worker_decode children synthesized from the durations the worker
-// reported back in the job's result. The worker spans are laid at the
-// tail of the request window, so the tree nests sensibly without any
-// cross-machine clock sync. Nil-safe via the builder.
-func addWireSpans(tb *trace.Builder, serializeStart time.Time, serialize time.Duration, reqStart time.Time, roundTrip, network time.Duration, queueNS, decodeNS int64) {
-	if tb == nil {
-		return
-	}
-	wireDur := reqStart.Add(roundTrip).Sub(serializeStart)
-	wire := tb.Span("wire", trace.TierFrontend, 0, serializeStart, wireDur)
-	tb.Span("serialize", trace.TierFrontend, wire, serializeStart, serialize)
-	tb.Span("network", trace.TierFrontend, wire, reqStart, network)
-	workerDur := time.Duration(queueNS + decodeNS)
-	workerStart := reqStart.Add(roundTrip - workerDur)
-	if workerStart.Before(reqStart) {
-		workerStart = reqStart
-	}
-	tb.Span("worker_queue", trace.TierWorker, wire, workerStart, time.Duration(queueNS))
-	tb.Span("worker_decode", trace.TierWorker, wire, workerStart.Add(time.Duration(queueNS)), time.Duration(decodeNS))
 }
 
 // sleepCtx waits d, or less if ctx ends first; it reports whether the

@@ -64,8 +64,9 @@ func sampleValue(fams []metrics.Family, name string, values ...string) (float64,
 
 // TestHealthTransitionsEmitMetricAndLog: flipping a worker down and back
 // up produces exactly one transition counter increment per flip, moves
-// the healthy gauge, and logs each flip with the worker address — the
-// observable trail of a probe-state change, not just failed jobs.
+// the cluster's pooled_shard_healthy gauge, and logs each flip with the
+// worker address — the observable trail of a probe-state change, not
+// just failed jobs.
 func TestHealthTransitionsEmitMetricAndLog(t *testing.T) {
 	var broken atomic.Bool
 	wc := engine.NewCluster(engine.ClusterConfig{
@@ -90,9 +91,10 @@ func TestHealthTransitionsEmitMetricAndLog(t *testing.T) {
 		o.Metrics = reg
 		o.Logger = slog.New(slog.NewTextHandler(logs, nil))
 	})
+	engine.RegisterClusterMetrics(reg, engine.NewClusterOf(sh))
 	addr := ts.Listener.Addr().String()
 
-	if v, ok := sampleValue(reg.Gather(), "pooled_remote_worker_healthy", addr); !ok || v != 1 {
+	if v, ok := sampleValue(reg.Gather(), "pooled_shard_healthy", "0", addr); !ok || v != 1 {
 		t.Fatalf("healthy gauge = %v (present %v), want 1", v, ok)
 	}
 
@@ -107,7 +109,7 @@ func TestHealthTransitionsEmitMetricAndLog(t *testing.T) {
 	if down < 1 || up < 1 {
 		t.Fatalf("transition counters down=%v up=%v, want both >= 1", down, up)
 	}
-	if v, _ := sampleValue(fams, "pooled_remote_worker_healthy", addr); v != 1 {
+	if v, _ := sampleValue(fams, "pooled_shard_healthy", "0", addr); v != 1 {
 		t.Fatalf("healthy gauge after recovery = %v, want 1", v)
 	}
 	out := logs.String()

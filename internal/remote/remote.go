@@ -19,9 +19,12 @@
 //	                                 re-installs and retries); the worker
 //	                                 admits the frame whole
 //	GET  /shard/v1/health            liveness + queue gauges (probe target)
-//	GET  /shard/v1/stats             engine.Stats JSON (fleet aggregation)
 //
-// The frame layouts are specified in docs/shard-protocol.md.
+// The frame layouts are specified in docs/shard-protocol.md. A
+// frontend's counters, stage histograms and spans come from one record:
+// the client records every job it settles from the result frame that
+// carried it (engine.Recorder), current the moment the job settles. A
+// worker's own counters are on its /metrics.
 //
 // The client (Shard) is structured like a miniature engine: a bounded
 // client-side job queue plus a pool of sender goroutines over one
@@ -40,7 +43,6 @@ const (
 	schemePathPrefix = "/shard/v1/schemes/"
 	decodeBatchPath  = "/shard/v1/decode-batch"
 	healthPath       = "/shard/v1/health"
-	statsPath        = "/shard/v1/stats"
 )
 
 // healthResponse is the probe payload: liveness plus the gauges the

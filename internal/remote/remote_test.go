@@ -532,8 +532,9 @@ func TestRemoteHammer(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	// Decodes must have landed on the workers, not locally. Stats are
-	// cached briefly client-side, so poll past the TTL.
+	// Decodes must have landed on the workers, not locally. Each client
+	// records a job from its result frame before settling it, so the
+	// counts are current once the campaigns are done; the poll is slack.
 	eventually(t, 5*time.Second, func() bool {
 		return sh0.Stats().JobsCompleted+sh1.Stats().JobsCompleted >= 4*batch
 	}, "workers did not report the campaigns' decode jobs")
@@ -556,8 +557,9 @@ func TestSpecIDEscaping(t *testing.T) {
 	}
 }
 
-// TestWorkerStatsRoundTrip: the worker's engine counters surface
-// through the client's Stats, with client-side deltas folded in.
+// TestWorkerStatsRoundTrip: a job decoded on the worker surfaces in the
+// client's Stats, recorded from the result frame that carried it back,
+// decode-latency histogram included.
 func TestWorkerStatsRoundTrip(t *testing.T) {
 	const n, m, k = 300, 120, 5
 	_, ts := newWorker(t, 1, 1, 0, ServerOptions{})

@@ -98,7 +98,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("PUT /shard/v1/schemes/{id}", s.handleInstall)
 	mux.HandleFunc("POST /shard/v1/decode-batch", s.handleDecodeBatch)
 	mux.HandleFunc("GET /shard/v1/health", s.handleHealth)
-	mux.HandleFunc("GET /shard/v1/stats", s.handleStats)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown route %s %s", r.Method, r.URL.Path)
 	})
@@ -336,8 +335,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h.Workers += sh.Workers()
 	}
 	writeJSON(w, http.StatusOK, h)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cluster.Stats().Total)
 }

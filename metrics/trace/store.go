@@ -170,6 +170,20 @@ func (s *Store) Offer(tr *Trace) (retained bool, reason string) {
 	return true, reason
 }
 
+// Finish seals tb, marks it errored when err is non-nil, and offers the
+// trace to the sampler — the one way a builder's owner ends its trace.
+// Nil-safe on the store and the builder; a builder already sealed
+// offers nothing.
+func (s *Store) Finish(tb *Builder, err error) {
+	if s == nil || tb == nil {
+		return
+	}
+	if err != nil {
+		tb.SetError(err.Error())
+	}
+	s.Offer(tb.Finish())
+}
+
 // slowThresholdLocked returns the current tail threshold in
 // nanoseconds (0 while the detector is warming up). Caller holds s.mu.
 func (s *Store) slowThresholdLocked() int64 {

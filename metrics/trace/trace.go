@@ -75,8 +75,9 @@ const rootSpanID = 1
 // a nil *Builder records nothing, so call sites sprinkle spans
 // unconditionally and pay only a pointer test when tracing is off.
 //
-// Ownership convention: whoever creates a Builder finishes it (Finish)
-// and offers the result to a Store; everyone else only appends spans.
+// Ownership convention: whoever creates a Builder ends it with
+// Store.Finish, which seals it and offers the result to the sampler;
+// everyone else only appends spans.
 // A Builder is safe for concurrent use — the campaign dispatcher, the
 // engine worker, and the remote sender all touch the same builder.
 type Builder struct {

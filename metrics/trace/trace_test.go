@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -45,6 +46,30 @@ func TestNilBuilderAndStoreAreNoOps(t *testing.T) {
 	}
 	if _, ok := s.Get("a"); ok {
 		t.Fatal("nil store Get hit")
+	}
+}
+
+// TestStoreFinish: Finish is the owner's one call that ends a trace. A
+// nil store or builder does nothing, an error retains the trace as
+// "error", and a builder finished once offers nothing the second time.
+func TestStoreFinish(t *testing.T) {
+	var nilStore *Store
+	nilStore.Finish(NewBuilder("a", "job", TierFrontend), errors.New("boom"))
+	s := NewStore(Config{})
+	s.Finish(nil, errors.New("boom"))
+	if st := s.Stats(); st.Offered != 0 {
+		t.Fatalf("a nil builder offered a trace: %+v", st)
+	}
+
+	b := NewBuilder("job-1", "job", TierFrontend)
+	s.Finish(b, errors.New("decode: inconsistent"))
+	tr, ok := s.Get("job-1")
+	if !ok || tr.Retained != "error" || tr.Err != "decode: inconsistent" {
+		t.Fatalf("errored trace = %+v (found %v), want retained as error", tr, ok)
+	}
+	s.Finish(b, nil)
+	if st := s.Stats(); st.Offered != 1 {
+		t.Fatalf("a second Finish offered again: %+v", st)
 	}
 }
 

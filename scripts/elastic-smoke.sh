@@ -127,7 +127,8 @@ case "$owner" in
 *) fail "s1 owner is \"$owner\", want $w1 or $w2" ;;
 esac
 i=0
-until [ "$(field jobs_submitted "$(curl -sf "http://$owner/shard/v1/stats")")" -gt 0 ] 2>/dev/null; do
+until curl -sf "http://$owner/metrics" |
+	awk '$1 == "pooled_engine_jobs_total{outcome=\"submitted\"}" && $2 > 0 { ok = 1 } END { exit !ok }'; do
 	i=$((i + 1))
 	[ "$i" -le 200 ] || fail "owner $owner never took a job"
 	sleep 0.01
