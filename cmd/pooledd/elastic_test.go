@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +20,7 @@ import (
 	"pooleddata/internal/query"
 	"pooleddata/internal/remote"
 	"pooleddata/internal/rng"
+	"pooleddata/metrics"
 )
 
 // Elastic-fleet end-to-end coverage: runtime worker registration and
@@ -230,6 +233,55 @@ func TestElasticDrainWorkerMidCampaign(t *testing.T) {
 	}
 	if resp := deleteWorker(t, fed.URL, "nope:1"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("drain unknown worker: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDuplicateJoinBuildsNoClient: a join refused as a duplicate builds
+// no client for the address, so nothing probes the member's worker on
+// its behalf. With the worker's listener closed after the member's
+// first probe answered, a second addWorker of its address is refused
+// and leaves no health transition, neither in the logs nor in
+// pooled_remote_worker_health_transitions_total.
+func TestDuplicateJoinBuildsNoClient(t *testing.T) {
+	_, w := startWorker(t)
+	addr := w.Listener.Addr().String()
+	logs := &logBuffer{}
+	reg := metrics.NewRegistry()
+	opts := &remote.Options{ProbeInterval: time.Hour, Metrics: reg, Logger: slog.New(slog.NewTextHandler(logs, nil))}
+	cluster := engine.NewClusterOf(dialWorker(*opts, addr))
+	t.Cleanup(cluster.Close)
+	srv := newServer(cluster, campaign.Config{})
+	srv.workerOpts = opts
+	t.Cleanup(srv.campaigns.Close)
+
+	member := cluster.Shard(0)
+	deadline := time.Now().Add(5 * time.Second)
+	for member.Workers() == 0 { // the gauges of the first probe's answer
+		if time.Now().After(deadline) {
+			t.Fatal("the member's first probe never answered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	w.Close()
+
+	if err := srv.addWorker(addr); !errors.Is(err, engine.ErrDuplicateShard) {
+		t.Fatalf("duplicate join: err = %v, want ErrDuplicateShard", err)
+	}
+	if strings.Contains(logs.String(), "worker health transition") {
+		t.Errorf("a refused join logged a health transition:\n%s", logs)
+	}
+	for _, fam := range reg.Gather() {
+		if fam.Name != "pooled_remote_worker_health_transitions_total" {
+			continue
+		}
+		for _, s := range fam.Samples {
+			if s.Value != 0 {
+				t.Errorf("%s%v = %v after a refused join, want 0", fam.Name, s.Values, s.Value)
+			}
+		}
+	}
+	if !member.Healthy() {
+		t.Fatal("the member flipped unhealthy without a probe of its own")
 	}
 }
 

@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -33,17 +31,6 @@ const traceHeader = "Trace-ID"
 
 type traceCtxKey struct{}
 
-// newTraceID returns a 16-hex-char random id. crypto/rand failure is
-// unrecoverable enough (and rare enough) that a constant fallback beats
-// plumbing an error through every request.
-func newTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "trace-rand-unavailable"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // traceFrom returns the request's trace id, or "" outside the
 // middleware (tests driving handlers directly).
 func traceFrom(ctx context.Context) string {
@@ -60,7 +47,7 @@ func withTrace(next http.Handler) http.Handler {
 			id = r.Header.Get("X-Request-ID")
 		}
 		if id == "" {
-			id = newTraceID()
+			id = trace.NewID()
 		}
 		w.Header().Set(traceHeader, id)
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, id)))

@@ -180,7 +180,7 @@ func TestRingChangeLosesNothing(t *testing.T) {
 		t.Fatalf("before the join: owner %q shard %d, want %q and 0", sch.Owner, sch.Shard, w0Addr)
 	}
 
-	if err := cluster.AddShard(w1Addr, c1); err != nil {
+	if err := cluster.AddShard(w1Addr, func() engine.Shard { return c1 }); err != nil {
 		t.Fatal(err)
 	}
 	var got schemeEntry

@@ -899,15 +899,10 @@ func dialWorker(tmpl remote.Options, addr string) *remote.Shard {
 }
 
 // addWorker joins the worker at addr to the ring. A worker already on
-// the ring is refused with ErrDuplicateShard, and the client built for
-// it is closed.
+// the ring is refused with ErrDuplicateShard before any client is built
+// for it.
 func (s *server) addWorker(addr string) error {
-	sh := dialWorker(*s.workerOpts, addr)
-	if err := s.cluster.AddShard(addr, sh); err != nil {
-		sh.Close()
-		return err
-	}
-	return nil
+	return s.cluster.AddShard(addr, func() engine.Shard { return dialWorker(*s.workerOpts, addr) })
 }
 
 // removeWorker drains the worker at addr: out of the ring, then its

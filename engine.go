@@ -243,15 +243,11 @@ func (e *Engine) Close() {
 // runtime. The new member takes over its consistent-hash arcs
 // immediately: schemes whose keys land there are served by it from the
 // next request on, and in-flight campaigns start offering it jobs.
-// Fails on a duplicate address. Mixing a remote worker into a
-// local-shard engine is allowed — the ring routes across both.
+// Fails on a duplicate address, before any client is built for it.
+// Mixing a remote worker into a local-shard engine is allowed — the
+// ring routes across both.
 func (e *Engine) AddRemoteWorker(addr string) error {
-	sh := remote.New(remote.Options{Addr: addr, Metrics: e.reg})
-	if err := e.inner.AddShard(addr, sh); err != nil {
-		sh.Close()
-		return err
-	}
-	return nil
+	return e.inner.AddShard(addr, func() engine.Shard { return remote.New(remote.Options{Addr: addr, Metrics: e.reg}) })
 }
 
 // RemoveWorker drains the fleet member with the given id (the worker

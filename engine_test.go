@@ -315,8 +315,8 @@ func TestEngineRemoteWorkers(t *testing.T) {
 }
 
 // TestDuplicateRemoteWorkerKeepsHealthSeries: a refused duplicate
-// AddRemoteWorker builds and closes a second client for a live member's
-// address, and must leave every health series of that address at 1.
+// AddRemoteWorker of a live member's address builds no second client,
+// and must leave every health series of that address at 1.
 func TestDuplicateRemoteWorkerKeepsHealthSeries(t *testing.T) {
 	wc := engine.NewCluster(engine.ClusterConfig{Shards: 1, Shard: engine.Config{Workers: 1}})
 	defer wc.Close()

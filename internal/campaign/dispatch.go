@@ -342,13 +342,10 @@ func (st *Store) dispatchLoop() {
 	for {
 		pj, ok := st.nextPending()
 		if !ok {
-			select {
-			case <-st.wake:
-				continue
-			case <-st.stop:
-				st.drainPending()
+			if !st.park(nil) {
 				return
 			}
+			continue
 		}
 		if err := pj.cp.ctx.Err(); err != nil {
 			// The campaign died before its job reached a shard.
@@ -374,16 +371,7 @@ func (st *Store) dispatchLoop() {
 			// every busy tenant's turn has failed in a row.
 			st.requeueFront(pj)
 			st.requeues.Add(1)
-			saturatedStreak++
-			if saturatedStreak < st.busyQueues() {
-				continue
-			}
-			saturatedStreak = 0
-			select {
-			case <-st.wake:
-			case <-time.After(saturationBackoff):
-			case <-st.stop:
-				st.drainPending()
+			if !st.pace(&saturatedStreak) {
 				return
 			}
 		case (errors.Is(err, engine.ErrShardUnavailable) || errors.Is(err, engine.ErrClosed)) &&
@@ -395,16 +383,7 @@ func (st *Store) dispatchLoop() {
 			// saturation so the loop does not spin while the whole fleet is
 			// dark. (maybeRedispatch refuses once the store itself closes,
 			// so shutdown still settles instead of bouncing.)
-			saturatedStreak++
-			if saturatedStreak < st.busyQueues() {
-				continue
-			}
-			saturatedStreak = 0
-			select {
-			case <-st.wake:
-			case <-time.After(saturationBackoff):
-			case <-st.stop:
-				st.drainPending()
+			if !st.pace(&saturatedStreak) {
 				return
 			}
 		default:
@@ -412,6 +391,31 @@ func (st *Store) dispatchLoop() {
 			saturatedStreak = 0
 		}
 	}
+}
+
+// pace counts one stuck turn in streak. Once the streak covers every
+// busy (tenant, shard) queue it resets and parks the dispatcher for the
+// saturation backoff. It reports false when the store closed meanwhile.
+func (st *Store) pace(streak *int) bool {
+	*streak++
+	if *streak < st.busyQueues() {
+		return true
+	}
+	*streak = 0
+	return st.park(time.After(saturationBackoff))
+}
+
+// park waits for a wake-up, the timeout (nil: none) or Close. On Close
+// it settles every job still pending and reports false.
+func (st *Store) park(timeout <-chan time.Time) bool {
+	select {
+	case <-st.wake:
+	case <-timeout:
+	case <-st.stop:
+		st.drainPending()
+		return false
+	}
+	return true
 }
 
 // drainPending settles every job still queued at Close so no campaign

@@ -227,14 +227,14 @@ func (c *Cluster) install(v *view) {
 	c.cur.Store(v)
 }
 
-// AddShard joins sh to the ring under the stable ID id (its remote
-// address, conventionally) and publishes the new membership view. Keys
+// AddShard joins the shard dial returns to the ring under the stable ID
+// id (its remote address, conventionally) and publishes the new
+// membership view. dial runs under the membership lock, and only once
+// id is known to be new: a refused duplicate builds no shard. dial must
+// not call back into the cluster. Keys
 // whose arcs the new member takes over re-route on their next submit;
 // everything else stays put (the consistent-hashing guarantee).
-func (c *Cluster) AddShard(id string, sh Shard) error {
-	if id == "" {
-		id = sh.Addr()
-	}
+func (c *Cluster) AddShard(id string, dial func() Shard) error {
 	if id == "" {
 		return fmt.Errorf("engine: AddShard needs a non-empty id")
 	}
@@ -246,7 +246,7 @@ func (c *Cluster) AddShard(id string, sh Shard) error {
 	}
 	members := make([]member, len(v.members), len(v.members)+1)
 	copy(members, v.members)
-	members = append(members, member{id: id, sh: sh})
+	members = append(members, member{id: id, sh: dial()})
 	c.install(newView(members))
 	c.adds.Add(1)
 	return nil

@@ -12,10 +12,12 @@
 //   - a scheme cache keyed by (design, n, m, seed) with LRU eviction and
 //     build deduplication: concurrent requests for the same design trigger
 //     exactly one pooling build and share the immutable graph;
-//   - a decode pipeline: Submit(job) → Future over a bounded worker pool,
-//     with per-job decoder selection, context cancellation, and per-job
-//     stats (queue wait, decode time, residual, consistency) recorded
-//     once per job, from its result, as it settles (Recorder);
+//   - a decode pipeline: Submit(job) → Future through a bounded shard
+//     queue (Queue, the one a remote shard client runs on too) drained
+//     by a worker pool, with per-job decoder selection, context
+//     cancellation, and per-job stats (queue wait, decode time,
+//     residual, consistency) recorded once per job, from its result, as
+//     it settles (Recorder);
 //   - a batched measurement path (MeasureBatch) that evaluates many
 //     signals against one design, one scatter over each signal's support.
 package engine
@@ -23,7 +25,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"pooleddata/metrics/trace"
@@ -174,44 +175,31 @@ type Engine struct {
 	// InstallScheme and SetHome are the engine's.
 	*Cache
 
+	// Queue is the engine's decode queue, drained by its decode
+	// workers; its Submit, TrySubmit, Offer and queue gauges are the
+	// engine's.
+	*Queue
+
 	cfg Config
 	rec *Recorder
-
-	jobs chan *task
-	wg   sync.WaitGroup
-
-	mu     sync.RWMutex // guards closed vs. in-flight Submit sends
-	closed bool
 }
 
 // New starts an Engine with cfg.Workers decode workers.
 func New(cfg Config) *Engine {
+	rec := NewRecorder()
 	e := &Engine{
 		Cache: NewCache(cfg.cacheCapacity()),
+		Queue: NewQueue(cfg.queueDepth(), rec, nil, cfg.Traces),
 		cfg:   cfg,
-		rec:   NewRecorder(),
-		jobs:  make(chan *task, cfg.queueDepth()),
+		rec:   rec,
 	}
-	for w := 0; w < cfg.workers(); w++ {
-		e.wg.Add(1)
-		go e.worker()
-	}
+	e.Start(cfg.workers(), e.run)
 	return e
 }
 
 // Close stops accepting jobs, drains the queue, and waits for the workers
 // to exit. Queued jobs still complete.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	close(e.jobs)
-	e.mu.Unlock()
-	e.wg.Wait()
-}
+func (e *Engine) Close() { e.Queue.Close() }
 
 // Stats returns a snapshot of the engine counters, including the
 // per-decoder and per-noise-model latency histograms: the recorder's
@@ -221,21 +209,6 @@ func (e *Engine) Stats() Stats {
 	e.Cache.AddCounters(&st)
 	return st
 }
-
-// QueueDepth reports the number of decode jobs waiting for a worker.
-func (e *Engine) QueueDepth() int { return len(e.jobs) }
-
-// QueueCapacity reports the decode queue bound.
-func (e *Engine) QueueCapacity() int { return cap(e.jobs) }
-
-// Saturated reports whether the decode queue is full right now — the
-// admission-control signal for batch submissions (single jobs use
-// TrySubmit, which checks and enqueues atomically).
-func (e *Engine) Saturated() bool { return len(e.jobs) == cap(e.jobs) }
-
-// NoteRejected records n admission-control rejections that happened
-// outside TrySubmit (a batch or campaign turned away up front).
-func (e *Engine) NoteRejected(n int) { e.rec.Rejected(n) }
 
 // Workers reports the decode worker-pool size.
 func (e *Engine) Workers() int { return e.cfg.workers() }
@@ -251,15 +224,12 @@ func (e *Engine) Addr() string { return "" }
 var _ Shard = (*Engine)(nil)
 var _ HomeSetter = (*Engine)(nil)
 
-// ValidateJob reports whether job is well-formed (scheme present, count
-// length matching the design, weight in range, valid noise model) — the
-// same check the cluster and pipeline run, exported for alternative
-// Shard implementations.
-func ValidateJob(job Job) error { return validateJob(job) }
-
 // CachedSchemes reports the number of cached (or in-flight) schemes.
 func (e *Engine) CachedSchemes() int { return e.Cache.len() }
 
+// validateJob reports whether job is well-formed (scheme present, count
+// length matching the design, weight in range, valid noise model): the
+// check the cluster and every shard queue run before admitting it.
 func validateJob(job Job) error {
 	if job.Scheme == nil || job.Scheme.G == nil {
 		return fmt.Errorf("engine: job has no scheme")

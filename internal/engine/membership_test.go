@@ -22,13 +22,13 @@ func TestClusterAddRemoveShard(t *testing.T) {
 
 	extra := New(Config{Workers: 1})
 	defer extra.Close()
-	if err := c.AddShard("local-2", extra); err != nil {
+	if err := c.AddShard("local-2", func() Shard { return extra }); err != nil {
 		t.Fatal(err)
 	}
 	if c.Shards() != 3 || !slices.Contains(c.MemberIDs(), "local-2") {
 		t.Fatalf("after add: %d shards, members %v", c.Shards(), c.MemberIDs())
 	}
-	if err := c.AddShard("local-2", extra); !errors.Is(err, ErrDuplicateShard) {
+	if err := c.AddShard("local-2", func() Shard { return extra }); !errors.Is(err, ErrDuplicateShard) {
 		t.Fatalf("duplicate add: err = %v, want ErrDuplicateShard", err)
 	}
 
@@ -109,7 +109,7 @@ func TestClusterAddShardMovesOnlyItsArcs(t *testing.T) {
 	}
 	joined := New(Config{Workers: 1})
 	defer joined.Close()
-	if err := c.AddShard("local-9", joined); err != nil {
+	if err := c.AddShard("local-9", func() Shard { return joined }); err != nil {
 		t.Fatal(err)
 	}
 	moved := 0

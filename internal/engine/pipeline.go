@@ -131,119 +131,6 @@ func (f *Future) Wait(ctx context.Context) (Result, error) {
 	}
 }
 
-// NewFuture returns an unresolved Future for job plus the single-use
-// settle function that completes it — the adapter remote shard clients
-// use to fan RPC completions back into the local Future/OnDone surface.
-// settle is the worker pipeline's own: it records the job in rec from
-// the result, completes the future, and then fires the job's OnDone
-// callback, so neither fan-out callers nor the stats can tell a remote
-// settlement from a local one.
-func NewFuture(job Job, rec *Recorder) (fut *Future, settle func(Result, error)) {
-	t := &task{job: job, rec: rec, fut: &Future{done: make(chan struct{})}}
-	return t.fut, t.settle
-}
-
-// task is a queued job plus its bookkeeping.
-type task struct {
-	job      Job
-	ctx      context.Context
-	fut      *Future
-	rec      *Recorder
-	enqueued time.Time
-	// traces is set when the engine opened the job's builder itself
-	// (bare job, Config.Traces set): settle then finishes and offers it.
-	traces *trace.Store
-}
-
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = fmt.Errorf("engine: closed")
-
-// ErrSaturated is returned by TrySubmit when the decode queue is full —
-// the admission-control signal a front-end turns into 429 + Retry-After.
-var ErrSaturated = fmt.Errorf("engine: decode queue saturated")
-
-// submitMode selects how submit treats a full queue.
-type submitMode int
-
-const (
-	// submitBlock waits for queue space (backpressure).
-	submitBlock submitMode = iota
-	// submitTry returns ErrSaturated and counts the rejection — the
-	// admission-control path.
-	submitTry
-	// submitOffer returns ErrSaturated without counting it: the caller is
-	// a cooperative scheduler that was already admitted and will retry.
-	submitOffer
-)
-
-// Submit validates and enqueues a decode job, returning a Future. It
-// blocks while the queue is full; ctx cancels both the enqueue wait and —
-// if still queued when it fires — the job itself.
-func (e *Engine) Submit(ctx context.Context, job Job) (*Future, error) {
-	return e.submit(ctx, job, submitBlock)
-}
-
-// TrySubmit is Submit without the enqueue wait: a full queue returns
-// ErrSaturated immediately and counts toward Stats.JobsRejected.
-func (e *Engine) TrySubmit(ctx context.Context, job Job) (*Future, error) {
-	return e.submit(ctx, job, submitTry)
-}
-
-// Offer is TrySubmit for cooperative schedulers (the campaign
-// dispatcher): a full queue returns ErrSaturated immediately but does
-// not count toward Stats.JobsRejected — the job was already admitted
-// and the caller keeps it queued on its side to retry, so counting it
-// as a rejection would double-book every backpressure stall.
-func (e *Engine) Offer(ctx context.Context, job Job) (*Future, error) {
-	return e.submit(ctx, job, submitOffer)
-}
-
-func (e *Engine) submit(ctx context.Context, job Job, mode submitMode) (*Future, error) {
-	if err := validateJob(job); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fut := &Future{done: make(chan struct{})}
-	t := &task{job: job, ctx: ctx, fut: fut, rec: e.rec, enqueued: time.Now()}
-	if e.cfg.Traces != nil && t.job.Trace == nil {
-		if t.job.TraceID == "" {
-			t.job.TraceID = trace.NewID()
-		}
-		t.job.Trace = trace.NewBuilder(t.job.TraceID, "decode_job", trace.TierFrontend)
-		t.traces = e.cfg.Traces
-	}
-
-	// The read lock is held across the (possibly blocking) send so Close
-	// can never close the channel under a sender; workers drain the queue
-	// without touching the lock, so blocked senders always make progress.
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return nil, ErrClosed
-	}
-	if mode != submitBlock {
-		select {
-		case e.jobs <- t:
-			e.rec.Submitted()
-			return fut, nil
-		default:
-			if mode == submitTry {
-				e.rec.Rejected(1)
-			}
-			return nil, ErrSaturated
-		}
-	}
-	select {
-	case e.jobs <- t:
-		e.rec.Submitted()
-		return fut, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 // Decode is Submit followed by Wait: it runs one job through the pipeline
 // and returns its result.
 func (e *Engine) Decode(ctx context.Context, job Job) (Result, error) {
@@ -254,56 +141,29 @@ func (e *Engine) Decode(ctx context.Context, job Job) (Result, error) {
 	return fut.Wait(ctx)
 }
 
-// worker drains the job queue until Close.
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	for t := range e.jobs {
-		e.run(t)
-	}
-}
-
 // run executes one task and settles it with its result; the queue wait
 // and decode time in the result are the ones its spans record.
-func (e *Engine) run(t *task) {
-	wait := time.Since(t.enqueued)
-	tb := t.job.Trace
-	tb.SetScheme(t.job.Scheme.RouteKey())
-	tb.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, wait)
-	if err := t.ctx.Err(); err != nil {
-		t.settle(Result{Stats: JobStats{QueueWait: wait}}, err)
+func (e *Engine) run(t *Task) {
+	wait := time.Since(t.Enqueued)
+	tb := t.Job.Trace
+	tb.SetScheme(t.Job.Scheme.RouteKey())
+	tb.Span("shard_queue", trace.TierFrontend, 0, t.Enqueued, wait)
+	if err := t.Ctx.Err(); err != nil {
+		t.Settle(Result{Stats: JobStats{QueueWait: wait}}, err)
 		return
 	}
-	dec := t.job.dec()
+	dec := t.Job.dec()
 	start := time.Now()
-	est, err := dec.Decode(t.job.Scheme.G, t.job.Y, t.job.K)
+	est, err := dec.Decode(t.Job.Scheme.G, t.Job.Y, t.Job.K)
 	res := Result{Decoder: dec.Name(), Stats: JobStats{QueueWait: wait, DecodeTime: time.Since(start)}}
 	tb.Span("decode", trace.TierFrontend, 0, start, res.Stats.DecodeTime)
 	if err == nil {
-		nm := t.job.Noise.Canon()
+		nm := t.Job.Noise.Canon()
 		res.Support, res.Estimate = est.Support(), est
-		res.Stats.Residual = e.residual(t.job.Scheme, est, t.job.Y, nm)
-		res.Stats.Consistent = res.Stats.Residual <= nm.ResidualSlack(len(t.job.Y))
+		res.Stats.Residual = e.residual(t.Job.Scheme, est, t.Job.Y, nm)
+		res.Stats.Consistent = res.Stats.Residual <= nm.ResidualSlack(len(t.Job.Y))
 	}
-	t.settle(res, err)
-}
-
-// settle records the job from its result, completes the future and then
-// fires OnDone, timing those two as the job's settle stage (the stage
-// where campaign accounting and fan-out bookkeeping run). The job's tag
-// and trace ID are stamped on every path so OnDone handlers can route
-// the settlement without per-job closures and logs can correlate it with
-// its ingress request. A builder the engine opened is finished last.
-func (t *task) settle(res Result, err error) {
-	res.Tag = t.job.Tag
-	res.TraceID = t.job.TraceID
-	t.rec.record(t.job, res, err)
-	start := time.Now()
-	t.fut.complete(res, err)
-	if t.job.OnDone != nil {
-		t.job.OnDone(res, err)
-	}
-	t.rec.settled(res, time.Since(start))
-	t.traces.Finish(t.job.Trace, err)
+	t.Settle(res, err)
 }
 
 // residual computes the L1 misfit of est against y from

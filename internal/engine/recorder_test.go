@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// TestRecorderCountsEachJobOnce settles four jobs through NewFuture's
-// settle function — a completed decode, a decoder failure, a failure
-// before any decoder and a cancellation — and checks that each counts
+// TestRecorderCountsEachJobOnce settles four jobs through a queue's
+// tasks — a completed decode, a decoder failure, a failure before any
+// decoder and a cancellation — and checks that each counts
 // once under its outcome, and that only the two that reached a decoder
 // enter the stage histograms and the load table.
 func TestRecorderCountsEachJobOnce(t *testing.T) {
@@ -18,6 +18,7 @@ func TestRecorderCountsEachJobOnce(t *testing.T) {
 	job := Job{Scheme: NewSchemeAt(Spec{}, "k1", g, 0), Y: y, K: 3}
 	const ms = time.Millisecond
 	rec := NewRecorder()
+	q := NewQueue(1, rec, nil, nil)
 	for _, c := range []struct {
 		res Result
 		err error
@@ -27,8 +28,11 @@ func TestRecorderCountsEachJobOnce(t *testing.T) {
 		{Result{Stats: JobStats{QueueWait: 4 * ms}}, errors.New("worker unavailable")},
 		{Result{Stats: JobStats{QueueWait: 6 * ms}}, fmt.Errorf("dispatch: %w", context.Canceled)},
 	} {
-		fut, settle := NewFuture(job, rec)
-		settle(c.res, c.err)
+		fut, err := q.Submit(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		(<-q.Tasks()).Settle(c.res, c.err)
 		if _, err := fut.Wait(context.Background()); !errors.Is(err, c.err) {
 			t.Fatalf("future settled with %v, want %v", err, c.err)
 		}

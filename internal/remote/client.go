@@ -163,35 +163,24 @@ func (in *install) clear() {
 	in.Unlock()
 }
 
-// task is one queued decode awaiting a sender.
-type task struct {
-	job      engine.Job
-	ctx      context.Context
-	settle   func(engine.Result, error)
-	enqueued time.Time
-}
-
 // Shard is the client side of the shard protocol: an engine.Shard whose
-// decode pipeline lives in a `pooledd -worker` process. It is shaped
-// like a miniature engine — a bounded job queue drained by sender
-// goroutines — so admission control, backpressure, and Close semantics
-// match the local shard it stands in for. Safe for concurrent use.
+// decode pipeline lives in a `pooledd -worker` process. Its job queue is
+// a local shard's engine.Queue, drained by sender goroutines instead of
+// decoders, so admission control, backpressure and Close are the local
+// shard's own. Safe for concurrent use.
 type Shard struct {
 	// Cache builds and keeps the designs this client's schemes wrap: the
 	// frontend is their source of truth (it serves design CSVs and
 	// validates jobs against the graph), and the worker receives each
 	// one before its first decode there.
 	*engine.Cache
+	// Queue holds jobs awaiting a sender. Its admit check refuses a
+	// keyless scheme and any job while the worker is unhealthy.
+	*engine.Queue
 
 	opts Options
 	base string
 	hc   *http.Client
-
-	jobs chan *task
-	wg   sync.WaitGroup
-
-	mu     sync.RWMutex // guards closed vs. in-flight submit sends
-	closed bool
 
 	healthy atomic.Bool
 	gauges  atomic.Pointer[healthResponse]
@@ -242,7 +231,6 @@ func New(opts Options) *Shard {
 			MaxIdleConnsPerHost: opts.senders() + 2,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		jobs:      make(chan *task, opts.queueDepth()),
 		bufPool:   sync.Pool{New: func() any { return new(bytes.Buffer) }},
 		installs:  make(map[string]*install),
 		stop:      make(chan struct{}),
@@ -261,10 +249,8 @@ func New(opts Options) *Shard {
 		"Jobs carried by each binary decode frame.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}, "addr").With(opts.Addr)
 	s.healthy.Store(true)
-	for i := 0; i < opts.senders(); i++ {
-		s.wg.Add(1)
-		go s.sender()
-	}
+	s.Queue = engine.NewQueue(opts.queueDepth(), s.rec, s.admit, nil)
+	s.Start(opts.senders(), func(t *engine.Task) { s.process(s.gather(t)) })
 	go s.probeLoop()
 	return s
 }
@@ -294,18 +280,12 @@ func (s *Shard) setHealthy(h bool, cause string) {
 
 // Close stops accepting jobs, lets the senders drain the queue (jobs
 // still settle — against the worker if it is up, with errors if not),
-// and stops the health probe.
+// and then stops the health probe.
 func (s *Shard) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.Queue.Close() {
 		return
 	}
-	s.closed = true
-	close(s.jobs)
-	s.mu.Unlock()
 	close(s.stop)
-	s.wg.Wait()
 	<-s.probeDone
 	s.hc.CloseIdleConnections()
 }
@@ -343,93 +323,31 @@ func (s *Shard) MeasureBatch(sc *engine.Scheme, signals []*bitvec.Vector, nm noi
 	return ys
 }
 
-type submitMode int
-
-const (
-	modeBlock submitMode = iota
-	modeTry
-	modeOffer
-)
-
-// Submit enqueues the job client-side, blocking while the queue is
-// full; a sender ships it to the worker and settles the Future.
-func (s *Shard) Submit(ctx context.Context, job engine.Job) (*engine.Future, error) {
-	return s.submit(ctx, job, modeBlock)
-}
-
-// TrySubmit is Submit with admission control: a full client queue
-// returns ErrSaturated and counts the rejection.
-func (s *Shard) TrySubmit(ctx context.Context, job engine.Job) (*engine.Future, error) {
-	return s.submit(ctx, job, modeTry)
-}
-
-// Offer is TrySubmit without the rejection accounting — the campaign
-// dispatcher's cooperative-backpressure path.
-func (s *Shard) Offer(ctx context.Context, job engine.Job) (*engine.Future, error) {
-	return s.submit(ctx, job, modeOffer)
-}
-
-func (s *Shard) submit(ctx context.Context, job engine.Job, mode submitMode) (*engine.Future, error) {
-	if err := engine.ValidateJob(job); err != nil {
-		return nil, err
-	}
+// admit refuses, before it queues, a job the worker could not be asked
+// to decode: one whose scheme has no key, and any job while the worker
+// is unhealthy — a dead worker fails jobs promptly instead of queueing
+// them toward a timeout, so the dispatcher settles them and campaigns
+// terminate.
+func (s *Shard) admit(job engine.Job) error {
 	if job.Scheme.RouteKey() == "" {
-		return nil, errNoKey
+		return errNoKey
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// A dead worker fails jobs promptly instead of queueing toward a
-	// timeout: the dispatcher settles them and campaigns terminate.
 	if !s.healthy.Load() {
-		return nil, s.unavailableErr(nil)
+		return s.unavailableErr(nil)
 	}
-	fut, settle := engine.NewFuture(job, s.rec)
-	t := &task{job: job, ctx: ctx, settle: settle, enqueued: time.Now()}
-
-	// Same locking discipline as engine.submit: the read lock spans the
-	// send so Close never closes the channel under a sender.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, engine.ErrClosed
-	}
-	if mode != modeBlock {
-		select {
-		case s.jobs <- t:
-			s.rec.Submitted()
-			return fut, nil
-		default:
-			if mode == modeTry {
-				s.rec.Rejected(1)
-			}
-			return nil, engine.ErrSaturated
-		}
-	}
-	select {
-	case s.jobs <- t:
-		s.rec.Submitted()
-		return fut, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return nil
 }
 
 // Saturated reports client-queue fullness or an unhealthy worker — the
 // batch admission signal the frontend turns into 429 + Retry-After.
-func (s *Shard) Saturated() bool {
-	return len(s.jobs) == cap(s.jobs) || !s.healthy.Load()
-}
-
-// NoteRejected records admission rejections decided by a caller.
-func (s *Shard) NoteRejected(n int) { s.rec.Rejected(n) }
+func (s *Shard) Saturated() bool { return s.Queue.Saturated() || !s.healthy.Load() }
 
 // QueueDepth combines jobs waiting client-side with the worker's last
 // reported queue depth.
-func (s *Shard) QueueDepth() int { return len(s.jobs) + s.lastGauges().QueueDepth }
+func (s *Shard) QueueDepth() int { return s.Queue.QueueDepth() + s.lastGauges().QueueDepth }
 
 // QueueCapacity combines the client queue bound with the worker's.
-func (s *Shard) QueueCapacity() int { return cap(s.jobs) + s.lastGauges().QueueCapacity }
+func (s *Shard) QueueCapacity() int { return s.Queue.QueueCapacity() + s.lastGauges().QueueCapacity }
 
 // Workers reports the worker's decode pool size (0 before the first
 // probe).
@@ -463,23 +381,15 @@ func (s *Shard) unavailableErr(cause error) error {
 	return fmt.Errorf("%w: %s", ErrWorkerUnavailable, s.opts.Addr)
 }
 
-// sender drains the client queue until Close, shipping each pickup and
-// the jobs already queued behind it as one frame.
-func (s *Shard) sender() {
-	defer s.wg.Done()
-	for t := range s.jobs {
-		s.process(s.gather(t))
-	}
-}
-
-// gather takes the jobs already queued behind first, up to MaxBatch. It
-// never waits for more: a lone job ships at once, and jobs that queue
-// while the senders' frames are in flight ride the next frames together.
-func (s *Shard) gather(first *task) []*task {
-	batch := []*task{first}
+// gather takes the jobs already queued behind first, up to MaxBatch, so
+// a sender ships its pickup and them as one frame. It never waits for
+// more: a lone job ships at once, and jobs that queue while the senders'
+// frames are in flight ride the next frames together.
+func (s *Shard) gather(first *engine.Task) []*engine.Task {
+	batch := []*engine.Task{first}
 	for len(batch) < s.opts.maxBatch() {
 		select {
-		case t, ok := <-s.jobs:
+		case t, ok := <-s.Tasks():
 			if !ok {
 				return batch
 			}
@@ -507,7 +417,7 @@ func (s *Shard) putBuf(b *bytes.Buffer) { s.bufPool.Put(b) }
 // failing its frame-mates. Jobs still pending when the retry budget runs
 // out settle with ErrWorkerUnavailable, and the worker is marked
 // unhealthy only if the last attempt got no answer.
-func (s *Shard) process(batch []*task) {
+func (s *Shard) process(batch []*engine.Task) {
 	attempts := s.opts.retries() + 1
 	pending := batch
 	var lastErr error
@@ -539,11 +449,11 @@ func (s *Shard) process(batch []*task) {
 
 // settleCanceled settles the tasks whose context has ended and returns
 // the rest.
-func (s *Shard) settleCanceled(tasks []*task) []*task {
+func (s *Shard) settleCanceled(tasks []*engine.Task) []*engine.Task {
 	live := tasks[:0]
 	for _, t := range tasks {
-		if err := t.ctx.Err(); err != nil {
-			t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, err)
+		if err := t.Ctx.Err(); err != nil {
+			t.Settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.Enqueued)}}, err)
 			continue
 		}
 		live = append(live, t)
@@ -552,22 +462,22 @@ func (s *Shard) settleCanceled(tasks []*task) []*task {
 }
 
 // fail settles tasks with an error.
-func (s *Shard) fail(tasks []*task, err error) {
+func (s *Shard) fail(tasks []*engine.Task, err error) {
 	for _, t := range tasks {
-		t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, err)
+		t.Settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.Enqueued)}}, err)
 	}
 }
 
 // frameContext returns a context that ends once every task's context has
 // ended, so a frame is abandoned only when no job in it still wants the
 // answer. release frees the context.
-func frameContext(tasks []*task) (ctx context.Context, release func()) {
+func frameContext(tasks []*engine.Task) (ctx context.Context, release func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var live atomic.Int64
 	live.Store(int64(len(tasks)))
 	stops := make([]func() bool, len(tasks))
 	for i, t := range tasks {
-		stops[i] = context.AfterFunc(t.ctx, func() {
+		stops[i] = context.AfterFunc(t.Ctx, func() {
 			if live.Add(-1) == 0 {
 				cancel()
 			}
@@ -584,14 +494,14 @@ func frameContext(tasks []*task) (ctx context.Context, release func()) {
 // send ships one frame of tasks and settles every OK and terminal
 // result. It returns the tasks to retry, the error that holds them back,
 // and whether the worker answered.
-func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr error, answered bool) {
+func (s *Shard) send(ctx context.Context, tasks []*engine.Task) (retry []*engine.Task, lastErr error, answered bool) {
 	// Install every distinct design once, by its key. A job whose design
 	// does not install waits for the next attempt; its frame-mates ship.
-	ready := make([]*task, 0, len(tasks))
+	ready := make([]*engine.Task, 0, len(tasks))
 	ids := make([]string, 0, len(tasks))
 	installs := make(map[string]error, 1)
 	for _, t := range tasks {
-		st := schemeState{id: t.job.Scheme.RouteKey(), scheme: t.job.Scheme}
+		st := schemeState{id: t.Job.Scheme.RouteKey(), scheme: t.Job.Scheme}
 		err, done := installs[st.id]
 		if !done {
 			err = s.ensure(ctx, &st)
@@ -615,13 +525,13 @@ func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr
 	for i, t := range ready {
 		jobs[i] = batchJob{
 			Scheme: ids[i],
-			Noise:  t.job.Noise.Canon().String(),
-			Trace:  t.job.TraceID,
-			K:      t.job.K,
-			Y:      t.job.Y,
+			Noise:  t.Job.Noise.Canon().String(),
+			Trace:  t.Job.TraceID,
+			K:      t.Job.K,
+			Y:      t.Job.Y,
 		}
-		if t.job.Dec != nil {
-			jobs[i].Decoder = t.job.Dec.Name()
+		if t.Job.Dec != nil {
+			jobs[i].Decoder = t.Job.Dec.Name()
 		}
 	}
 	buf.Write(appendBatchRequest(buf.AvailableBuffer(), jobs))
@@ -653,7 +563,7 @@ func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr
 			s.settleOK(t, r, serializeStart, serialize, reqStart, rep.roundTrip)
 		case batchDecodeErr, batchBadRequest:
 			// A decode or validation failure is deterministic: terminal.
-			s.fail([]*task{t}, fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err))
+			s.fail([]*engine.Task{t}, fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err))
 		case batchNotFound:
 			// The worker restarted or evicted the scheme: re-install and
 			// retry.
@@ -675,8 +585,8 @@ func (s *Shard) send(ctx context.Context, tasks []*task) (retry []*task, lastErr
 // sync needed), and the worker's two stages are laid at the tail of the
 // request window. The "wire" span covers marshal plus round trip; the
 // histogram's "total" stage is its duration.
-func (s *Shard) settleOK(t *task, r *batchResult, serializeStart time.Time, serialize time.Duration, reqStart time.Time, roundTrip time.Duration) {
-	clientWait := serializeStart.Sub(t.enqueued)
+func (s *Shard) settleOK(t *engine.Task, r *batchResult, serializeStart time.Time, serialize time.Duration, reqStart time.Time, roundTrip time.Duration) {
+	clientWait := serializeStart.Sub(t.Enqueued)
 	queue, decode := time.Duration(r.QueueNS), time.Duration(r.DecodeNS)
 	workerStart := reqStart.Add(max(roundTrip-queue-decode, 0))
 	wire := reqStart.Add(roundTrip).Sub(serializeStart)
@@ -690,8 +600,8 @@ func (s *Shard) settleOK(t *task, r *batchResult, serializeStart time.Time, seri
 		{"worker_queue", trace.TierWorker, workerStart, queue},
 		{"worker_decode", trace.TierWorker, workerStart.Add(queue), decode},
 	}
-	tb := t.job.Trace
-	tb.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait)
+	tb := t.Job.Trace
+	tb.Span("shard_queue", trace.TierFrontend, 0, t.Enqueued, clientWait)
 	parent := tb.Span("wire", trace.TierFrontend, 0, serializeStart, wire)
 	s.mStage.With(s.opts.Addr, "total").ObserveDuration(wire)
 	for _, st := range stages {
@@ -704,7 +614,7 @@ func (s *Shard) settleOK(t *task, r *batchResult, serializeStart time.Time, seri
 		// the engine's empty, non-nil slice.
 		support = []int{}
 	}
-	t.settle(engine.Result{
+	t.Settle(engine.Result{
 		Support: support,
 		Decoder: r.Decoder,
 		Stats: engine.JobStats{

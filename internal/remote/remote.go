@@ -26,13 +26,14 @@
 // carried it (engine.Recorder), current the moment the job settles. A
 // worker's own counters are on its /metrics.
 //
-// The client (Shard) is structured like a miniature engine: a bounded
-// client-side job queue plus a pool of sender goroutines over one
-// shared, connection-reusing http.Client. Each sender ships the jobs
-// already queued behind the one it picked up as one frame, so a lone
-// job rides a one-job frame. A full client queue returns ErrSaturated —
-// the same cooperative backpressure a full local queue produces — and
-// every request carries a deadline. Failures are bounded-retry-then-fail:
+// The client (Shard) runs on the engine's own shard queue
+// (engine.Queue): the queue a local shard's decoders drain is drained
+// here by a pool of sender goroutines over one shared,
+// connection-reusing http.Client. Each sender ships the jobs already
+// queued behind the one it picked up as one frame, so a lone job rides
+// a one-job frame. A full client queue returns ErrSaturated — it is a
+// local shard's queue, with its submit modes and rejection accounting —
+// and every request carries a deadline. Failures are bounded-retry-then-fail:
 // a dead worker marks the shard unhealthy (a background probe flips it
 // back), and its jobs settle with an error wrapping ErrWorkerUnavailable,
 // so campaigns terminate with per-job errors instead of wedging.

@@ -19,7 +19,9 @@ import (
 
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/campaign"
+	"pooleddata/internal/decoder"
 	"pooleddata/internal/engine"
+	"pooleddata/internal/graph"
 	"pooleddata/internal/labio"
 	"pooleddata/internal/noise"
 	"pooleddata/internal/pooling"
@@ -379,6 +381,89 @@ func TestClientQueueBackpressure(t *testing.T) {
 		if _, err := fut.Wait(context.Background()); err != nil {
 			t.Fatalf("wait: %v", err)
 		}
+	}
+}
+
+// gateDecoder signals entered when a decode starts and parks until
+// release is closed; it wedges a local shard's only decode worker.
+type gateDecoder struct {
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (gateDecoder) Name() string { return "gate" }
+
+func (d gateDecoder) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
+	d.entered <- struct{}{}
+	<-d.release
+	return bitvec.New(g.N()), nil
+}
+
+// TestAdmissionParity runs one admission script against a local engine
+// and a remote client, each with a depth-1 queue whose only drain
+// goroutine is held by the first job (a decoder, or a worker, that
+// blocks until released): a second job fills the queue, TrySubmit and
+// Offer are refused, and the caller notes two rejections of its own.
+// Both shards count the same submissions and rejections, and both
+// refuse a submit after Close with ErrClosed.
+func TestAdmissionParity(t *testing.T) {
+	script := func(t *testing.T, sh engine.Shard, entered <-chan struct{}, release chan<- struct{}, dec decoder.Decoder) engine.Stats {
+		t.Helper()
+		ctx := context.Background()
+		s, err := sh.Scheme(nil, 200, 80, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := engine.Job{Scheme: s, Y: make([]int64, 80), K: 0}
+		first := job
+		first.Dec = dec
+		fut1, err := sh.Submit(ctx, first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-entered // the only drain goroutine holds the first job
+		fut2, err := sh.Offer(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.TrySubmit(ctx, job); !errors.Is(err, engine.ErrSaturated) {
+			t.Fatalf("TrySubmit on a full queue: err = %v, want ErrSaturated", err)
+		}
+		if _, err := sh.Offer(ctx, job); !errors.Is(err, engine.ErrSaturated) {
+			t.Fatalf("Offer on a full queue: err = %v, want ErrSaturated", err)
+		}
+		sh.NoteRejected(2)
+		close(release)
+		for _, fut := range []*engine.Future{fut1, fut2} {
+			if _, err := fut.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sh.Close()
+		if _, err := sh.Submit(ctx, job); !errors.Is(err, engine.ErrClosed) {
+			t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
+		}
+		return sh.Stats()
+	}
+
+	entered, release := make(chan struct{}, 4), make(chan struct{})
+	local := script(t, engine.New(engine.Config{Workers: 1, QueueDepth: 1}), entered, release, gateDecoder{entered, release})
+
+	entered, release = make(chan struct{}, 4), make(chan struct{})
+	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		<-release
+		answerOK(w, r)
+	})
+	sh := newShard(t, ts, func(o *Options) { o.Senders = 1; o.QueueDepth = 1 })
+	fed := script(t, sh, entered, release, nil)
+
+	if local.JobsSubmitted != 2 || local.JobsRejected != 3 {
+		t.Fatalf("local shard: submitted=%d rejected=%d, want 2/3", local.JobsSubmitted, local.JobsRejected)
+	}
+	if fed.JobsSubmitted != local.JobsSubmitted || fed.JobsRejected != local.JobsRejected {
+		t.Fatalf("remote shard: submitted=%d rejected=%d, want the local shard's %d/%d",
+			fed.JobsSubmitted, fed.JobsRejected, local.JobsSubmitted, local.JobsRejected)
 	}
 }
 
