@@ -323,6 +323,28 @@ func BenchmarkMNDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkRefinedExact measures MN with swap refinement at the home
+// scale on exact counts MN gets wrong (its residual is 630), which the
+// refinement repairs.
+func BenchmarkRefinedExact(b *testing.B) {
+	g, err := pooling.RandomRegular{}.Build(10000, 600, pooling.BuildOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sigma := bitvec.Random(10000, 16, rng.NewRandSeeded(4))
+	y := query.Execute(g, sigma, query.Options{Seed: 3}).Y
+	if est, err := (decoder.Refined{}).Decode(g, y, 16); err != nil || !est.Equal(sigma) {
+		b.Fatalf("refinement did not recover the signal (err %v)", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (decoder.Refined{}).Decode(g, y, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRefinedGaussian measures MN with swap refinement, the
 // service's pick for gaussian counts with σ < 3, at the home scale on
 // σ = 0.5 counts.

@@ -86,8 +86,9 @@
 // registered scheme is written durably before its id is answered (an
 // ad-hoc upload with its design), and a restart — graceful or not —
 // brings the schemes back under their ids and replays the campaigns
-// (docs/durability.md). -designs files are loaded at every boot and
-// are not journaled. -gc-interval runs campaign GC on a
+// (docs/durability.md). -designs files are read at every boot and
+// registered and journaled like uploads of the same CSV, so a file
+// already journaled keeps its id. -gc-interval runs campaign GC on a
 // ticker so an idle server releases finished campaigns (and their event
 // logs) without waiting for the next request. -tenant-max-active and
 // -tenant-max-queued set the per-tenant quotas; -tenant-weights sets
@@ -192,7 +193,7 @@ func main() {
 
 	// The WAL opens before the server exists so registrations and
 	// campaigns journal from the first request; recovery replays later
-	// in boot, after the -designs preloads.
+	// in boot.
 	var journal *wal.WAL
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walFsync)
@@ -214,11 +215,12 @@ func main() {
 	srv.traces = traces
 	srv.instrument(reg, logger)
 	srv.workerOpts = workerOpts
-	// Boot order: the -designs preloads, then the journal — the scheme
-	// registry under its ids, then the campaigns that decode against it.
-	// An interior-corrupt file refuses boot — a torn tail record does not.
-	exitOn(preloadDesigns(cluster, srv, splitList(*designs), os.Stderr))
+	// Boot order: the journaled scheme registry under its ids, then the
+	// -designs preloads (a journaled one answers its id), then the
+	// campaigns that decode against them. An interior-corrupt file
+	// refuses boot — a torn tail record does not.
 	exitOn(replaySchemes(srv, os.Stderr))
+	exitOn(preloadDesigns(srv, splitList(*designs), os.Stderr))
 	exitOn(restoreCampaigns(srv, journal, os.Stderr))
 	httpSrv := &http.Server{
 		Addr:              *addr,

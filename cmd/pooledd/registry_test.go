@@ -19,6 +19,7 @@ import (
 	"pooleddata/internal/engine"
 	"pooleddata/internal/graph"
 	"pooleddata/internal/labio"
+	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
 	"pooleddata/internal/rng"
 	"pooleddata/internal/wal"
@@ -444,46 +445,160 @@ func TestSchemeJournalFailureIs500(t *testing.T) {
 	}
 }
 
-// TestReplayMovesIdHeldByPreload: when the -designs list grew between
-// boots, a preload takes an id the journal holds; the journaled entry
-// moves to a fresh id, with a log line, and its record moves with it.
-func TestReplayMovesIdHeldByPreload(t *testing.T) {
-	dir := t.TempDir()
-	s1 := startWALServer(t, dir, registryCluster)
-	var journaled schemeEntry
-	postJSON(t, s1.ts.URL+"/v1/schemes", schemeRequest{N: 70, M: 30, Seed: 5}, &journaled)
-	want := getDesign(t, s1.ts.URL, journaled.ID)
-	s1.shutdown()
-
-	es, err := s1.cluster.Scheme(nil, 64, 32, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+// writeDesignFile writes g to path as a labio design CSV.
+func writeDesignFile(t testing.TB, path string, g *graph.Bipartite) {
+	t.Helper()
 	var csv bytes.Buffer
-	if err := labio.WriteDesign(&csv, es.G); err != nil {
+	if err := labio.WriteDesign(&csv, g); err != nil {
 		t.Fatal(err)
 	}
-	preload := filepath.Join(t.TempDir(), "standing.csv")
-	if err := os.WriteFile(preload, csv.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPreloadKeepsJournaledId: a -designs preload is journaled like an
+// upload. On the next boot the journal brings it back under its id
+// before the preloads run, so the same file answers that id, and so
+// does an upload of the same CSV, while a newly listed file takes the
+// next id.
+func TestPreloadKeepsJournaledId(t *testing.T) {
+	dir, files := t.TempDir(), t.TempDir()
+	standing, added := filepath.Join(files, "standing.csv"), filepath.Join(files, "added.csv")
+	for i, p := range []string{standing, added} {
+		g, err := pooling.RandomRegular{}.Build(64, 32, pooling.BuildOptions{Seed: uint64(6 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeDesignFile(t, p, g)
+	}
+	s1 := startWALServer(t, dir, registryCluster)
+	s1.restore(t, standing)
+	var spec schemeEntry
+	postJSON(t, s1.ts.URL+"/v1/schemes", schemeRequest{N: 70, M: 30, Seed: 5}, &spec)
+	if spec.ID != "s2" {
+		t.Fatalf("spec after one preload got %q, want s2", spec.ID)
+	}
+	s1.shutdown()
+	if recs := schemeRecords(t, dir); len(recs) != 2 {
+		t.Fatalf("scheme records = %v, want the preload's and the spec's", recs)
 	}
 
 	s2 := startWALServer(t, dir, registryCluster)
 	defer s2.shutdown()
 	var log bytes.Buffer
-	if err := preloadDesigns(s2.cluster, s2.srv, []string{preload}, &log); err != nil {
-		t.Fatal(err)
-	}
 	if err := replaySchemes(s2.srv, &log); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(log.String(), "s1 is held by a preload; restored as s2") {
-		t.Fatalf("id move not logged; log:\n%s", log.String())
+	if err := preloadDesigns(s2.srv, []string{standing, added}, &log); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(getDesign(t, s2.ts.URL, "s2"), want) {
-		t.Fatal("s2 does not hold the journaled design")
+	for _, want := range []string{"preloaded scheme s1 from " + standing, "preloaded scheme s3 from " + added} {
+		if !strings.Contains(log.String(), want) {
+			t.Fatalf("log lacks %q:\n%s", want, log.String())
+		}
 	}
-	if recs := schemeRecords(t, dir); len(recs) != 1 || recs[0] != "s2.scheme" {
-		t.Fatalf("scheme records = %v, want [s2.scheme]", recs)
+	for id, p := range map[string]string{"s1": standing, "s3": added} {
+		want, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(getDesign(t, s2.ts.URL, id), want) {
+			t.Fatalf("%s does not hold %s", id, p)
+		}
+	}
+	ent, _ := s2.srv.lookup("s1")
+	if up := uploadDesign(t, s2.ts.URL, ent.scheme.G); up.ID != "s1" {
+		t.Fatalf("upload of the preloaded CSV got %q, want s1", up.ID)
+	}
+	if recs := schemeRecords(t, dir); len(recs) != 3 {
+		t.Fatalf("scheme records = %v, want s1, s2 and s3", recs)
+	}
+}
+
+// TestPreloadCampaignSurvivesRewrittenFile: a campaign on a -designs
+// preload resumes against the design it ran on, not against what the
+// file holds at the next boot. The server dies with every job wedged,
+// and the file is rewritten with another design of the same n and m
+// before the restart.
+func TestPreloadCampaignSurvivesRewrittenFile(t *testing.T) {
+	dir := t.TempDir()
+	cfg := engine.ClusterConfig{Shards: 1, Shard: engine.Config{CacheCapacity: 4, Workers: 1, QueueDepth: 16}}
+	const n, k, m, batch = 150, 3, 110, 6
+	var designs [2]*graph.Bipartite
+	for i := range designs {
+		g, err := pooling.RandomRegular{}.Build(n, m, pooling.BuildOptions{Seed: uint64(91 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs[i] = g
+	}
+	path := filepath.Join(t.TempDir(), "standing.csv")
+	writeDesignFile(t, path, designs[0])
+	s1 := startWALServer(t, dir, cfg)
+	s1.restore(t, path)
+	ent, ok := s1.srv.lookup("s1")
+	if !ok {
+		t.Fatal("preload not registered as s1")
+	}
+	signals := make([]*bitvec.Vector, batch)
+	ys := make([][]int64, batch)
+	for b := range signals {
+		signals[b] = bitvec.Random(n, k, rng.NewRandSeeded(uint64(700+b)))
+		ys[b] = query.Execute(designs[0], signals[b], query.Options{}).Y
+	}
+	release := make(chan struct{})
+	wedge, err := s1.cluster.Submit(context.Background(), engine.Job{Scheme: ent.scheme, Y: ys[0], K: k, Dec: blockDecoder{release}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for s1.cluster.Shard(0).QueueDepth() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	var created campaignCreated
+	if resp := postJSON(t, s1.ts.URL+"/v1/campaigns", campaignRequest{Scheme: ent.ID, K: k, Batch: ys}, &created); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create campaign: status %d", resp.StatusCode)
+	}
+	s1.ts.Close()
+	s1.srv.campaigns.Close()
+	close(release)
+	wedge.Wait(context.Background())
+	s1.journal.Close()
+	s1.cluster.Close()
+
+	writeDesignFile(t, path, designs[1])
+	s2 := startWALServer(t, dir, cfg)
+	defer s2.shutdown()
+	s2.restore(t, path)
+	p := pollDone(t, s2.ts.URL, created.ID, 15*time.Second)
+	if p.State != campaign.Done || p.Completed != batch {
+		t.Fatalf("recovered preload campaign = %+v", p)
+	}
+	for i, res := range p.Results {
+		if !bitvec.FromIndices(n, res.Support).Equal(signals[i]) {
+			t.Fatalf("job %d: support %v is not its planted signal", i, res.Support)
+		}
+	}
+}
+
+// TestKeylessPreloadRefFails: a campaign journaled on a preload before
+// preloads were journaled carries a ref of only the file, n and m. It
+// resolves to nothing, not to what the file holds now, even with that
+// file preloaded, and its error names the ref.
+func TestKeylessPreloadRefFails(t *testing.T) {
+	_, srv, _ := newTestServerWith(t, registryCluster)
+	path := filepath.Join(t.TempDir(), "standing.csv")
+	g, err := pooling.RandomRegular{}.Build(64, 32, pooling.BuildOptions{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeDesignFile(t, path, g)
+	if err := preloadDesigns(srv, []string{path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	ref := fmt.Sprintf(`{"design":%q,"n":64,"m":32}`, "file:"+path)
+	if _, err := srv.resolveSchemeRef(ref); err == nil || !strings.Contains(err.Error(), "file:"+path) {
+		t.Fatalf("keyless preload ref resolved: err %v", err)
 	}
 }

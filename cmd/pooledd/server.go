@@ -222,13 +222,12 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "parse design csv: %v", err)
 			return
 		}
-		key := engine.GraphKey(g)
-		if ent, ok := s.registered(key); ok {
-			writeJSON(w, http.StatusCreated, s.placed(ent))
+		ent, err := s.registerGraph(g, "uploaded")
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "journal scheme: %v", err)
 			return
 		}
-		es := s.cluster.SchemeFromGraph(g, key)
-		s.writeRegistered(w, es, walSchemeRef{Design: "uploaded", N: g.N(), M: g.M(), AdHoc: true})
+		writeJSON(w, http.StatusCreated, s.placed(ent))
 		return
 	}
 	var req schemeRequest
@@ -326,6 +325,13 @@ func (s *server) register(es *engine.Scheme, ref walSchemeRef) (*schemeEntry, er
 	}
 	s.insert(ent)
 	return ent, nil
+}
+
+// registerGraph registers an ad-hoc design, an upload or a -designs
+// preload, under its GraphKey; design names it in the entry's ref.
+func (s *server) registerGraph(g *graph.Bipartite, design string) (*schemeEntry, error) {
+	key := engine.GraphKey(g)
+	return s.register(s.cluster.SchemeFromGraph(g, key), walSchemeRef{Design: design, N: g.N(), M: g.M(), AdHoc: true})
 }
 
 // newEntry builds the registry entry id for scheme es, described by ref.

@@ -6,25 +6,25 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"pooleddata/internal/engine"
 	"pooleddata/internal/graph"
 	"pooleddata/internal/labio"
+	"pooleddata/internal/pooling"
 	"pooleddata/internal/wal"
 )
 
-// Persistence and boot. The WAL journals every registry entry but a
-// -designs preload as a scheme record: its id, its scheme ref (the JSON
-// below), and an ad-hoc upload's design in its binary form. Campaigns
-// journal the same ref. At boot preloadDesigns runs first, then
-// replaySchemes, then restoreCampaigns, which resolves each campaign's
-// ref through the registry or rebuilds a parametric design from the
-// ref. A ref that resolves to nothing fails the campaign's remaining
-// jobs, never boot.
+// Persistence and boot. The WAL journals every registry entry as a
+// scheme record: its id, its scheme ref (the JSON below), and an ad-hoc
+// design's binary form (an upload's or a -designs preload's). Campaigns
+// journal the same ref. At boot replaySchemes runs first, then
+// preloadDesigns, then restoreCampaigns, which resolves each campaign's
+// ref by its key through the registry or rebuilds a parametric design
+// from the ref. A ref that resolves to nothing fails the campaign's
+// remaining jobs, never boot.
 
-// walSchemeRef is the journaled scheme description. Ad-hoc uploads are
-// named by Key, their design's engine.GraphKey.
+// walSchemeRef is the journaled scheme description. Ad-hoc designs are
+// named by Key, their engine.GraphKey.
 type walSchemeRef struct {
 	Design string  `json:"design"`
 	N      int     `json:"n"`
@@ -53,10 +53,9 @@ func (e *schemeEntry) refJSON() string {
 	return string(buf)
 }
 
-// journalScheme writes ent's scheme record. Preloads are not journaled:
-// their -designs file brings them back.
+// journalScheme writes ent's scheme record.
 func (s *server) journalScheme(ent *schemeEntry) error {
-	if s.journal == nil || strings.HasPrefix(ent.Design, "file:") {
+	if s.journal == nil {
 		return nil
 	}
 	rec := wal.SchemeRecord{ID: ent.ID, Ref: ent.refJSON()}
@@ -75,36 +74,42 @@ func parseSchemeRef(refJSON string) (walSchemeRef, error) {
 	return ref, err
 }
 
+// refDesign is a parametric ref's design.
+func refDesign(ref walSchemeRef) (pooling.Design, error) {
+	return engine.DesignByName(ref.Design, engine.DesignParams{Gamma: ref.Gamma, P: ref.P, D: ref.D})
+}
+
 // buildRef rebuilds a parametric ref's scheme into its shard's cache:
 // seeded builds are deterministic, so the same (design, n, m, seed)
 // reproduces the pre-crash scheme bit for bit.
 func (s *server) buildRef(ref walSchemeRef) (*engine.Scheme, error) {
-	des, err := engine.DesignByName(ref.Design, engine.DesignParams{Gamma: ref.Gamma, P: ref.P, D: ref.D})
+	des, err := refDesign(ref)
 	if err != nil {
 		return nil, err
 	}
 	return s.cluster.Scheme(des, ref.N, ref.M, ref.Seed)
 }
 
-// resolveSchemeRef maps a journaled ref back to a live scheme.
+// resolveSchemeRef maps a journaled ref back to a live scheme: the
+// registry entry under the ref's key (an ad-hoc design's GraphKey, a
+// parametric design's spec key), or else a parametric design rebuilt
+// from the ref.
 func (s *server) resolveSchemeRef(refJSON string) (*engine.Scheme, error) {
 	ref, err := parseSchemeRef(refJSON)
 	if err != nil {
 		return nil, err
 	}
-	// Registry scan first: it holds replayed scheme records, -designs
-	// preloads, and anything already rebuilt this boot. An ad-hoc ref
-	// matches only the design its key names.
-	s.mu.Lock()
-	for _, id := range s.order {
-		ent := s.schemes[id]
-		if ent.ref() == ref {
-			es := ent.scheme
-			s.mu.Unlock()
-			return es, nil
+	key := ref.Key
+	if !ref.AdHoc {
+		des, err := refDesign(ref)
+		if err != nil {
+			return nil, fmt.Errorf("rebuild scheme from ref %q: %v", refJSON, err)
 		}
+		key = engine.SpecFor(des, ref.N, ref.M, ref.Seed).Key()
 	}
-	s.mu.Unlock()
+	if ent, ok := s.registered(key); ok {
+		return ent.scheme, nil
+	}
 	if ref.AdHoc {
 		return nil, fmt.Errorf("ad-hoc design %s (n=%d m=%d) is gone from the registry", ref.Key, ref.N, ref.M)
 	}
@@ -120,14 +125,13 @@ func (s *server) resolveSchemeRef(refJSON string) (*engine.Scheme, error) {
 	return es, nil
 }
 
-// preloadDesigns warm-starts the cluster's scheme caches from labio
-// design CSV files — a lab's standing designs, passed via the -designs
-// flag — so the first request after boot is a cache hit, not a build.
-// Each file is installed on its owning shard under the spec
-// {Design: "file:<cleaned path>", N, M} (the full path, so two labs'
-// identically-named design files never collide), registered under a
-// scheme id, and logged as one line to logw.
-func preloadDesigns(cluster *engine.Cluster, srv *server, paths []string, logw io.Writer) error {
+// preloadDesigns registers labio design CSV files — a lab's standing
+// designs, passed via the -designs flag — exactly as uploads of the
+// same CSV: keyed by content, journaled with their design, and answered
+// by the entry that already holds their key (a journaled id from an
+// earlier boot, or an upload). The ref names the design
+// "file:<cleaned path>". Each file logs one line to logw.
+func preloadDesigns(srv *server, paths []string, logw io.Writer) error {
 	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
@@ -138,25 +142,22 @@ func preloadDesigns(cluster *engine.Cluster, srv *server, paths []string, logw i
 		if err != nil {
 			return fmt.Errorf("preload %s: %w", p, err)
 		}
-		spec := engine.Spec{Design: "file:" + filepath.Clean(p), N: g.N(), M: g.M()}
-		es := cluster.InstallScheme(spec, g)
-		ent, err := srv.register(es, walSchemeRef{Design: spec.Design, N: g.N(), M: g.M()})
+		ent, err := srv.registerGraph(g, "file:"+filepath.Clean(p))
 		if err != nil {
 			return fmt.Errorf("preload %s: %w", p, err)
 		}
 		fmt.Fprintf(logw, "pooledd: preloaded scheme %s from %s (n=%d m=%d shard=%d)\n",
-			ent.ID, p, g.N(), g.M(), es.Home())
+			ent.ID, p, g.N(), g.M(), srv.placed(ent).Shard)
 	}
 	return nil
 }
 
-// replaySchemes brings the journaled registry back at boot, between the
+// replaySchemes brings the journaled registry back at boot, before the
 // -designs preloads and restoreCampaigns: in id order, under the
 // journaled ids, parametric schemes rebuilt into the shard caches and
 // ad-hoc designs parsed from their binary form. The id counter resumes
-// past the largest journaled id. An id a preload holds (the -designs
-// list grew between boots) moves to a fresh id. A parametric record
-// whose design no longer builds is logged and skipped. A corrupt record
+// past the largest journaled id. A parametric record whose design no
+// longer builds is logged and skipped. A corrupt record
 // refuses boot, and so does an ad-hoc design graph.ParseBinary refuses
 // (one journaled in version 1, say): the record passed its checksum, so
 // skipping it would drop the upload for good.
@@ -191,15 +192,6 @@ func replaySchemes(srv *server, logw io.Writer) error {
 			continue
 		}
 		ent := newEntry(rec.ID, es, ref)
-		if _, taken := srv.lookup(rec.ID); taken {
-			srv.nextID++
-			ent.ID = fmt.Sprintf("s%d", srv.nextID)
-			if err := srv.journalScheme(ent); err != nil {
-				return err
-			}
-			srv.journal.RemoveScheme(rec.ID)
-			fmt.Fprintf(logw, "pooledd: wal scheme id %s is held by a preload; restored as %s\n", rec.ID, ent.ID)
-		}
 		srv.insert(ent)
 		fmt.Fprintf(logw, "pooledd: wal restored scheme %s (%s n=%d m=%d shard=%d)\n",
 			ent.ID, ent.Design, ent.N, ent.M, srv.placed(ent).Shard)

@@ -51,12 +51,15 @@ func (s *walServer) shutdown() {
 	s.cluster.Close()
 }
 
-// restore replays the WAL into a freshly booted server, as main() does
-// after the -designs preloads: the scheme records, then the campaigns.
-func (s *walServer) restore(t testing.TB) {
+// restore boots a fresh server from the WAL as main() does: the scheme
+// records, then the -designs preloads, then the campaigns.
+func (s *walServer) restore(t testing.TB, preloads ...string) {
 	t.Helper()
 	if err := replaySchemes(s.srv, testWriter{t}); err != nil {
 		t.Fatalf("replay schemes: %v", err)
+	}
+	if err := preloadDesigns(s.srv, preloads, testWriter{t}); err != nil {
+		t.Fatalf("preload: %v", err)
 	}
 	if err := restoreCampaigns(s.srv, s.journal, testWriter{t}); err != nil {
 		t.Fatalf("restore: %v", err)

@@ -12,7 +12,8 @@
 //     pursuit family of §I.B.
 //   - BP: a Gaussian-approximation belief propagation decoder standing in
 //     for the AMP/graph-code family (Alaoui et al., Karimi et al.).
-//   - Refined: MN followed by local swap refinement against the residual.
+//   - Refined: MN, then best single swaps guided by MN's Ψ re-run over
+//     the residual, while the L1 misfit falls.
 //
 // All decoders see only (G, y, k) — never the ground truth.
 package decoder
@@ -25,7 +26,6 @@ import (
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/graph"
 	"pooleddata/internal/mn"
-	"pooleddata/internal/parsort"
 	"pooleddata/internal/query"
 )
 
@@ -250,47 +250,39 @@ func (Greedy) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, erro
 	return est, nil
 }
 
-// Refined runs MN and then hill-climbs with single swaps (drop a selected
-// entry, add an unselected one) as long as the L1 residual strictly
-// decreases. Swap candidates are limited to the highest-scoring
-// non-selected entries to keep each pass near-linear.
-type Refined struct {
-	// MaxPasses bounds the number of full swap sweeps; 0 means 8.
-	MaxPasses int
-	// CandidatePool is the number of top non-selected entries considered
-	// for insertion; 0 means 4k (at least 32).
-	CandidatePool int
-}
+// Refined runs MN and then repairs its answer one swap at a time. Each
+// step re-runs MN's own Ψ kernel over the residual y − ŷ: an entry
+// missing from the estimate sits in the queries whose counts the
+// estimate undershoots, so it has a high residual Ψ. The step scores
+// swapping every support entry for each of the refineCandidates
+// non-support entries with the highest residual Ψ and commits the swap
+// that lowers the L1 misfit most. It stops when no swap lowers it. A
+// consistent MN answer is returned untouched.
+type Refined struct{}
+
+const (
+	// refineCandidates is the number of non-support entries, by residual
+	// Ψ, that each step tries to swap in.
+	refineCandidates = 4
+	// refineSwapsPerEntry bounds a decode to this many swaps per support
+	// entry, so hostile counts cannot keep it busy.
+	refineSwapsPerEntry = 8
+)
 
 // Name implements Decoder.
 func (Refined) Name() string { return "mn-refined" }
 
 // Decode implements Decoder.
-func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
+func (Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, error) {
 	if err := validate(g, y, k); err != nil {
 		return nil, err
 	}
-	res := mn.Reconstruct(g, y, k, mn.Options{KeepScores: true})
-	est := res.Estimate
+	est := mn.Reconstruct(g, y, k, mn.Options{}).Estimate
 	if k == 0 || k == g.N() {
 		return est, nil
 	}
-	pool := d.CandidatePool
-	if pool <= 0 {
-		pool = 4 * k
-		if pool < 32 {
-			pool = 32
-		}
-	}
-	passes := d.MaxPasses
-	if passes <= 0 {
-		passes = 8
-	}
-
-	// Per-query predicted responses for the current estimate, kept up to
-	// date across swaps.
 	pred := Predict(g, est)
-	misfit := int64(0)
+	var misfit int64
 	for j := range y {
 		misfit += abs64(y[j] - pred[j])
 	}
@@ -298,94 +290,79 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 		return est, nil
 	}
 
-	// Candidate insertions: best-scoring zeros. Candidate removals: all
-	// current ones (k of them). At most k of the top k+pool scores are
-	// selected entries, so that prefix always yields pool candidates —
-	// no need to rank all n scores.
-	top := k + pool
-	if top > g.N() {
-		top = g.N()
-	}
-	order := parsort.TopKDesc(res.Scores, top)
-	candIn := make([]int, 0, pool)
-	for _, i := range order {
-		if !est.Get(int(i)) {
-			candIn = append(candIn, int(i))
-			if len(candIn) == pool {
-				break
-			}
-		}
-	}
-	// Each candidate's row is read once per decode, not once per
-	// (removal, candidate) pair; a removed entry that becomes a candidate
-	// brings its row along.
-	candQs := make([][]int32, len(candIn))
-	candMu := make([][]uint8, len(candIn))
-	for ci, in := range candIn {
-		candQs[ci], candMu[ci] = g.Row(in, nil)
-	}
-
 	// outAdj[j] is the multiplicity of the current removal candidate in
 	// query j and outMask its packed membership over queries, both filled
-	// (and cleared) once per candidate so each swapDelta is O(deg(in))
-	// instead of O(deg(out) + deg(in)): the removal half of the delta is
-	// identical for every insertion candidate and hoisted out of the
-	// candidate loop, and the insertion half tests "does out touch query
-	// j" with one word-indexed bit instead of a dense int64 load.
+	// (and cleared) once per support entry, so the removal half of a
+	// swap's delta is computed once and each insertion half is
+	// O(deg(in)).
+	resid := make([]int64, g.M())
+	psi := make([]int64, g.N())
 	outAdj := make([]int64, g.M())
 	outMask := bitvec.New(g.M())
+	var cand [refineCandidates]int
+	var candQs [refineCandidates][]int32
+	var candMu [refineCandidates][]uint8
 	var outScratch []int32
-	for pass := 0; pass < passes && misfit > 0; pass++ {
-		improved := false
-		ones := est.Support()
-		for _, out := range ones {
+	for swaps := 0; misfit > 0 && swaps < refineSwapsPerEntry*k; swaps++ {
+		for j := range y {
+			resid[j] = y[j] - pred[j]
+		}
+		g.Psi(resid, psi, 1)
+		nc := topOutside(psi, est, cand[:])
+		for c := range nc {
+			candQs[c], candMu[c] = g.Row(cand[c], candQs[c])
+		}
+		bestOut, bestIn, best := -1, -1, int64(0)
+		for _, out := range est.Support() {
 			qsOut, muOut := g.Row(out, outScratch)
 			outScratch = qsOut
 			var removeDelta int64
 			for p, j := range qsOut {
 				outAdj[j] = int64(muOut[p])
 				outMask.Set(int(j))
-				before := abs64(y[j] - pred[j])
-				after := abs64(y[j] - (pred[j] - int64(muOut[p])))
-				removeDelta += after - before
+				removeDelta += abs64(resid[j]+int64(muOut[p])) - abs64(resid[j])
 			}
-			for ci, in := range candIn {
-				if in < 0 || est.Get(in) {
-					continue
-				}
-				delta := removeDelta + insertDelta(y, pred, outAdj, outMask.Words(), candQs[ci], candMu[ci])
-				if delta < 0 {
-					// Commit the swap.
-					for p, j := range qsOut {
-						pred[j] -= int64(muOut[p])
-					}
-					for p, j := range candQs[ci] {
-						pred[j] += int64(candMu[ci][p])
-					}
-					est.Clear(out)
-					est.Set(in)
-					// The removed entry becomes a candidate.
-					candIn[ci] = out
-					candQs[ci] = append(candQs[ci][:0], qsOut...)
-					candMu[ci] = muOut
-					misfit += delta
-					improved = true
-					break
+			for c := range nc {
+				if delta := removeDelta + insertDelta(y, pred, outAdj, outMask.Words(), candQs[c], candMu[c]); delta < best {
+					bestOut, bestIn, best = out, cand[c], delta
 				}
 			}
 			for _, j := range qsOut {
 				outAdj[j] = 0
 				outMask.Clear(int(j))
 			}
-			if misfit == 0 {
-				break
-			}
 		}
-		if !improved {
+		if bestOut < 0 {
 			break
 		}
+		g.AddRow(bestOut, pred, -1)
+		g.AddRow(bestIn, pred, 1)
+		est.Clear(bestOut)
+		est.Set(bestIn)
+		misfit += best
 	}
 	return est, nil
+}
+
+// topOutside fills dst with the entries outside est that have the
+// highest scores, highest first and the lower index first on ties, and
+// returns how many it found.
+func topOutside(scores []int64, est *bitvec.Vector, dst []int) int {
+	nc := 0
+	for i, s := range scores {
+		if est.Get(i) || (nc == len(dst) && s <= scores[dst[nc-1]]) {
+			continue
+		}
+		if nc < len(dst) {
+			nc++
+		}
+		at := nc - 1
+		for ; at > 0 && s > scores[dst[at-1]]; at-- {
+			dst[at] = dst[at-1]
+		}
+		dst[at] = i
+	}
+	return nc
 }
 
 // insertDelta returns the change in L1 misfit contributed by adding the

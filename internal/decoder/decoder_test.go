@@ -240,6 +240,71 @@ func TestRefinedNeverWorseThanMN(t *testing.T) {
 	}
 }
 
+// TestRefinedHardInstances decodes 40 seeded signals below MN's
+// threshold (n = 1500, m = 130, k = 8), with exact counts and at
+// σ = 0.5: refinement returns the planted signal on every one.
+func TestRefinedHardInstances(t *testing.T) {
+	const n, m, k = 1500, 130, 8
+	g, err := pooling.RandomRegular{}.Build(n, m, pooling.BuildOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oracle := range []query.Oracle{nil, query.Noisy{Sigma: 0.5}} {
+		missed := 0
+		for i := uint64(0); i < 40; i++ {
+			sigma := bitvec.Random(n, k, rng.NewRandSeeded(300+i))
+			y := query.Execute(g, sigma, query.Options{Oracle: oracle, Seed: 900 + i}).Y
+			est, err := (Refined{}).Decode(g, y, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !est.Equal(sigma) {
+				missed++
+			}
+		}
+		if missed > 0 {
+			t.Errorf("oracle %v: refinement missed %d of 40 planted signals", oracle, missed)
+		}
+	}
+}
+
+// TestRefinedKeepsConsistentMN checks, on exact counts, that refinement
+// returns MN's support whenever MN's answer reproduces every count. The
+// random-regular designs store their queries as bits, the
+// constant-column ones as indices.
+func TestRefinedKeepsConsistentMN(t *testing.T) {
+	const n, k = 1500, 8
+	consistent := 0
+	for _, design := range []pooling.Design{pooling.RandomRegular{}, pooling.ConstantColumn{D: 4}, pooling.ConstantColumn{D: 10}} {
+		for _, m := range []int{230, 400} {
+			g, err := design.Build(n, m, pooling.BuildOptions{Seed: uint64(m)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 15; i++ {
+				sigma := bitvec.Random(n, k, rng.NewRandSeeded(i))
+				y := query.Execute(g, sigma, query.Options{Seed: i}).Y
+				mnEst, _ := (MN{}).Decode(g, y, k)
+				if !Consistent(g, mnEst, y) {
+					continue
+				}
+				consistent++
+				est, err := (Refined{}).Decode(g, y, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !est.Equal(mnEst) {
+					t.Fatalf("%s m=%d signal %d: refinement moved consistent MN support %v to %v",
+						design.Name(), m, i, mnEst.Support(), est.Support())
+				}
+			}
+		}
+	}
+	if consistent < 40 {
+		t.Fatalf("only %d consistent MN answers; the check needs more", consistent)
+	}
+}
+
 func TestBPZeroK(t *testing.T) {
 	g, _, y := instance(t, 50, 0, 10, 12)
 	est, err := (BP{}).Decode(g, y, 0)

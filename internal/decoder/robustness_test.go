@@ -68,7 +68,7 @@ func TestExhaustiveCleanErrorOnGarbage(t *testing.T) {
 // TestDecodersQuickRandomY is a property sweep: random instances, random
 // (possibly infeasible) y, all decoders stay total functions.
 func TestDecodersQuickRandomY(t *testing.T) {
-	decs := []Decoder{MN{}, Greedy{}, BP{Iterations: 5}, Refined{MaxPasses: 2}}
+	decs := []Decoder{MN{}, Greedy{}, BP{Iterations: 5}, Refined{}}
 	f := func(seed uint64) bool {
 		r := rng.NewRandSeeded(seed)
 		n := 20 + r.Intn(150)

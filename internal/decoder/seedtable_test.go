@@ -126,7 +126,11 @@ func TestDecoderSeedTable(t *testing.T) {
 }
 
 // seedTable was recorded before the graph learned to store dense designs
-// as bits. Never edit it to make a change pass.
+// as bits. Never edit it to make a change pass. A row may change only
+// when its decoder's algorithm changes, and then only to a support with
+// a strictly lower residual: five mn-refined rows moved that way, each
+// to its planted signal, when refinement began to re-run Ψ on the
+// residual.
 var seedTable = map[string][]int{
 	"mn/rr/seed1":                       {118, 132, 136, 201, 259, 745, 761, 940},
 	"mn-refined/rr/seed1":               {118, 132, 136, 201, 259, 745, 761, 940},
@@ -136,7 +140,7 @@ var seedTable = map[string][]int{
 	"mn/rr-gauss/seed1":                 {118, 132, 136, 201, 259, 434, 745, 761},
 	"mn/rr-hard-gauss/seed1":            {101, 118, 132, 136, 201, 259, 745, 761},
 	"mn-refined/rr-gauss/seed1":         {118, 132, 136, 201, 259, 745, 761, 940},
-	"mn-refined/rr-hard-gauss/seed1":    {118, 132, 136, 201, 259, 434, 745, 761},
+	"mn-refined/rr-hard-gauss/seed1":    {118, 132, 136, 201, 259, 745, 761, 940},
 	"greedy-omp/rr-gauss/seed1":         {118, 132, 136, 201, 259, 745, 761, 940},
 	"greedy-omp/rr-hard-gauss/seed1":    {118, 132, 136, 201, 259, 745, 761, 940},
 	"mn/rr-hard/seed1":                  {101, 118, 132, 136, 201, 259, 745, 761},
@@ -145,7 +149,7 @@ var seedTable = map[string][]int{
 	"mn/column-sparse/seed1":            {33, 118, 132, 134, 201, 259, 761, 940},
 	"mn-refined/rr-hard/seed1":          {118, 132, 136, 201, 259, 745, 761, 940},
 	"mn-refined/rr-small-m/seed1":       {26, 27, 40, 149},
-	"mn-refined/bernoulli-sparse/seed1": {25, 188, 436, 813, 923, 1129, 1173, 1326},
+	"mn-refined/bernoulli-sparse/seed1": {118, 132, 136, 201, 259, 745, 761, 940},
 	"mn-refined/column-sparse/seed1":    {118, 132, 136, 201, 259, 745, 761, 940},
 	"bp/rr-hard/seed1":                  {118, 132, 136, 201, 259, 694, 745, 761},
 	"bp/rr-small-m/seed1":               {26, 27, 40, 149},
@@ -171,16 +175,16 @@ var seedTable = map[string][]int{
 	"mn/rr-gauss/seed2":                 {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
 	"mn/rr-hard-gauss/seed2":            {69, 158, 826, 1287, 1394, 1477, 1483, 1493},
 	"mn-refined/rr-gauss/seed2":         {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
-	"mn-refined/rr-hard-gauss/seed2":    {69, 158, 499, 826, 1287, 1394, 1477, 1493},
+	"mn-refined/rr-hard-gauss/seed2":    {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
 	"greedy-omp/rr-gauss/seed2":         {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
 	"greedy-omp/rr-hard-gauss/seed2":    {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
 	"mn/rr-hard/seed2":                  {69, 158, 826, 1287, 1394, 1477, 1483, 1493},
 	"mn/rr-small-m/seed2":               {13, 31, 266, 298},
 	"mn/bernoulli-sparse/seed2":         {77, 187, 335, 366, 406, 414, 514, 649},
 	"mn/column-sparse/seed2":            {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
-	"mn-refined/rr-hard/seed2":          {69, 158, 499, 826, 1287, 1394, 1477, 1493},
+	"mn-refined/rr-hard/seed2":          {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
 	"mn-refined/rr-small-m/seed2":       {13, 31, 297, 298},
-	"mn-refined/bernoulli-sparse/seed2": {10, 108, 142, 154, 350, 701, 996, 1474},
+	"mn-refined/bernoulli-sparse/seed2": {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
 	"mn-refined/column-sparse/seed2":    {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
 	"bp/rr-hard/seed2":                  {69, 158, 826, 1287, 1394, 1477, 1487, 1493},
 	"bp/rr-small-m/seed2":               {13, 31, 297, 298},

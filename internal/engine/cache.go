@@ -235,26 +235,6 @@ func (c *Cache) get(spec Spec, build func() (*graph.Bipartite, error)) (*Scheme,
 	return ent.scheme, ent.err
 }
 
-// InstallScheme inserts a prebuilt design under spec as a completed
-// entry, replacing any existing entry for that spec (in-flight builds
-// keep serving their waiters; the map simply points at the new entry) —
-// the warm-start path for labio design files loaded at boot, so no build
-// counters move. The installed scheme is an ordinary cache entry
-// afterwards: hits, LRU order, and eviction all apply.
-func (c *Cache) InstallScheme(spec Spec, g *graph.Bipartite) *Scheme {
-	ent := &cacheEntry{spec: spec, ready: make(chan struct{}), scheme: &Scheme{Spec: spec, G: g, home: int(c.home.Load()), key: spec.Key()}}
-	close(ent.ready)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.bys[spec]; ok {
-		c.lru.Remove(el)
-		delete(c.bys, spec)
-	}
-	c.bys[spec] = c.lru.PushFront(ent)
-	c.evictLocked()
-	return ent.scheme
-}
-
 // evictLocked trims the cache to capacity, oldest first, skipping entries
 // whose build is still in flight (their waiters hold the entry anyway, so
 // evicting them would only duplicate work).

@@ -32,9 +32,6 @@ type Shard interface {
 	// CSV) as a scheme owned by this shard, routed by key: the content
 	// hash (GraphKey) the cluster placed it by, or a worker's install id.
 	SchemeFromGraph(g *graph.Bipartite, key string) *Scheme
-	// InstallScheme installs a prebuilt design under spec — the
-	// warm-start path for design files loaded at boot.
-	InstallScheme(spec Spec, g *graph.Bipartite) *Scheme
 
 	// Submit enqueues a decode job, blocking while the queue is full.
 	// TrySubmit and Offer are its admission-controlled forms: a full
@@ -402,13 +399,6 @@ func (c *Cluster) Scheme(des pooling.Design, n, m int, seed uint64) (*Scheme, er
 func (c *Cluster) SchemeFromGraph(g *graph.Bipartite, key string) *Scheme {
 	v := c.cur.Load()
 	return v.members[v.lookup(key)].sh.SchemeFromGraph(g, key)
-}
-
-// InstallScheme warm-starts the owning shard's cache with a prebuilt
-// design under spec (the -designs boot path of pooledd).
-func (c *Cluster) InstallScheme(spec Spec, g *graph.Bipartite) *Scheme {
-	v := c.cur.Load()
-	return v.members[v.lookup(spec.Key())].sh.InstallScheme(spec, g)
 }
 
 // Submit enqueues the job on its scheme's owning shard.

@@ -217,36 +217,6 @@ func TestClusterSchemeFromGraphContentHashPlacement(t *testing.T) {
 	}
 }
 
-func TestClusterInstallScheme(t *testing.T) {
-	c := NewCluster(ClusterConfig{Shards: 2, Shard: Config{Workers: 1}})
-	defer c.Close()
-	const n, k, m = 120, 3, 90
-	g, err := pooling.RandomRegular{}.Build(n, m, pooling.BuildOptions{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{Design: "file:standing.csv", N: n, M: m}
-	s := c.InstallScheme(spec, g)
-	if s.Home() != c.ShardOf(spec) {
-		t.Fatalf("installed scheme home %d, ShardOf says %d", s.Home(), c.ShardOf(spec))
-	}
-	if got := c.Shard(s.Home()).CachedSchemes(); got != 1 {
-		t.Fatalf("owning shard caches %d schemes, want 1", got)
-	}
-	sigma := bitvecRandom(t, n, k, 17)
-	y := query.Execute(g, sigma, query.Options{}).Y
-	res, err := c.Decode(context.Background(), Job{Scheme: s, Y: y, K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Estimate.Equal(sigma) {
-		t.Fatal("decode on installed scheme failed")
-	}
-	if st := c.Stats().Total; st.SchemesBuilt != 0 {
-		t.Fatalf("install counted as a build: %+v", st)
-	}
-}
-
 func TestTrySubmitSaturated(t *testing.T) {
 	e := New(Config{Workers: 1, QueueDepth: 1})
 	defer e.Close()

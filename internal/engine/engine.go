@@ -171,8 +171,8 @@ func mergeHistMap(dst *map[string]LatencyHistogram, src map[string]LatencyHistog
 // pipeline. Create one with New and release its workers with Close. Safe
 // for concurrent use.
 type Engine struct {
-	// Cache is the engine's scheme cache; its Scheme, SchemeFromGraph,
-	// InstallScheme and SetHome are the engine's.
+	// Cache is the engine's scheme cache; its Scheme, SchemeFromGraph
+	// and SetHome are the engine's.
 	*Cache
 
 	// Queue is the engine's decode queue, drained by its decode

@@ -25,15 +25,17 @@ type Selector func(Model, SchemeParams) decoder.Decoder
 // value is the default policy:
 //
 //	exact        → the paper's MN-Algorithm
-//	gaussian σ   → MN with residual-decreasing swap refinement for small
-//	               σ; at σ ≥ SigmaLP the box-constrained LP relaxation,
+//	gaussian σ   → MN with swap refinement (mn-refined) for small σ;
+//	               at σ ≥ SigmaLP the box-constrained LP relaxation,
 //	               whose least-squares objective matches the Gaussian
 //	               likelihood (judged with the model's residual slack)
 //	threshold T  → the threshold-GT scoring decoder (COMP-style for T=1)
 //
 // The crossover exists because swap refinement repairs a handful of
-// noise-flipped ranks cheaply, while at large σ the MN score ordering
-// itself degrades and the relaxation's global objective wins.
+// noise-flipped ranks cheaply: each step re-runs MN's Ψ over the
+// residual and commits the one swap among the entries it points at that
+// lowers the L1 misfit most. At large σ the MN score ordering itself
+// degrades and the relaxation's global objective wins.
 type Policy struct {
 	// SigmaLP is the Gaussian σ at or above which the policy prefers the
 	// LP relaxation over swap-refined MN; 0 means 3.

@@ -132,16 +132,6 @@ func TopK(scores []float64, k int) []int32 {
 	return out
 }
 
-// TopKDesc returns the indices of the k largest scores in rank order —
-// score descending, ties by ascending index — i.e. the first k entries
-// SortDesc would produce, in expected O(n + k log k) instead of a full
-// sort. It panics if k is out of [0, len(scores)].
-func TopKDesc(scores []float64, k int) []int32 {
-	out := TopK(scores, k)
-	sort.Slice(out, func(a, b int) bool { return less(scores, out[a], out[b]) })
-	return out
-}
-
 // quickselect rearranges idx so that the k smallest elements under the
 // (score desc, index asc) order occupy idx[:k]. Median-of-three pivoting,
 // iterative; falls back to a full sort on tiny ranges.

@@ -12,7 +12,10 @@
 # an ad-hoc upload (a small design posted back as CSV) under another
 # tenant, so only the upload's scheme record in the WAL can bring its
 # design back. The first restart's log must show both campaigns
-# restored unfinished, or the run proved nothing about recovery.
+# restored unfinished, or the run proved nothing about recovery. The
+# last restart also preloads the uploaded CSV with -designs: a preload
+# registers as an upload does, so it must answer the upload's journaled
+# id and journal nothing new.
 set -eu
 
 tmp=$(mktemp -d)
@@ -27,9 +30,9 @@ trap cleanup EXIT
 
 go build -o "$tmp/pooledd" ./cmd/pooledd
 
-start() {
+start() { # start [FLAG...] -> boot pooledd with the extra flags
 	"$tmp/pooledd" -addr "$addr" -shards 1 -shard-workers 1 \
-		-wal-dir "$tmp/wal" -wal-fsync always 2>>"$tmp/pooledd.log" &
+		-wal-dir "$tmp/wal" -wal-fsync always "$@" 2>>"$tmp/pooledd.log" &
 	pid=$!
 	i=0
 	while ! curl -sf "$base/v1/stats" >/dev/null 2>&1; do
@@ -176,11 +179,18 @@ curl -sf "$base/metrics" | grep -q '^pooled_wal_recovered_campaigns_total' ||
 
 # Kill and restart once more: both campaigns are sealed now, so boot
 # restores them read-only from their logs, and each full stream must
-# replay byte for byte — every id, event and data line.
+# replay byte for byte — every id, event and data line. This boot
+# preloads the uploaded CSV, which must answer the upload's id.
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 pid=
-start
+records=$(ls "$tmp/wal" | grep -c '\.scheme$')
+start -designs "$tmp/design.csv"
+grep -q "preloaded scheme $sid from" "$tmp/pooledd.log" ||
+	fail "preload of the uploaded CSV did not answer $sid: $(grep 'preloaded scheme' "$tmp/pooledd.log")"
+[ "$(ls "$tmp/wal" | grep -c '\.scheme$')" -eq "$records" ] ||
+	fail "preload of the uploaded CSV journaled a new scheme record"
+echo "crash-smoke: the -designs preload answered the upload's id $sid"
 for id in "$cid" "$aid"; do
 	curl -sfN "$base/v1/campaigns/$id/events?after=0" >"$tmp/replay-$id" ||
 		fail "event stream of $id lost across the second restart"
@@ -190,4 +200,4 @@ for id in "$cid" "$aid"; do
 done
 echo "crash-smoke: both finished campaigns replayed byte for byte after a second restart"
 
-echo "crash-smoke: OK (killed mid-flight, ad-hoc scheme restored, contiguous events, exactly-once delivery, recovery metric present, sealed streams replay byte for byte)"
+echo "crash-smoke: OK (killed mid-flight, ad-hoc scheme restored, contiguous events, exactly-once delivery, recovery metric present, sealed streams replay byte for byte, preload answered the upload's id)"
